@@ -33,8 +33,8 @@ def demo(a: int, L: int) -> None:
     show_cover(cfg, frozenset(range(cfg.M)) - cfg.canonical_S(), "complement")
 
     p1, p2 = build_family_two(a, L)
-    v1 = " -> ".join(str(v[0]) for v in p1.vertices())
-    v2 = " -> ".join(str(v[0]) for v in p2.vertices())
+    v1 = " -> ".join(str(v[0]) for v in p1.vertex_list)
+    v2 = " -> ".join(str(v[0]) for v in p2.vertex_list)
     print(f"   path 1 ({p1.labels}): {v1}")
     print(f"   path 2 ({p2.labels}): {v2}")
     if L % 2 == 0:

@@ -216,7 +216,7 @@ def cmd_build(args) -> int:
     try:
         if args.family == "one":
             k, a = args.params
-            realized = family_one.realize_disjoint_pair(k, a, budget)
+            realized = family_one.realize_disjoint_pair(k, a)
             pair = (realized.path1, realized.path2)
             digraph = pair[0].digraph
             params = {"k": k, "a": a}
@@ -283,7 +283,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=_env_default("FORMAT", "table"),
     )
     p.add_argument("--out", default=_env_default("OUT", None))
-    p.add_argument("--budget", type=int, default=_env_default("BUDGET", oracle.DEFAULT_BUDGET))
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=_env_default("BUDGET", oracle.DEFAULT_BUDGET),
+        help="oracle node budget; applies to build product and build search",
+    )
     p.add_argument("--jobs", type=int, default=_env_default("JOBS", 1))
 
 

@@ -24,6 +24,16 @@ class InputError(ValueError):
     """Malformed input: bad vertex, mismatched groups, invalid parameters."""
 
 
+def check_family_one_params(k: int, a: int) -> int:
+    """Validate (k, a) for Cay(Z_k; a, a+1) and return a reduced mod k."""
+    if k < 3:
+        raise InputError(f"need k >= 3, got k={k}")
+    a %= k
+    if a in (0, k - 1):
+        raise InputError(f"need k >= 3 and a not in {{0, k-1}} mod k, got {(k, a)}")
+    return a
+
+
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Direct product of cyclic groups Z_{n1} x ... x Z_{nr}.
@@ -181,9 +191,6 @@ class LabeledWalk:
         for lab in self.labels:
             vs.append(self.digraph.successor(vs[-1], lab))
         return tuple(vs)
-
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.vertex_list
 
     @property
     def end(self) -> Vertex:

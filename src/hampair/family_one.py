@@ -11,24 +11,22 @@ Hamiltonian path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from . import oracle
-from .core import InputError, LabeledWalk, arc_disjoint, cayley, verify_hamiltonian
-
-
-def _check_params(k: int, a: int) -> int:
-    a %= k
-    if k < 3 or a in (0, k - 1):
-        raise InputError(f"need k >= 3 and a not in {{0, k-1}} mod k, got {(k, a)}")
-    return a
+from . import lattice
+from .core import (
+    CayleyDigraph,
+    InputError,
+    LabeledWalk,
+    arc_disjoint,
+    cayley,
+    check_family_one_params,
+    verify_hamiltonian,
+)
 
 
 def cut_permutation(k: int, a: int, d: int) -> list[int]:
     """The cut permutation at cut value d, as an image list on 0..k-1."""
-    a = _check_params(k, a)
+    a = check_family_one_params(k, a)
     if not 0 <= d < k:
         raise InputError(f"cut value d must satisfy 0 <= d < k, got {d}")
     phi = []
@@ -43,22 +41,9 @@ def cut_permutation(k: int, a: int, d: int) -> list[int]:
 
 
 def cut_set_values(k: int, a: int) -> list[int]:
-    """Sorted cut values d whose cut permutation is a single k-cycle.
-
-    All k permutations are tested at once: the orbits of 0 are advanced
-    in lockstep across d, and d is kept iff its orbit first returns to 0
-    after exactly k steps.
-    """
-    a = _check_params(k, a)
-    d = np.arange(k)
-    pos = np.zeros(k, dtype=np.int64)
-    first_return = np.zeros(k, dtype=np.int64)
-    for t in range(1, k + 1):
-        pos = np.where(
-            pos < d, pos + a + 1, np.where(pos == d, a, pos + a)
-        ) % k
-        first_return = np.where((pos == 0) & (first_return == 0), t, first_return)
-    return [int(x) for x in d[first_return == k]]
+    """Sorted cut values d whose cut permutation is a single k-cycle,
+    read off the lattice ray system as prefix sums of multiplicities."""
+    return lattice.ray_system(k, a).cut_values()
 
 
 @dataclass(frozen=True)
@@ -68,7 +53,6 @@ class CutProfile:
     Z: tuple[int, ...]
     delta: int
     witness: tuple[int, int]
-    count_pair: Optional[tuple[int, int]] = None
 
     @property
     def N(self) -> int:
@@ -79,31 +63,34 @@ def cut_set(k: int, a: int) -> CutProfile:
     """Cut values plus the reflection distance dist(Z, N-Z) and a witness.
 
     The witness is the lexicographically least pair (u, v) in Z x Z with
-    u <= v attaining |u + v - N| = delta.
+    u <= v attaining |u + v - N| = delta.  One two-pointer pass over the
+    sorted Z suffices: a pair it skips is beaten by a visited pair with
+    a smaller |u + v - N|, or with the same excess and a smaller u.
     """
-    a = _check_params(k, a)
+    a = check_family_one_params(k, a)
     Z = cut_set_values(k, a)
     N = k - 1
     best = None
-    for u in Z:
-        for v in Z:
-            if v < u:
-                continue
-            cand = (abs(u + v - N), u, v)
-            if best is None or cand < best:
-                best = cand
+    i, j = 0, len(Z) - 1
+    while i <= j:
+        s = Z[i] + Z[j] - N
+        cand = (abs(s), Z[i], Z[j])
+        if best is None or cand < best:
+            best = cand
+        if s > 0:
+            j -= 1
+        elif s < 0:
+            i += 1
+        else:
+            break
     assert best is not None, "cut set is empty"
     delta, u, v = best
     return CutProfile(k, a, tuple(Z), delta, (u, v))
 
 
-def cut_path(k: int, a: int, d: int) -> LabeledWalk:
-    """The Hamiltonian cut path at d: from vertex a to vertex d, using
-    exactly d arcs labeled B."""
-    a = _check_params(k, a)
-    if d not in set(cut_set_values(k, a)):
-        raise InputError(f"d={d} is not a Hamiltonian cut value for {(k, a)}")
-    digraph = cayley([k], a, a + 1)
+def _cut_walk(digraph: CayleyDigraph, k: int, a: int, d: int) -> LabeledWalk:
+    """The standard cut candidate at d: from vertex a, step B (by a+1)
+    from each vertex below d and A (by a) from the others."""
     labels = []
     x = a
     for _ in range(k - 1):
@@ -113,7 +100,16 @@ def cut_path(k: int, a: int, d: int) -> LabeledWalk:
         else:
             labels.append("A")
             x = (x + a) % k
-    walk = LabeledWalk(digraph, (a,), "".join(labels))
+    return LabeledWalk(digraph, (a,), "".join(labels))
+
+
+def cut_path(k: int, a: int, d: int) -> LabeledWalk:
+    """The Hamiltonian cut path at d: from vertex a to vertex d, using
+    exactly d arcs labeled B."""
+    a = check_family_one_params(k, a)
+    if d not in cut_set_values(k, a):
+        raise InputError(f"d={d} is not a Hamiltonian cut value for {(k, a)}")
+    walk = _cut_walk(cayley([k], a, a + 1), k, a, d)
     assert walk.end == (d % k,)
     return walk
 
@@ -125,15 +121,16 @@ def count_pair(k: int, a: int) -> tuple[int, int]:
     pair with least d, then least e, subject to d <= e.  Existence is
     guaranteed by the reflection bound; absence would falsify it.
     """
-    a = _check_params(k, a)
-    Z = set(cut_set_values(k, a))
+    a = check_family_one_params(k, a)
+    Z = cut_set_values(k, a)
+    members = set(Z)
     for target in (k - 1, k - 2, k):
-        for d in sorted(Z):
+        for d in Z:
             e = target - d
-            if e >= d and e in Z:
+            if e >= d and e in members:
                 return d, e
     raise AssertionError(
-        f"no cut-value pair with sum in {{k-2, k-1, k}} for {(k, a)}: Z={sorted(Z)}"
+        f"no cut-value pair with sum in {{k-2, k-1, k}} for {(k, a)}: Z={Z}"
     )
 
 
@@ -141,71 +138,45 @@ def count_pair(k: int, a: int) -> tuple[int, int]:
 class RealizedPair:
     path1: LabeledWalk
     path2: LabeledWalk
-    stage: str  # "translate-count-pair", "translate-any", or "oracle"
+    stage: str  # always "translate-count-pair"
 
     def __iter__(self):
         return iter((self.path1, self.path2))
 
 
-def realize_disjoint_pair(
-    k: int, a: int, node_budget: int = oracle.DEFAULT_BUDGET
-) -> RealizedPair:
+def realize_disjoint_pair(k: int, a: int) -> RealizedPair:
     """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; a, a+1).
 
-    Stage 1 tries translates of the two count-pair cut paths; stage 2
-    widens to all pairs of cut values; stage 3 falls back to exhaustive
-    search.  Arc-disjointness is invariant under translating both paths
-    by the same element, so only the relative translate is scanned.
-    Every accepted pair is re-verified before being returned.
+    Take the count pair (d, e), so d <= e and k-2 <= d+e <= k.  The cut
+    path P at d starts at a and ends at d, so every vertex except d is a
+    tail: its B-tails are exactly [0, d) and its A-tails exactly
+    (d, k-1].  Likewise the cut path at e translated by h has B-tails
+    exactly [h, h+e) and A-tails exactly the complement of [h, h+e]
+    (intervals mod k).  Put h = d+1 if d+e < k and h = d if d+e = k.
+
+    - B-arcs are disjoint: [h, h+e) lies in [d, k) because d <= h and
+      h+e <= k, so it misses [0, d).
+    - A-arcs are disjoint: the A-tails are the complements of [0, d]
+      and [h, h+e], so they meet iff those closed intervals leave some
+      vertex uncovered.  They cover Z_k because [h, h+e] starts at or
+      before d+1 and ends at h+e >= k-1.
+
+    Both paths and their arc-disjointness are re-verified before
+    returning.
     """
-    a = _check_params(k, a)
+    a = check_family_one_params(k, a)
+    d, e = count_pair(k, a)
+    h = d + 1 if d + e < k else d
     digraph = cayley([k], a, a + 1)
-    Z = cut_set_values(k, a)
-    d0, e0 = count_pair(k, a)
-
-    def try_translates(d: int, e: int) -> Optional[tuple[LabeledWalk, LabeledWalk]]:
-        p = cut_path(k, a, d)
-        q = cut_path(k, a, e)
-        p_arcs = p.arc_set()
-        q_arcs = q.arcs()
-        for h in range(k):
-            shifted = {(((t[0] + h) % k,), lab) for t, lab in q_arcs}
-            if not (p_arcs & shifted):
-                return p, q.translate(h)
-        return None
-
-    stage = None
-    found = try_translates(d0, e0)
-    if found is not None:
-        stage = "translate-count-pair"
-    else:
-        for d in Z:
-            for e in Z:
-                found = try_translates(d, e)
-                if found is not None:
-                    stage = "translate-any"
-                    break
-            if found is not None:
-                break
-    if found is None:
-        outcome = oracle.find_arc_disjoint_pair(digraph, node_budget)
-        if not outcome.found:
-            raise RuntimeError(
-                f"no arc-disjoint pair realized for {(k, a)}: "
-                f"translate stages failed and oracle search was "
-                f"{outcome.status.value}"
-            )
-        found = outcome.pair
-        stage = "oracle"
-
-    p, q = found
+    p = _cut_walk(digraph, k, a, d)
+    q = _cut_walk(digraph, k, a, e).translate(h)
     if not (
         verify_hamiltonian(digraph, p).ok
         and verify_hamiltonian(digraph, q).ok
         and arc_disjoint(p, q)
     ):
         raise RuntimeError(f"realized pair for {(k, a)} failed verification")
-    return RealizedPair(p, q, stage)
+    return RealizedPair(p, q, "translate-count-pair")
 
 
 def valid_a_values(k: int) -> list[int]:

@@ -13,8 +13,7 @@ import functools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import InputError
-from .family_one import _check_params
+from .core import InputError, check_family_one_params
 
 Ray = tuple[int, int]
 
@@ -42,7 +41,7 @@ class LatticeParams:
 
 
 def lattice_params(k: int, a: int) -> LatticeParams:
-    a = _check_params(k, a)
+    a = check_family_one_params(k, a)
     n = gcd(k, a)
     m = k // n
     target = (n * (a + 1)) % k
@@ -111,13 +110,9 @@ def ray_system(k: int, a: int) -> RaySystem:
     return rs
 
 
-def cut_values_from_rays(rs: RaySystem) -> list[int]:
-    return rs.cut_values()
-
-
 def endpoint_caps(k: int, a: int) -> tuple[int, int]:
     """The boundary multiplicities flanking the cut set."""
-    a = _check_params(k, a)
+    a = check_family_one_params(k, a)
     return gcd(k, a) - 1, gcd(k, a + 1) - 1
 
 

@@ -19,6 +19,7 @@ from .core import (
     InputError,
     LabeledWalk,
     Vertex,
+    check_family_one_params,
     verify_hamiltonian,
 )
 
@@ -220,12 +221,10 @@ def oracle_cut_set(k: int, a: int) -> set[int]:
 
     Simulates the explicit successor rule directly on Z_k, starting from
     vertex a: below the cut the step is by a+1, above it by a.  This is
-    deliberately independent of the permutation-orbit implementation in
-    family_one.
+    deliberately independent of the lattice ray system that family_one
+    reads the cut set from.
     """
-    a %= k
-    if k < 3 or a in (0, k - 1):
-        raise InputError(f"need k >= 3 and a not in {{0, k-1}} mod k, got {(k, a)}")
+    a = check_family_one_params(k, a)
     b = a + 1
     result = set()
     for d in range(k):

@@ -1,8 +1,9 @@
 """Parameter scans over the first cyclic family.
 
-One scan cell covers a single (k, a); selected checks compare the two
-cut-set parametrizations, the reflection distance against its parity
-prediction, the gcd cap formulas, and the sector-filling inequalities.
+One scan cell covers a single (k, a); selected checks compare the
+ray-system cut set with oracle_cut_set, the reflection distance against
+its parity prediction, the gcd cap formulas, and the sector-filling
+inequalities.
 Cells are independent, so scans parallelize; results are always
 reported in (k, a) order.
 """
@@ -13,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import family_one, lattice
+from . import family_one, lattice, oracle
 
 ALL_CHECKS = (
     "parity-sharp",
@@ -53,8 +54,8 @@ def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
     failures = []
 
     rs = lattice.ray_system(k, a)
-    lattice_Z = tuple(lattice.cut_values_from_rays(rs))
-    lattice_agrees = lattice_Z == Z
+    oracle_Z = tuple(sorted(oracle.oracle_cut_set(k, a)))
+    lattice_agrees = oracle_Z == Z
 
     if "parity-sharp" in checks:
         expected = 0 if k % 2 else 1
@@ -62,7 +63,7 @@ def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
             failures.append(f"parity-sharp: delta={profile.delta}, expected {expected}")
     if "lattice-equality" in checks:
         if not lattice_agrees:
-            failures.append(f"lattice-equality: rays give {lattice_Z}, cuts give {Z}")
+            failures.append(f"lattice-equality: rays give {Z}, oracle gives {oracle_Z}")
         if rs.cut_values()[-1] + rs.mults[-1] != N:
             failures.append("lattice-equality: endpoint identity violated")
     if "caps" in checks:

@@ -46,6 +46,9 @@ def test_cuts_rejects_invalid_a(capsys):
     code, _, err = run(capsys, "cuts", "10", "9")
     assert code == EXIT_USAGE
     assert "error" in err
+    code, _, err = run(capsys, "cuts", "0", "1")
+    assert code == EXIT_USAGE
+    assert "error" in err
 
 
 def test_rays_formats(capsys):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hampair
 from hampair.core import (
     CayleyDigraph,
     FiniteAbelianGroup,
@@ -159,3 +165,17 @@ def test_path_arcs_distinct():
     w = LabeledWalk(d, (0,), "ABABAB")
     if verify_hamiltonian(d, w).ok:
         assert len(set(w.arcs())) == len(w.arcs())
+
+
+def test_import_leaves_numpy_unloaded():
+    src = str(Path(hampair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hampair; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -59,6 +59,13 @@ def test_cut_set_reference_examples():
 
     assert cut_set(5, 2).Z == (0, 4)
 
+    # brute-force lexicographic minimum of (|u + v - N|, u, v) over u <= v
+    for k in range(3, 81):
+        for a in valid_a_values(k):
+            p = cut_set(k, a)
+            best = min((abs(u + v - (k - 1)), u, v) for u in p.Z for v in p.Z if u <= v)
+            assert (p.delta, *p.witness) == best, (k, a)
+
 
 def test_cut_set_matches_oracle_small():
     for k in range(3, 30):
@@ -78,7 +85,7 @@ def test_cut_set_parity():
 
 def test_cut_path_5_2_0():
     w = cut_path(5, 2, 0)
-    assert w.vertices() == ((2,), (4,), (1,), (3,), (0,))
+    assert w.vertex_list == ((2,), (4,), (1,), (3,), (0,))
     assert w.labels == "AAAA"
     assert w.delta_b() == 0
 
@@ -137,8 +144,4 @@ def test_cut_paths_verify_property(k, seed):
 
 
 def test_realize_records_stage():
-    assert realize_disjoint_pair(10, 4).stage in (
-        "translate-count-pair",
-        "translate-any",
-        "oracle",
-    )
+    assert realize_disjoint_pair(10, 4).stage == "translate-count-pair"

@@ -93,9 +93,9 @@ def test_canonical_cover_is_hamiltonian():
 
 def test_build_1_2_exact():
     path1, path2 = build_family_two(1, 2)
-    assert [v[0] for v in path1.vertices()] == [5, 4, 3, 2, 1, 0]
+    assert [v[0] for v in path1.vertex_list] == [5, 4, 3, 2, 1, 0]
     assert path1.labels == "AAAAA"
-    assert [v[0] for v in path2.vertices()] == [2, 4, 0, 5, 1, 3]
+    assert [v[0] for v in path2.vertex_list] == [2, 4, 0, 5, 1, 3]
     assert path2.labels == "BBABB"
 
 
@@ -116,6 +116,6 @@ def test_build_even_L_splice_structure():
     cfg = QuotientFiberConfig(2, 4)
     Q = skew_cover(cfg, frozenset(range(cfg.M)) - cfg.canonical_S())
     assert len(Q.cycles) == 2
-    side = [0 if v[0] in set(Q.cycles[0]) else 1 for v in p2.vertices()]
+    side = [0 if v[0] in set(Q.cycles[0]) else 1 for v in p2.vertex_list]
     crossings = sum(1 for s, t in zip(side, side[1:]) if s != t)
     assert crossings == 1

@@ -6,7 +6,6 @@ from hampair.core import InputError
 from hampair.family_one import cut_set_values, valid_a_values
 from hampair.lattice import (
     cap2_bound_report,
-    cut_values_from_rays,
     endpoint_caps,
     gap_profile,
     lattice_params,
@@ -15,6 +14,7 @@ from hampair.lattice import (
     sector_mass,
     theta,
 )
+from hampair.oracle import oracle_cut_set
 
 
 def test_lattice_params_10_4():
@@ -48,16 +48,16 @@ def test_endpoint_identity_sweep():
 
 
 def test_cut_values_from_rays_examples():
-    assert cut_values_from_rays(ray_system(10, 4)) == [1, 3, 5]
-    assert cut_values_from_rays(ray_system(15, 3)) == [2, 4, 6, 8, 14]
-    assert cut_values_from_rays(ray_system(6, 2)) == [1, 3]
+    assert ray_system(10, 4).cut_values() == [1, 3, 5]
+    assert ray_system(15, 3).cut_values() == [2, 4, 6, 8, 14]
+    assert ray_system(6, 2).cut_values() == [1, 3]
 
 
 def test_cross_parametrization_equality_small():
     for k in range(3, 40):
         for a in valid_a_values(k):
-            assert cut_values_from_rays(ray_system(k, a)) == list(
-                cut_set_values(k, a)
+            assert ray_system(k, a).cut_values() == sorted(
+                oracle_cut_set(k, a)
             ), (k, a)
 
 
