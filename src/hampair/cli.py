@@ -30,7 +30,14 @@ def _env_default(name: str, fallback):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
-    return type(fallback)(raw) if fallback is not None else raw
+    if fallback is None:
+        return raw
+    try:
+        return type(fallback)(raw)
+    except ValueError:
+        raise InputError(
+            f"{ENV_PREFIX}{name}={raw!r} is not a valid {type(fallback).__name__}"
+        ) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -215,19 +222,19 @@ def cmd_build(args) -> int:
     budget = args.budget
     try:
         if args.family == "one":
-            k, a = args.params
+            k, a = args.k, args.a
             realized = family_one.realize_disjoint_pair(k, a)
             pair = (realized.path1, realized.path2)
             digraph = pair[0].digraph
             params = {"k": k, "a": a}
             print(f"realization stage: {realized.stage}", file=sys.stderr)
         elif args.family == "two":
-            a, L = args.params
+            a, L = args.a, args.L
             pair = family_two.build_family_two(a, L)
             digraph = pair[0].digraph
             params = {"a": a, "L": L}
         elif args.family == "product":
-            m, n, ell = args.params
+            m, n, ell = args.m, args.n, args.l
             pair = products.build_three_factor(m, n, ell, budget)
             digraph = pair[0].digraph
             params = {"m": m, "n": n, "l": ell}
@@ -326,18 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct and emit a witness file")
     bsub = p.add_subparsers(dest="family", required=True)
-    b = bsub.add_parser("one", help="Cay(Z_k; a, a+1)")
-    b.add_argument("params", type=int, nargs=2, metavar=("k", "a"))
-    _add_common(b)
-    b.set_defaults(func=cmd_build)
-    b = bsub.add_parser("two", help="Cay(Z_{(2a+1)L}; -a, a+1)")
-    b.add_argument("params", type=int, nargs=2, metavar=("a", "L"))
-    _add_common(b)
-    b.set_defaults(func=cmd_build)
-    b = bsub.add_parser("product", help="C_m x C_n x C_l")
-    b.add_argument("params", type=int, nargs=3, metavar=("m", "n", "l"))
-    _add_common(b)
-    b.set_defaults(func=cmd_build)
+    for family, help_text, names in (
+        ("one", "Cay(Z_k; a, a+1)", "k a"),
+        ("two", "Cay(Z_{(2a+1)L}; -a, a+1)", "a L"),
+        ("product", "C_m x C_n x C_l", "m n l"),
+    ):
+        b = bsub.add_parser(family, help=help_text)
+        for name in names.split():
+            b.add_argument(name, type=int)
+        _add_common(b)
+        b.set_defaults(func=cmd_build)
     b = bsub.add_parser("search", help="exhaustive search on any small digraph")
     b.add_argument("orders", type=_intlist)
     b.add_argument("gen_a", type=_intlist)
@@ -354,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,14 +3,30 @@
 Everything downstream (the structured constructions, the brute-force
 search, the CLI) goes through the walk verifier defined here, so this
 module is deliberately small and has no dependencies beyond the stdlib.
+
+Vertices are residue tuples at the API, and mixed-radix integers inside
+the checks: in Z_{n1} x ... x Z_{nr} the vertex (x1, ..., xr) has index
+(...((x1*n2 + x2)*n3 + x3)...)*nr + xr in [0, n), so index order is the
+lexicographic order of `elements()`.  A digraph builds, on first use,
+one successor table per generator over these indices; a walk follows
+the tables to its `index_list`, and an arc is the integer
+tail*r + label position for r generators.  `verify_hamiltonian` and
+`arc_disjoint` run on these integers only; `verify_hamiltonian` checks
+a walk's length before any table is built, so a walk whose size does
+not match its group costs nothing in the group's order.
+
+Generation is decided arithmetically, without visiting the group: the
+generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
+and n_i*e_i span Z^r, i.e. iff every pivot of the Hermite normal form
+of that integer matrix is 1.
 """
 
 from __future__ import annotations
 
 import string
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 Vertex = tuple[int, ...]
@@ -81,6 +97,32 @@ class FiniteAbelianGroup:
     def neg(self, v: Vertex) -> Vertex:
         return tuple((-x) % n for x, n in zip(v, self.orders))
 
+    def encode(self, v: Vertex) -> int:
+        """The mixed-radix index of a canonical vertex."""
+        i = 0
+        for x, n in zip(v, self.orders):
+            i = i * n + x
+        return i
+
+    def decode(self, i: int) -> Vertex:
+        """The canonical vertex with mixed-radix index i."""
+        out = []
+        for n in reversed(self.orders):
+            i, x = divmod(i, n)
+            out.append(x)
+        return tuple(reversed(out))
+
+    def translation_table(self, g: Vertex) -> list[int]:
+        """Entry i is the index of decode(i) + g."""
+        table = [0]
+        stride = self.size
+        for x, n in zip(g, self.orders):
+            stride //= n
+            column = range(0, n * stride, stride)  # y * stride for y in Z_n
+            axis = [*column[x:], *column[:x]]  # (y + x) * stride
+            table = [t + s for t in table for s in axis] if len(table) > 1 else axis
+        return table
+
     def elements(self) -> Iterator[Vertex]:
         """All vertices in lexicographic order."""
 
@@ -105,6 +147,13 @@ class CayleyDigraph:
 
     group: FiniteAbelianGroup
     gens: tuple[Vertex, ...]
+    # Filled by successor_tables on first use.  A field set in __init__,
+    # not a cached_property: writing a new key into the instance __dict__
+    # would slow every later attribute load on the digraph, which the
+    # oracle's search makes millions of.
+    _tables: tuple[list[int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         gens = tuple(self.group.canon(g) for g in self.gens)
@@ -119,17 +168,40 @@ class CayleyDigraph:
             raise InputError(f"{gens} do not generate the group {self.group.orders}")
 
     def _generates(self) -> bool:
-        # Breadth-first closure from 0 over the generator set.
-        seen = {self.group.zero}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for g in self.gens:
-                w = self.group.add(v, g)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.group.size
+        # Hermite reduction of the rows gens + n_i*e_i, one column at a
+        # time: unimodular row steps gather the column's gcd into one
+        # pivot row and clear the column in the others.  The rows left
+        # span the lattice's vectors that vanish up to this column, which
+        # hold n_j*e_j, so their entries may be reduced mod n_j.
+        orders = self.group.orders
+        rows = [list(g) for g in self.gens]
+        rows += [[n if j == i else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
+        for col in range(len(orders)):
+            pivot = [0] * len(orders)
+            rest = []
+            for row in rows:
+                a, b = pivot[col], row[col]
+                if b == 0:
+                    rest.append(row)
+                    continue
+                g, s, t = _xgcd(a, b)
+                rest.append(
+                    [(b // g * p - a // g * q) % n for p, q, n in zip(pivot, row, orders)]
+                )
+                pivot = [s * p + t * q for p, q in zip(pivot, row)]
+            if abs(pivot[col]) != 1:
+                return False
+            rows = rest
+        return True
+
+    @property
+    def successor_tables(self) -> tuple[list[int], ...]:
+        """successor_tables[i][v]: the index of the head of the arc
+        labeled GENERATOR_LABELS[i] whose tail has index v."""
+        if self._tables is None:
+            tables = tuple(self.group.translation_table(g) for g in self.gens)
+            object.__setattr__(self, "_tables", tables)
+        return self._tables
 
     @property
     def labels(self) -> str:
@@ -154,13 +226,26 @@ class CayleyDigraph:
         return self.group.add(self.group.check_vertex(v), self.gen(lab))
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for (a, b) != (0, 0)."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, t0, s1, t1 = s1, t1, s0 - q * s1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
     """Convenience constructor: cayley([10], 4, 5) is Cay(Z_10; 4, 5)."""
     group = FiniteAbelianGroup(tuple(orders))
     return CayleyDigraph(group, tuple(group.canon(g) for g in gens))
 
 
-# An arc in a Cayley digraph is determined by (tail, label).
+# An arc in a Cayley digraph is determined by (tail, label).  The checks
+# below encode it as tail index * r + label position.
 Arc = tuple[Vertex, str]
 ArcSet = frozenset[Arc]
 
@@ -170,7 +255,8 @@ class LabeledWalk:
     """A walk given by its start vertex and per-step generator labels.
 
     Vertices are recomputed on demand, so a walk cannot carry an
-    inconsistent vertex/label pair.
+    inconsistent vertex/label pair: `index_list` follows the digraph's
+    successor tables, and `vertex_list` decodes it.
     """
 
     digraph: CayleyDigraph
@@ -179,22 +265,32 @@ class LabeledWalk:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", self.digraph.group.check_vertex(self.start))
-        for lab in self.labels:
-            self.digraph.gen(lab)  # raises on an unknown label
+        if not isinstance(self.labels, str) or self.labels.strip(self.digraph.labels):
+            for lab in self.labels:
+                self.digraph.gen(lab)  # raises on an unknown label
 
     def __len__(self) -> int:
         return len(self.labels)
 
     @cached_property
-    def vertex_list(self) -> tuple[Vertex, ...]:
-        vs = [self.start]
+    def index_list(self) -> list[int]:
+        """The mixed-radix indices of the walk's vertices, start first."""
+        tables = dict(zip(self.digraph.labels, self.digraph.successor_tables))
+        v = self.digraph.group.encode(self.start)
+        out = [v]
+        append = out.append
         for lab in self.labels:
-            vs.append(self.digraph.successor(vs[-1], lab))
-        return tuple(vs)
+            v = tables[lab][v]
+            append(v)
+        return out
+
+    @cached_property
+    def vertex_list(self) -> tuple[Vertex, ...]:
+        return tuple(map(self.digraph.group.decode, self.index_list))
 
     @property
     def end(self) -> Vertex:
-        return self.vertex_list[-1]
+        return self.digraph.group.decode(self.index_list[-1])
 
     def arcs(self) -> list[Arc]:
         """Arcs in traversal order, as (tail, label) pairs."""
@@ -241,17 +337,20 @@ def verify_hamiltonian(
         return VerificationReport(
             False, mode, f"wrong length: {len(w.labels)} labels, expected {want}"
         )
-    vs = w.vertex_list
+    vs = w.index_list
     head = vs[:n]
     if len(set(head)) != n:
-        seen: set[Vertex] = set()
+        seen: set[int] = set()
         for v in head:
             if v in seen:
-                return VerificationReport(False, mode, f"repeated vertex {v}")
+                return VerificationReport(
+                    False, mode, f"repeated vertex {d.group.decode(v)}"
+                )
             seen.add(v)
     if mode == "cycle" and vs[-1] != vs[0]:
+        end, start = d.group.decode(vs[-1]), d.group.decode(vs[0])
         return VerificationReport(
-            False, mode, f"cycle does not close: ends at {vs[-1]}, started at {vs[0]}"
+            False, mode, f"cycle does not close: ends at {end}, started at {start}"
         )
     return VerificationReport(True, mode)
 
@@ -260,4 +359,11 @@ def arc_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:
     """True iff the two walks share no (tail, label) arc."""
     if w1.digraph != w2.digraph:
         raise InputError("walks live in different digraphs")
-    return not (w1.arc_set() & w2.arc_set())
+    return set(_arc_ids(w1)).isdisjoint(_arc_ids(w2))
+
+
+def _arc_ids(w: LabeledWalk) -> Iterator[int]:
+    """The walk's arcs as tail index * r + label position, r generators."""
+    r = len(w.digraph.gens)
+    position = {lab: i for i, lab in enumerate(w.digraph.labels)}
+    return map(add, map(r.__mul__, w.index_list), map(position.__getitem__, w.labels))

@@ -12,7 +12,7 @@ arc borrowed from the first cycle (L even).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
@@ -68,15 +68,16 @@ class SkewCover:
     config: QuotientFiberConfig
     S: frozenset[int]
     cycles: tuple[tuple[int, ...], ...]
+    # steps[x % M] is the generator the permutation adds at x: the
+    # quotient position of x depends only on x mod M, because M | k.
+    steps: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def return_shift(self) -> int:
         return self.config.a + 1 - len(self.S)
 
     def step(self, x: int) -> int:
-        cfg = self.config
-        g = cfg.gen_a if cfg.quotient_coordinate(x) in self.S else cfg.gen_b
-        return (x + g) % cfg.k
+        return (x + self.steps[x % self.config.M]) % self.config.k
 
     def cycle_of(self, x: int) -> tuple[int, ...]:
         for cyc in self.cycles:
@@ -86,22 +87,24 @@ class SkewCover:
 
 
 def skew_cover(cfg: QuotientFiberConfig, S: Iterable[int]) -> SkewCover:
-    S = frozenset(t % cfg.M for t in S)
-    cover = SkewCover(cfg, S, ())
+    M, k = cfg.M, cfg.k
+    S = frozenset(t % M for t in S)
+    inv = pow(cfg.gen_b, -1, M)  # gcd(a+1, 2a+1) = 1
+    steps = tuple(cfg.gen_a if r * inv % M in S else cfg.gen_b for r in range(M))
     cycles = []
-    seen: set[int] = set()
-    for x0 in range(cfg.k):
-        if x0 in seen:
+    seen = bytearray(k)
+    for x0 in range(k):
+        if seen[x0]:
             continue
         cyc = [x0]
-        seen.add(x0)
-        x = cover.step(x0)
+        seen[x0] = 1
+        x = (x0 + steps[x0 % M]) % k
         while x != x0:
             cyc.append(x)
-            seen.add(x)
-            x = cover.step(x)
+            seen[x] = 1
+            x = (x + steps[x % M]) % k
         cycles.append(tuple(cyc))
-    cover = SkewCover(cfg, S, tuple(cycles))
+    cover = SkewCover(cfg, S, tuple(cycles), steps)
     assert len(cycles) == gcd(cfg.L, cover.return_shift)
     return cover
 

@@ -75,7 +75,7 @@ def is_strongly_switchable(
     data = _switch_data(p, q)
     g = d.group
     violations = []
-    if p.arc_set() & q.translate(data.gamma).arc_set():
+    if not arc_disjoint(p, q.translate(data.gamma)):
         violations.append("translated arc overlap")
     if p.end == q.end:
         violations.append("terminal equality")

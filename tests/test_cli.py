@@ -1,6 +1,14 @@
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
+
+import hampair
 from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from hampair.core import cayley
 from hampair.witness import witness_from_json
 
 
@@ -154,6 +162,40 @@ def test_verify_corrupted_witness_fails(capsys, tmp_path):
     assert "verification failed" in err
 
 
+def test_verify_oversized_group_fails_fast(tmp_path):
+    # A 200-byte document claiming a group of order 10**8 must be refused
+    # by the length check, before anything of that size is built.
+    target = tmp_path / "huge.json"
+    target.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "family": "search",
+                "params": {"order_0": 10**8},
+                "group_orders": [10**8],
+                "gen_a": [1],
+                "gen_b": [2],
+                "path1": {"start": [0], "labels": "AB"},
+                "path2": {"start": [1], "labels": "BA"},
+            }
+        )
+    )
+    src = str(Path(hampair.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from hampair.cli import main; sys.exit(main())",
+         "verify", str(target)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=10,
+    )
+    assert out.returncode == EXIT_FAIL
+    assert "wrong length" in out.stderr
+    t0 = time.perf_counter()
+    assert cayley([10**6], 1, 2).group.size == 10**6
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_verify_malformed_file(capsys, tmp_path):
     target = tmp_path / "bad.json"
     target.write_text("{")
@@ -179,3 +221,24 @@ def test_flag_overrides_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "cuts", "10", "4", "--format", "csv")
     assert code == EXIT_OK
     assert out.startswith("k,a,Z,")
+
+
+@pytest.mark.parametrize(
+    "family, names", [("one", ["k", "a"]), ("two", ["a", "L"]), ("product", ["m", "n", "l"])]
+)
+def test_build_help_names_parameters(capsys, family, names):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", family, "--help"])
+    assert exc.value.code == EXIT_OK
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.split()[-len(names):] == names
+
+
+@pytest.mark.parametrize("name, value", [("BUDGET", "abc"), ("JOBS", "x")])
+def test_bad_env_value_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv("HAMPAIR_" + name, value)
+    code, out, err = run(capsys, "cuts", "10", "4")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "HAMPAIR_" + name in err

@@ -1,10 +1,13 @@
+import itertools
 import os
 import subprocess
 import sys
+from collections import deque
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hampair
@@ -179,3 +182,91 @@ def test_import_leaves_numpy_unloaded():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def bfs_generates(group: FiniteAbelianGroup, gens) -> bool:
+    """Reference generation check: breadth-first closure from 0."""
+    seen = {group.zero}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for g in gens:
+            w = group.add(v, g)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == group.size
+
+
+def hermite_generates(group: FiniteAbelianGroup, gens) -> bool:
+    # gens are distinct and nonzero, so the only reason to refuse them
+    # is that they do not generate the group
+    try:
+        CayleyDigraph(group, tuple(gens))
+    except InputError:
+        return False
+    return True
+
+
+def small_groups(max_order: int, max_rank: int):
+    """Every Z_{n1} x ... x Z_{nr} with r <= max_rank, all n_i >= 2 and
+    order <= max_order, each ordering of the factors counted."""
+    for rank in range(1, max_rank + 1):
+        for orders in itertools.product(range(2, max_order + 1), repeat=rank):
+            if prod(orders) <= max_order:
+                yield FiniteAbelianGroup(orders)
+
+
+def test_generation_check_matches_bfs_on_pairs():
+    checked = refused = 0
+    for group in small_groups(24, 3):
+        nonzero = [v for v in group.elements() if v != group.zero]
+        for gens in itertools.permutations(nonzero, 2):
+            want = bfs_generates(group, gens)
+            assert hermite_generates(group, gens) == want, (group.orders, gens)
+            checked += 1
+            refused += not want
+    assert refused > 0 and checked > refused
+    assert not hermite_generates(FiniteAbelianGroup((6,)), ((2,), (4,)))
+    assert not hermite_generates(FiniteAbelianGroup((2, 4)), ((1, 0), (0, 2)))
+    assert hermite_generates(FiniteAbelianGroup((1, 6)), ((0, 2), (0, 3)))
+
+
+def test_generation_check_matches_bfs_on_triples():
+    for group in small_groups(12, 3):
+        nonzero = [v for v in group.elements() if v != group.zero]
+        for gens in itertools.permutations(nonzero, 3):
+            assert hermite_generates(group, gens) == bfs_generates(group, gens), (
+                group.orders,
+                gens,
+            )
+
+
+@st.composite
+def walks_in(draw, min_rank: int, max_rank: int, count: int):
+    """A generating Cayley digraph of small rank and `count` random walks in it."""
+    orders = tuple(draw(st.lists(st.integers(2, 5), min_size=min_rank, max_size=max_rank)))
+    element = st.tuples(*(st.integers(0, n - 1) for n in orders))
+    gens = draw(st.lists(element, min_size=2, max_size=3, unique=True))
+    group = FiniteAbelianGroup(orders)
+    assume(group.zero not in gens and bfs_generates(group, gens))
+    d = CayleyDigraph(group, tuple(gens))
+    labels = st.text(alphabet=d.labels, max_size=2 * group.size)
+    return d, [LabeledWalk(d, draw(element), draw(labels)) for _ in range(count)]
+
+
+@given(walks_in(1, 3, 1))
+def test_index_list_decodes_to_successor_walk(case):
+    d, (w,) = case
+    vs = [w.start]
+    for lab in w.labels:
+        vs.append(d.successor(vs[-1], lab))
+    assert [d.group.decode(i) for i in w.index_list] == vs
+    assert w.index_list == [d.group.encode(v) for v in vs]
+    assert list(w.vertex_list) == vs and w.end == vs[-1]
+
+
+@given(walks_in(2, 3, 2))
+def test_arc_disjoint_matches_tuple_arc_sets(case):
+    _, (w1, w2) = case
+    assert arc_disjoint(w1, w2) == (not (w1.arc_set() & w2.arc_set()))
