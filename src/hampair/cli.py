@@ -26,10 +26,12 @@ EXIT_INCONCLUSIVE = 3
 ENV_PREFIX = "HAMPAIR_"
 
 
-def _env_default(name: str, fallback):
+def _env_default(name: str, fallback, choices: Sequence[str] = ()):
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
+    if choices and raw not in choices:
+        raise InputError(f"{ENV_PREFIX}{name}={raw!r} is not one of {', '.join(choices)}")
     if fallback is None:
         return raw
     try:
@@ -284,11 +286,8 @@ def cmd_verify(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default=_env_default("FORMAT", "table"),
-    )
+    formats = ("table", "json", "csv")
+    p.add_argument("--format", choices=formats, default=_env_default("FORMAT", "table", formats))
     p.add_argument("--out", default=_env_default("OUT", None))
     p.add_argument(
         "--budget",

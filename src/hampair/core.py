@@ -265,7 +265,9 @@ class LabeledWalk:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", self.digraph.group.check_vertex(self.start))
-        if not isinstance(self.labels, str) or self.labels.strip(self.digraph.labels):
+        if not isinstance(self.labels, str):
+            raise InputError(f"labels must be a str, got {type(self.labels).__name__}")
+        if self.labels.strip(self.digraph.labels):
             for lab in self.labels:
                 self.digraph.gen(lab)  # raises on an unknown label
 
@@ -359,11 +361,12 @@ def arc_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:
     """True iff the two walks share no (tail, label) arc."""
     if w1.digraph != w2.digraph:
         raise InputError("walks live in different digraphs")
-    return set(_arc_ids(w1)).isdisjoint(_arc_ids(w2))
+    return set(arc_ids(w1)).isdisjoint(arc_ids(w2))
 
 
-def _arc_ids(w: LabeledWalk) -> Iterator[int]:
-    """The walk's arcs as tail index * r + label position, r generators."""
+def arc_ids(w: LabeledWalk) -> Iterator[int]:
+    """The walk's arcs as tail index * r + label position, r generators:
+    the one arc encoding of the package (arc_disjoint, the oracle)."""
     r = len(w.digraph.gens)
     position = {lab: i for i, lab in enumerate(w.digraph.labels)}
     return map(add, map(r.__mul__, w.index_list), map(position.__getitem__, w.labels))

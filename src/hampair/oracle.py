@@ -5,6 +5,11 @@ constructions.  Search results are three-valued: a witness, a proof of
 absence (the search space was exhausted), or an explicit "inconclusive"
 when the node budget ran out.  Branches are explored in generator-label
 order ("A" before "B"), so every outcome is deterministic.
+
+The search runs on core's integer kernel (mixed-radix vertex indices,
+per-generator successor tables, core's arc ids for forbidden arcs) with
+an explicit stack, so its depth is bounded by the group order, not by
+Python's recursion limit.  One budget node is spent per vertex entered.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
-    ArcSet,
     CayleyDigraph,
     InputError,
     LabeledWalk,
     Vertex,
+    arc_ids,
     check_family_one_params,
     verify_hamiltonian,
 )
@@ -51,7 +56,6 @@ class _Budget:
 class SearchConstraints:
     required_start: Optional[Vertex] = None
     required_end: Optional[Vertex] = None
-    forbidden_arcs: ArcSet = frozenset()
     required_b_count: Optional[int] = None
     node_budget: int = DEFAULT_BUDGET
 
@@ -83,73 +87,66 @@ class PairOutcome:
 
 
 def _iter_paths(
-    d: CayleyDigraph, c: SearchConstraints, budget: _Budget
+    d: CayleyDigraph, c: SearchConstraints, budget: _Budget, forbidden: frozenset[int] = frozenset()
 ) -> Iterator[LabeledWalk]:
-    """Yield every Hamiltonian path satisfying c, in deterministic DFS order.
+    """Yield every Hamiltonian path satisfying c whose arcs avoid the ids
+    in `forbidden` (see core.arc_ids), in deterministic DFS order.
 
     Raises BudgetExhausted when the node budget runs out.
     """
-    n = d.group.size
-    if c.required_b_count is not None and c.required_b_count > max(n - 1, 0):
-        return
-    if n == 1:
-        start = d.group.zero
-        if c.required_start not in (None, start):
-            return
-        if c.required_end not in (None, start):
-            return
-        if c.required_b_count not in (None, 0):
-            return
-        yield LabeledWalk(d, start, "")
+    group = d.group
+    n = group.size
+    want_b = c.required_b_count
+    if want_b is not None and want_b > n - 1:
         return
 
-    starts = (
-        [d.group.check_vertex(c.required_start)]
-        if c.required_start is not None
-        else sorted(d.group.elements())
-    )
+    def index(v: Vertex) -> int:
+        return group.encode(group.check_vertex(v))
+
+    end = None if c.required_end is None else index(c.required_end)
+    starts = range(n) if c.required_start is None else [index(c.required_start)]
     labels = d.labels
+    tables = d.successor_tables
+    r = len(tables)
+    on_path = bytearray(n)
 
     for start in starts:
-        path_labels: list[str] = []
-        visited = {start}
+        path = [start]  # vertex indices
+        steps: list[int] = []  # label positions: steps[i] leads to path[i + 1]
+        todo = [-1]  # per vertex on the path: the next label position to try
+        on_path[start] = 1
         b_used = 0
-
-        def extend(v: Vertex) -> Iterator[LabeledWalk]:
-            nonlocal b_used
-            budget.spend()
-            depth = len(path_labels)
-            if depth == n - 1:
-                if c.required_end is None or v == c.required_end:
-                    if c.required_b_count is None or b_used == c.required_b_count:
-                        yield LabeledWalk(d, start, "".join(path_labels))
-                return
-            # A vertex equal to the required end cannot be internal.
-            if c.required_end is not None and v == c.required_end:
-                return
-            remaining = n - 1 - depth
-            if c.required_b_count is not None:
-                if b_used > c.required_b_count:
-                    return
-                if c.required_b_count - b_used > remaining:
-                    return
-            for lab in labels:
-                if (v, lab) in c.forbidden_arcs:
-                    continue
-                w = d.successor(v, lab)
-                if w in visited:
-                    continue
-                visited.add(w)
-                path_labels.append(lab)
-                if lab == "B":
-                    b_used += 1
-                yield from extend(w)
-                if lab == "B":
-                    b_used -= 1
-                path_labels.pop()
-                visited.remove(w)
-
-        yield from extend(start)
+        while path:
+            v = path[-1]
+            i = todo[-1]
+            if i < 0:  # v was just entered
+                budget.spend()
+                left = n - 1 - len(steps)  # steps still to take
+                if not left and end in (None, v) and want_b in (None, b_used):
+                    walk_labels = "".join(map(labels.__getitem__, steps))
+                    yield LabeledWalk(d, group.decode(start), walk_labels)
+                # Expand no further at a leaf, at the required end (it cannot be
+                # internal), or when the B arcs still needed do not fit.
+                i = 0
+                if not left or v == end or (
+                    want_b is not None and not 0 <= want_b - b_used <= left
+                ):
+                    i = r
+            if i == r:  # every branch tried: backtrack
+                todo.pop()
+                on_path[path.pop()] = 0
+                if steps:
+                    b_used -= steps.pop() == 1
+                continue
+            todo[-1] = i + 1
+            w = tables[i][v]
+            if on_path[w] or v * r + i in forbidden:
+                continue
+            on_path[w] = 1
+            path.append(w)
+            steps.append(i)
+            todo.append(-1)
+            b_used += i == 1
 
 
 def find_hamiltonian_path(
@@ -173,14 +170,14 @@ def find_hamiltonian_cycle(
     The digraph is vertex-transitive, so the start is fixed at 0.
     """
     budget = _Budget(node_budget)
-    n = d.group.size
     start = d.group.zero
     try:
         c = SearchConstraints(required_start=start, node_budget=node_budget)
         for walk in _iter_paths(d, c, budget):
-            # Close the path back to the start if some generator does.
-            for lab in d.labels:
-                if d.successor(walk.end, lab) == start:
+            # Close the path back to the start (index 0) if some generator does.
+            last = walk.index_list[-1]
+            for lab, table in zip(d.labels, d.successor_tables):
+                if table[last] == 0:
                     cyc = LabeledWalk(d, start, walk.labels + lab)
                     assert verify_hamiltonian(d, cyc, "cycle").ok
                     return SearchOutcome(Status.FOUND, cyc, budget.used)
@@ -198,8 +195,7 @@ def iter_arc_disjoint_pairs(
     """
     outer = SearchConstraints(node_budget=budget.limit)
     for p in _iter_paths(d, outer, budget):
-        inner = SearchConstraints(forbidden_arcs=p.arc_set(), node_budget=budget.limit)
-        for q in _iter_paths(d, inner, budget):
+        for q in _iter_paths(d, outer, budget, frozenset(arc_ids(p))):
             yield p, q
 
 

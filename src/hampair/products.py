@@ -176,12 +176,10 @@ def product_like_extension(d: CayleyDigraph, ell: int) -> CayleyDigraph:
 
 @lru_cache(maxsize=None)
 def _base_analysis(m: int, n: int, node_budget: int):
-    """Cached per-base work: Hamiltonian cycle search and strongly
-    switchable pair search in C_m x C_n."""
+    """Cached per-base work: the strongly switchable pair search in
+    C_m x C_n."""
     d = product_digraph((m, n))
-    cycle = oracle.find_hamiltonian_cycle(d, node_budget)
-    switchable = find_strongly_switchable_pair(d, node_budget)
-    return d, cycle, switchable
+    return d, find_strongly_switchable_pair(d, node_budget)
 
 
 def build_three_factor(
@@ -196,12 +194,15 @@ def build_three_factor(
     """
     if min(m, n, ell) < 2:
         raise InputError(f"need m, n, ell >= 2, got {(m, n, ell)}")
-    d, cycle, switchable = _base_analysis(m, n, node_budget)
+    d, switchable = _base_analysis(m, n, node_budget)
     diagnostics = []
     if switchable.found:
         return lift_through_cycle(d, *switchable.pair, ell)
     diagnostics.append(f"strategy (a): switchable pair search {switchable.status.value}")
 
+    # The base cycle search runs only on this fallback: on a base with no
+    # Hamiltonian cycle it is a costly exhaustive proof of absence.
+    cycle = oracle.find_hamiltonian_cycle(d, node_budget)
     if cycle.found:
         pair = _pair_via_cycle_relabeling(d, cycle.walk, ell, node_budget)
         if pair is not None:

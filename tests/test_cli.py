@@ -128,6 +128,13 @@ def test_build_search_witness(capsys):
     assert witness_from_json(out).verify() == (True, "ok")
 
 
+def test_build_search_deep(capsys):
+    # A 1,200-vertex search: deeper than Python's recursion limit.
+    code, out, _ = run(capsys, "build", "search", "1200", "1", "2")
+    assert code == EXIT_OK
+    assert witness_from_json(out).verify() == (True, "ok")
+
+
 def test_build_search_budget_exhausted(capsys):
     code, _, err = run(
         capsys, "build", "search", "12", "1", "5", "--budget", "3"
@@ -234,7 +241,9 @@ def test_build_help_names_parameters(capsys, family, names):
     assert usage.split()[-len(names):] == names
 
 
-@pytest.mark.parametrize("name, value", [("BUDGET", "abc"), ("JOBS", "x")])
+@pytest.mark.parametrize(
+    "name, value", [("BUDGET", "abc"), ("JOBS", "x"), ("FORMAT", "bogus")]
+)
 def test_bad_env_value_is_usage_error(capsys, monkeypatch, name, value):
     monkeypatch.setenv("HAMPAIR_" + name, value)
     code, out, err = run(capsys, "cuts", "10", "4")

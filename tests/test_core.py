@@ -17,6 +17,7 @@ from hampair.core import (
     InputError,
     LabeledWalk,
     arc_disjoint,
+    arc_ids,
     cayley,
     verify_hamiltonian,
 )
@@ -95,6 +96,12 @@ def test_arc_disjoint_self_false():
 def test_arc_disjoint_same_tail_different_labels():
     d = cayley([6], 5, 2)
     assert arc_disjoint(LabeledWalk(d, (0,), "A"), LabeledWalk(d, (0,), "B"))
+
+
+def test_arc_ids_are_tail_index_times_r_plus_label_position():
+    d = cayley([2, 3], (1, 0), (0, 1))  # index of (x, y) is 3x + y
+    w = LabeledWalk(d, (0, 2), "ABA")  # (0,2) -A-> (1,2) -B-> (1,0) -A-> (0,0)
+    assert list(arc_ids(w)) == [2 * 2 + 0, 5 * 2 + 1, 3 * 2 + 0]
 
 
 def test_arc_disjoint_rejects_mismatched_digraphs():

@@ -149,3 +149,37 @@ def test_returned_witnesses_always_verify():
             p, q = pair.pair
             assert verify_hamiltonian(d, p).ok and verify_hamiltonian(d, q).ok
             assert arc_disjoint(p, q)
+
+
+# Exact (status, nodes_used, [(start, labels), ...]): a change to the
+# branch order or to the node accounting shows here.
+@pytest.mark.parametrize(
+    "search, expected",
+    [
+        (
+            lambda: find_arc_disjoint_pair(cayley([12], 4, 9)),
+            ("found", 74, [((0,), "AABAABAABAA"), ((3,), "BBBABBBABBB")]),
+        ),
+        (lambda: find_hamiltonian_cycle(product_digraph((3, 4))), ("absent", 215, [])),
+        (
+            lambda: find_hamiltonian_path(
+                cayley([9], 2, 3),
+                SearchConstraints(required_start=(4,), required_end=(8,), required_b_count=6),
+            ),
+            ("found", 32, [((4,), "BBABBABB")]),
+        ),
+        (
+            lambda: find_hamiltonian_cycle(product_digraph((4, 5)), 1000),
+            ("inconclusive", 1001, []),
+        ),
+    ],
+    ids=["pair", "coprime-cycle-absent", "constrained-path", "budget-exhausted"],
+)
+def test_search_outcomes_pinned(search, expected):
+    out = search()
+    if hasattr(out, "pair"):
+        walks = out.pair or ()
+    else:
+        walks = [out.walk] if out.walk else []
+    got = (out.status.value, out.nodes_used, [(w.start, w.labels) for w in walks])
+    assert got == expected

@@ -1,5 +1,6 @@
 import pytest
 
+from hampair import products
 from hampair.core import InputError, LabeledWalk, arc_disjoint, verify_hamiltonian
 from hampair.oracle import find_arc_disjoint_pair, find_hamiltonian_cycle
 from hampair.products import (
@@ -140,6 +141,39 @@ def test_cycle_relabeling_fallback():
         assert verify_hamiltonian(lifted, w1).ok
         assert verify_hamiltonian(lifted, w2).ok
         assert arc_disjoint(w1, w2)
+
+
+@pytest.fixture
+def fresh_base_cache():
+    products._base_analysis.cache_clear()
+    yield
+    products._base_analysis.cache_clear()
+
+
+def test_base_cycle_search_runs_only_on_fallback(fresh_base_cache, monkeypatch):
+    def no_cycle_search(*args):
+        raise AssertionError("base cycle search ran although strategy (a) succeeded")
+
+    monkeypatch.setattr(products.oracle, "find_hamiltonian_cycle", no_cycle_search)
+    w1, w2 = build_three_factor(2, 3, 3)
+    assert verify_hamiltonian(w1.digraph, w1).ok and arc_disjoint(w1, w2)
+
+
+def test_strategy_b_fallback_and_diagnostics(fresh_base_cache, monkeypatch):
+    absent = products.SwitchablePairOutcome(products.oracle.Status.ABSENT)
+    monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
+    # C_2 x C_2 has a Hamiltonian cycle, so strategy (b) builds the pair.
+    w1, w2 = build_three_factor(2, 2, 3)
+    assert verify_hamiltonian(w1.digraph, w1).ok and verify_hamiltonian(w2.digraph, w2).ok
+    assert arc_disjoint(w1, w2)
+    # C_2 x C_3 has none (Trotter-Erdos), so both strategies are reported.
+    with pytest.raises(RuntimeError) as exc:
+        build_three_factor(2, 3, 3)
+    assert str(exc.value) == (
+        "no arc-disjoint pair built for C_2 x C_3 x C_3: "
+        "strategy (a): switchable pair search absent; "
+        "strategy (b): base Hamiltonian cycle search absent"
+    )
 
 
 def test_three_factor_agrees_with_oracle_small():

@@ -101,6 +101,15 @@ def test_bad_label_rejected():
         witness_from_json(json.dumps(doc))
 
 
+def test_list_labels_rejected():
+    # A JSON list of one-letter labels would verify but not round-trip
+    # to the same bytes, so only a string is a valid labels field.
+    doc = json.loads(_family_two_witness().to_json())
+    doc["path1"]["labels"] = list(doc["path1"]["labels"])
+    with pytest.raises(MalformedWitness, match="labels must be a str"):
+        witness_from_json(json.dumps(doc))
+
+
 def test_swapped_generators_fail_verification():
     # same label data, but the labels now mean the wrong steps
     r = realize_disjoint_pair(10, 4)
