@@ -2,8 +2,9 @@
 witness construction, and witness verification.
 
 Data goes to stdout (or --out); progress and diagnostics go to stderr.
-Exit codes: 0 success, 1 check or verification failure, 2 usage or
-malformed input, 3 inconclusive (search budget exhausted).
+Each subcommand takes only the options it reads; HAMPAIR_<OPTION> sets
+an option's default.  Exit codes: 0 success, 1 check or verification
+failure, 2 usage or malformed input, 3 inconclusive (a budget ran out).
 """
 
 from __future__ import annotations
@@ -24,22 +25,7 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 ENV_PREFIX = "HAMPAIR_"
-
-
-def _env_default(name: str, fallback, choices: Sequence[str] = ()):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    if choices and raw not in choices:
-        raise InputError(f"{ENV_PREFIX}{name}={raw!r} is not one of {', '.join(choices)}")
-    if fallback is None:
-        return raw
-    try:
-        return type(fallback)(raw)
-    except ValueError:
-        raise InputError(
-            f"{ENV_PREFIX}{name}={raw!r} is not a valid {type(fallback).__name__}"
-        ) from None
+FORMATS = ("table", "json", "csv")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -220,45 +206,45 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _build_one(args):
+    realized = family_one.realize_disjoint_pair(args.k, args.a)
+    print(f"realization stage: {realized.stage}", file=sys.stderr)
+    return {"k": args.k, "a": args.a}, (realized.path1, realized.path2)
+
+
+def _build_two(args):
+    return {"a": args.a, "L": args.L}, family_two.build_family_two(args.a, args.L)
+
+
+def _build_product(args):
+    pair = products.build_three_factor(args.m, args.n, args.l, args.budget)
+    return {"m": args.m, "n": args.n, "l": args.l}, pair
+
+
+def _build_search(args):
+    digraph = cayley(args.orders, args.gen_a, args.gen_b)
+    outcome = oracle.find_arc_disjoint_pair(digraph, args.budget)
+    if outcome.status is oracle.Status.INCONCLUSIVE:
+        raise oracle.BudgetExhausted("node budget exhausted")
+    if not outcome.found:
+        raise RuntimeError("no arc-disjoint Hamiltonian path pair exists")
+    return {f"order_{i}": o for i, o in enumerate(args.orders)}, outcome.pair
+
+
 def cmd_build(args) -> int:
-    budget = args.budget
     try:
-        if args.family == "one":
-            k, a = args.k, args.a
-            realized = family_one.realize_disjoint_pair(k, a)
-            pair = (realized.path1, realized.path2)
-            digraph = pair[0].digraph
-            params = {"k": k, "a": a}
-            print(f"realization stage: {realized.stage}", file=sys.stderr)
-        elif args.family == "two":
-            a, L = args.a, args.L
-            pair = family_two.build_family_two(a, L)
-            digraph = pair[0].digraph
-            params = {"a": a, "L": L}
-        elif args.family == "product":
-            m, n, ell = args.m, args.n, args.l
-            pair = products.build_three_factor(m, n, ell, budget)
-            digraph = pair[0].digraph
-            params = {"m": m, "n": n, "l": ell}
-        else:  # search
-            digraph = cayley(args.orders, args.gen_a, args.gen_b)
-            outcome = oracle.find_arc_disjoint_pair(digraph, budget)
-            if outcome.status is oracle.Status.INCONCLUSIVE:
-                print("search inconclusive: node budget exhausted", file=sys.stderr)
-                return EXIT_INCONCLUSIVE
-            if not outcome.found:
-                print("no arc-disjoint Hamiltonian path pair exists", file=sys.stderr)
-                return EXIT_FAIL
-            pair = outcome.pair
-            params = {f"order_{i}": o for i, o in enumerate(args.orders)}
+        params, pair = args.build(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except oracle.BudgetExhausted as exc:
+        print(f"search inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except RuntimeError as exc:
         print(f"builder failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
-    wf = WitnessFile(args.family, params, digraph, pair[0], pair[1])
+    wf = WitnessFile(args.family, params, pair[0].digraph, pair[0], pair[1])
     ok, reason = wf.verify()
     if not ok:
         print(f"internal error: built witness fails verification: {reason}", file=sys.stderr)
@@ -285,20 +271,40 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    formats = ("table", "json", "csv")
-    p.add_argument("--format", choices=formats, default=_env_default("FORMAT", "table", formats))
-    p.add_argument("--out", default=_env_default("OUT", None))
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=_env_default("BUDGET", oracle.DEFAULT_BUDGET),
-        help="oracle node budget; applies to build product and build search",
-    )
-    p.add_argument("--jobs", type=int, default=_env_default("JOBS", 1))
+def _env_defaults() -> dict:
+    """The option defaults, from HAMPAIR_<NAME> where set.  All four are
+    checked as their flags would check them, whichever subcommand runs."""
+    defaults = {"format": "table", "out": None, "budget": oracle.DEFAULT_BUDGET, "jobs": 1}
+    for name, fallback in defaults.items():
+        var = ENV_PREFIX + name.upper()
+        raw = os.environ.get(var)
+        if raw is None:
+            continue
+        if name == "format" and raw not in FORMATS:
+            raise InputError(f"{var}={raw!r} is not one of {', '.join(FORMATS)}")
+        try:
+            defaults[name] = raw if fallback is None else type(fallback)(raw)
+        except ValueError:
+            raise InputError(
+                f"{var}={raw!r} is not a valid {type(fallback).__name__}"
+            ) from None
+    return defaults
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(env: dict) -> argparse.ArgumentParser:
+    """The argument parser; `env` holds the option defaults (see
+    _env_defaults).  Each subcommand takes only the options it reads."""
+    option_kwargs = {
+        "format": {"choices": FORMATS},
+        "out": {"help": "write the data to this file instead of stdout"},
+        "budget": {"type": int, "help": "oracle node budget"},
+        "jobs": {"type": int, "help": "worker processes"},
+    }
+
+    def add_options(p: argparse.ArgumentParser, names: str) -> None:
+        for name in names.split():
+            p.add_argument("--" + name, default=env[name], **option_kwargs[name])
+
     parser = argparse.ArgumentParser(
         prog="hampair",
         description="Arc-disjoint Hamiltonian path pairs in two-generated "
@@ -306,52 +312,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cuts", help="cut set, reflection distance, caps, gap graph")
-    p.add_argument("k", type=int)
-    p.add_argument("a", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_cuts)
-
-    p = sub.add_parser("rays", help="lattice ray table for (k, a)")
-    p.add_argument("k", type=int)
-    p.add_argument("a", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_rays)
+    for command, help_text, func in (
+        ("cuts", "cut set, reflection distance, caps, gap graph", cmd_cuts),
+        ("rays", "lattice ray table for (k, a)", cmd_rays),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("k", type=int)
+        p.add_argument("a", type=int)
+        add_options(p, "format out")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("scan", help="sweep (k, a) cells and run consistency checks")
     p.add_argument("k_min", type=int)
     p.add_argument("k_max", type=int)
+    add_options(p, "format out jobs")
     p.add_argument(
         "--checks",
         nargs="*",
         choices=scan.ALL_CHECKS,
         help="subset of checks to run (default: all)",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("build", help="construct and emit a witness file")
     bsub = p.add_subparsers(dest="family", required=True)
-    for family, help_text, names in (
-        ("one", "Cay(Z_k; a, a+1)", "k a"),
-        ("two", "Cay(Z_{(2a+1)L}; -a, a+1)", "a L"),
-        ("product", "C_m x C_n x C_l", "m n l"),
+    for family, help_text, names, arg_type, options, build in (
+        ("one", "Cay(Z_k; a, a+1)", "k a", int, "out", _build_one),
+        ("two", "Cay(Z_{(2a+1)L}; -a, a+1)", "a L", int, "out", _build_two),
+        ("product", "C_m x C_n x C_l", "m n l", int, "out budget", _build_product),
+        ("search", "exhaustive search on any small digraph", "orders gen_a gen_b",
+         _intlist, "out budget", _build_search),
     ):
         b = bsub.add_parser(family, help=help_text)
         for name in names.split():
-            b.add_argument(name, type=int)
-        _add_common(b)
-        b.set_defaults(func=cmd_build)
-    b = bsub.add_parser("search", help="exhaustive search on any small digraph")
-    b.add_argument("orders", type=_intlist)
-    b.add_argument("gen_a", type=_intlist)
-    b.add_argument("gen_b", type=_intlist)
-    _add_common(b)
-    b.set_defaults(func=cmd_build)
+            b.add_argument(name, type=arg_type)
+        add_options(b, options)
+        b.set_defaults(func=cmd_build, build=build)
 
     p = sub.add_parser("verify", help="re-verify a witness file")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_env_defaults()).parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,11 @@ class Status(enum.Enum):
 
 
 class BudgetExhausted(Exception):
-    """Internal signal; callers see Status.INCONCLUSIVE instead."""
+    """A search ran out of node budget, so its outcome is inconclusive.
+
+    The find_* functions return Status.INCONCLUSIVE instead;
+    products.build_three_factor raises it to its caller.
+    """
 
 
 @dataclass
@@ -194,6 +198,13 @@ def iter_arc_disjoint_pairs(
     Backtracks over the first path as well as the second.
     """
     outer = SearchConstraints(node_budget=budget.limit)
+    # A pair needs the first path's n nodes, and a proof of absence tries
+    # all n starts at a node each: with fewer than n nodes left the search
+    # ends inconclusive at limit + 1 nodes, so end it before any table is
+    # built.
+    if d.group.size > budget.limit - budget.used:
+        budget.used = budget.limit + 1
+        raise BudgetExhausted
     for p in _iter_paths(d, outer, budget):
         for q in _iter_paths(d, outer, budget, frozenset(arc_ids(p))):
             yield p, q

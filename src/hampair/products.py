@@ -3,9 +3,9 @@
 The three-factor product C_m x C_n x C_l is handled by finding a
 "strongly switchable" ordered pair of arc-disjoint Hamiltonian paths in
 the two-factor base and lifting it layer by layer through the third
-cycle.  When the base has a Hamiltonian directed cycle, the product
-also contains a spanning C_{mn} x C_l, and a pair found there by
-exhaustive search is mapped back through the cycle relabeling.
+cycle.  That is the only construction: when the base search proves
+that no strongly switchable pair exists, or runs out of budget, the
+build fails with that outcome.
 """
 
 from __future__ import annotations
@@ -185,73 +185,23 @@ def _base_analysis(m: int, n: int, node_budget: int):
 def build_three_factor(
     m: int, n: int, ell: int, node_budget: int = oracle.DEFAULT_BUDGET
 ) -> tuple[LabeledWalk, LabeledWalk]:
-    """Two verified arc-disjoint Hamiltonian paths in C_m x C_n x C_ell.
+    """Two verified arc-disjoint Hamiltonian paths in C_m x C_n x C_ell,
+    lifted from a strongly switchable pair of the base C_m x C_n.
 
-    Strategy (a): lift a strongly switchable pair of the base C_m x C_n.
-    Strategy (b): when the base has a Hamiltonian directed cycle, search
-    for a pair in the spanning C_{mn} x C_ell and map it back through
-    the cycle relabeling.  Fails loudly with per-strategy diagnostics.
+    Raises oracle.BudgetExhausted when the base search is inconclusive,
+    and RuntimeError when it proves that the base has no such pair.
     """
     if min(m, n, ell) < 2:
         raise InputError(f"need m, n, ell >= 2, got {(m, n, ell)}")
     d, switchable = _base_analysis(m, n, node_budget)
-    diagnostics = []
-    if switchable.found:
-        return lift_through_cycle(d, *switchable.pair, ell)
-    diagnostics.append(f"strategy (a): switchable pair search {switchable.status.value}")
-
-    # The base cycle search runs only on this fallback: on a base with no
-    # Hamiltonian cycle it is a costly exhaustive proof of absence.
-    cycle = oracle.find_hamiltonian_cycle(d, node_budget)
-    if cycle.found:
-        pair = _pair_via_cycle_relabeling(d, cycle.walk, ell, node_budget)
-        if pair is not None:
-            return pair
-        diagnostics.append(
-            "strategy (b): pair search in the relabeled two-cycle product failed"
+    if switchable.status is oracle.Status.INCONCLUSIVE:
+        raise oracle.BudgetExhausted(
+            f"strongly switchable pair search in C_{m} x C_{n} "
+            f"exhausted its budget of {node_budget} nodes"
         )
-    else:
-        diagnostics.append(
-            f"strategy (b): base Hamiltonian cycle search {cycle.status.value}"
+    if not switchable.found:
+        raise RuntimeError(
+            f"C_{m} x C_{n} has no strongly switchable pair to lift "
+            f"to C_{m} x C_{n} x C_{ell}"
         )
-    raise RuntimeError(
-        f"no arc-disjoint pair built for C_{m} x C_{n} x C_{ell}: "
-        + "; ".join(diagnostics)
-    )
-
-
-def _pair_via_cycle_relabeling(
-    d: CayleyDigraph, cycle: LabeledWalk, ell: int, node_budget: int
-) -> Optional[tuple[LabeledWalk, LabeledWalk]]:
-    """Arc-disjoint pair in D x C_ell using only arcs of the spanning
-    subdigraph C_{mn} x C_ell defined by a Hamiltonian cycle of D."""
-    mn = d.group.size
-    ring = product_digraph((mn, ell))
-    outcome = oracle.find_arc_disjoint_pair(ring, node_budget)
-    if not outcome.found:
-        return None
-    cyc_vertices = cycle.vertex_list[:-1]
-    cyc_labels = cycle.labels  # label of the base arc leaving cyc_vertices[j]
-    lifted = product_like_extension(d, ell)
-    vertical = lifted.labels[-1]
-
-    def map_walk(w: LabeledWalk) -> LabeledWalk:
-        j = w.start[0]
-        labels = []
-        for lab in w.labels:
-            if lab == "A":  # ring step: the j-th arc of the base cycle
-                labels.append(cyc_labels[j])
-                j = (j + 1) % mn
-            else:  # vertical step
-                labels.append(vertical)
-        start = cyc_vertices[w.start[0]] + (w.start[1],)
-        return LabeledWalk(lifted, start, "".join(labels))
-
-    w1, w2 = (map_walk(w) for w in outcome.pair)
-    for w in (w1, w2):
-        rep = verify_hamiltonian(lifted, w)
-        if not rep.ok:
-            raise RuntimeError(f"relabeled path failed verification: {rep.reason}")
-    if not arc_disjoint(w1, w2):
-        raise RuntimeError("relabeled paths are not arc-disjoint")
-    return w1, w2
+    return lift_through_cycle(d, *switchable.pair, ell)

@@ -10,6 +10,7 @@ reported in (k, a) order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -148,8 +149,11 @@ def run_scan(
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     args = [(k, a, checks) for k, a in scan_cells(k_min, k_max)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers at once, so never ask for more than
+    # there are cells or CPUs.
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(scan_cell, args, chunksize=16))
     else:
         rows = [scan_cell(cell) for cell in args]

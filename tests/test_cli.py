@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hampair
+from hampair import products
 from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
 from hampair.core import cayley
 from hampair.witness import witness_from_json
@@ -143,6 +145,24 @@ def test_build_search_budget_exhausted(capsys):
     assert "inconclusive" in err
 
 
+def test_build_product_budget_exhausted(capsys):
+    code, out, err = run(capsys, "build", "product", "2", "3", "4", "--budget", "3")
+    assert code == EXIT_INCONCLUSIVE
+    assert out == "" and "inconclusive" in err
+
+
+def test_build_product_absent_base_fails(capsys, monkeypatch):
+    absent = products.SwitchablePairOutcome(products.oracle.Status.ABSENT)
+    monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
+    products._base_analysis.cache_clear()
+    try:
+        code, out, err = run(capsys, "build", "product", "2", "3", "3")
+    finally:
+        products._base_analysis.cache_clear()
+    assert code == EXIT_FAIL
+    assert out == "" and err.startswith("builder failed: ")
+
+
 def test_build_rejects_bad_params(capsys):
     code, _, err = run(capsys, "build", "one", "10", "0")
     assert code == EXIT_USAGE
@@ -251,3 +271,32 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch, name, value):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "HAMPAIR_" + name in err
+
+
+# Each subcommand's options: the ones its code reads, 14 in all.
+OPTIONS = {
+    "cuts": {"--format", "--out"},
+    "rays": {"--format", "--out"},
+    "scan": {"--format", "--out", "--jobs", "--checks"},
+    "build one": {"--out"},
+    "build two": {"--out"},
+    "build product": {"--out", "--budget"},
+    "build search": {"--out", "--budget"},
+    "verify": set(),
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_subcommand_takes_only_the_options_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    assert exc.value.code == EXIT_OK
+    shown = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+    assert shown - {"--help"} == OPTIONS[command]
+
+
+def test_option_of_another_subcommand_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "w.json", "--format", "json"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err

@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from hampair.core import InputError, LabeledWalk, arc_disjoint, cayley, verify_hamiltonian
+from hampair.core import (
+    FiniteAbelianGroup,
+    InputError,
+    LabeledWalk,
+    arc_disjoint,
+    cayley,
+    verify_hamiltonian,
+)
 from hampair.oracle import (
     SearchConstraints,
     Status,
@@ -11,7 +18,7 @@ from hampair.oracle import (
     find_hamiltonian_path,
     oracle_cut_set,
 )
-from hampair.products import product_digraph
+from hampair.products import find_strongly_switchable_pair, product_digraph
 
 
 def test_constrained_path_exists():
@@ -55,6 +62,20 @@ def test_budget_exhaustion_is_reported():
     out = find_hamiltonian_path(d, SearchConstraints(node_budget=3))
     assert out.status is Status.INCONCLUSIVE
     assert out.nodes_used > 3 - 1
+
+
+def test_pair_search_larger_than_budget_builds_no_table(monkeypatch):
+    # A pair needs at least n nodes and a proof of absence spends one per
+    # start, so an order above the budget is inconclusive at once, with
+    # the nodes_used an exhausted search reports.
+    def no_table(self, g):
+        raise AssertionError("successor table built for a search that cannot finish")
+
+    monkeypatch.setattr(FiniteAbelianGroup, "translation_table", no_table)
+    out = find_arc_disjoint_pair(cayley([1000], 1, 2), 100)
+    assert (out.status, out.pair, out.nodes_used) == (Status.INCONCLUSIVE, None, 101)
+    out = find_strongly_switchable_pair(product_digraph((20, 20)), 100)
+    assert (out.status, out.pair, out.nodes_used) == (Status.INCONCLUSIVE, None, 101)
 
 
 def test_cycle_c2c2():

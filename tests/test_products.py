@@ -2,9 +2,8 @@ import pytest
 
 from hampair import products
 from hampair.core import InputError, LabeledWalk, arc_disjoint, verify_hamiltonian
-from hampair.oracle import find_arc_disjoint_pair, find_hamiltonian_cycle
+from hampair.oracle import BudgetExhausted, find_arc_disjoint_pair
 from hampair.products import (
-    _pair_via_cycle_relabeling,
     build_three_factor,
     find_strongly_switchable_pair,
     is_strongly_switchable,
@@ -127,22 +126,6 @@ def test_build_three_factor_rejects_degenerate():
         build_three_factor(1, 2, 2)
 
 
-def test_cycle_relabeling_fallback():
-    # exercise strategy (b) directly: C_2 x C_2 has a Hamiltonian cycle,
-    # and the relabeled two-cycle product yields a valid pair
-    d = product_digraph((2, 2))
-    cyc = find_hamiltonian_cycle(d)
-    assert cyc.found
-    for ell in (2, 3, 5):
-        pair = _pair_via_cycle_relabeling(d, cyc.walk, ell, 10**7)
-        assert pair is not None
-        w1, w2 = pair
-        lifted = w1.digraph
-        assert verify_hamiltonian(lifted, w1).ok
-        assert verify_hamiltonian(lifted, w2).ok
-        assert arc_disjoint(w1, w2)
-
-
 @pytest.fixture
 def fresh_base_cache():
     products._base_analysis.cache_clear()
@@ -159,20 +142,22 @@ def test_base_cycle_search_runs_only_on_fallback(fresh_base_cache, monkeypatch):
     assert verify_hamiltonian(w1.digraph, w1).ok and arc_disjoint(w1, w2)
 
 
-def test_strategy_b_fallback_and_diagnostics(fresh_base_cache, monkeypatch):
+def test_base_search_outcomes_raise_distinct_errors(fresh_base_cache, monkeypatch):
+    # A proof that the base has no strongly switchable pair fails the build.
     absent = products.SwitchablePairOutcome(products.oracle.Status.ABSENT)
     monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
-    # C_2 x C_2 has a Hamiltonian cycle, so strategy (b) builds the pair.
-    w1, w2 = build_three_factor(2, 2, 3)
-    assert verify_hamiltonian(w1.digraph, w1).ok and verify_hamiltonian(w2.digraph, w2).ok
-    assert arc_disjoint(w1, w2)
-    # C_2 x C_3 has none (Trotter-Erdos), so both strategies are reported.
     with pytest.raises(RuntimeError) as exc:
         build_three_factor(2, 3, 3)
     assert str(exc.value) == (
-        "no arc-disjoint pair built for C_2 x C_3 x C_3: "
-        "strategy (a): switchable pair search absent; "
-        "strategy (b): base Hamiltonian cycle search absent"
+        "C_2 x C_3 has no strongly switchable pair to lift to C_2 x C_3 x C_3"
+    )
+    monkeypatch.undo()
+    products._base_analysis.cache_clear()
+    # A search that runs out of budget is inconclusive, not a failure.
+    with pytest.raises(BudgetExhausted) as exc:
+        build_three_factor(2, 3, 4, 3)
+    assert str(exc.value) == (
+        "strongly switchable pair search in C_2 x C_3 exhausted its budget of 3 nodes"
     )
 
 

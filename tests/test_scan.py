@@ -1,5 +1,6 @@
 import pytest
 
+from hampair import scan
 from hampair.scan import ALL_CHECKS, run_scan, scan_cell, scan_cells
 
 
@@ -56,3 +57,32 @@ def test_scan_check_subset():
 def test_scan_rejects_unknown_check():
     with pytest.raises(ValueError):
         run_scan(3, 10, checks=("no-such-check",))
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, k_max, workers",
+    [(100000, 64, 4, 3), (100000, 2, 20, 2), (100000, None, 20, None), (1, 64, 20, None)],
+)
+def test_scan_workers_capped_by_cells_and_cpus(monkeypatch, jobs, cpus, k_max, workers):
+    # The pool forks every worker up front, so its size is checked on a
+    # fake that maps in this process: no process starts.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+    rows, _ = run_scan(3, k_max, jobs=jobs)
+    assert [(r.k, r.a) for r in rows] == scan_cells(3, k_max)
+    assert started == ([] if workers is None else [workers])
