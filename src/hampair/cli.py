@@ -49,10 +49,10 @@ def _fmt_set(values) -> str:
 
 def cmd_cuts(args) -> int:
     profile = family_one.cut_set(args.k, args.a)
-    rs = lattice.ray_system(args.k, args.a)
+    rs = profile.ray_system
     gp = lattice.gap_profile(profile.Z, profile.N)
     graph = lattice.reflected_gap_graph(profile.Z, profile.N)
-    pair = family_one.count_pair(args.k, args.a)
+    pair = profile.count_pair
     record = {
         "k": args.k,
         "a": args.a % args.k,

@@ -10,7 +10,7 @@ Hamiltonian path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattice
 from .core import (
@@ -48,11 +48,20 @@ def cut_set_values(k: int, a: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CutProfile:
+    """Everything one (k, a) cell derives from its ray system.
+
+    The profile keeps the ray system it was read from, so a caller that
+    also needs the rays (the scan's sector checks, `hampair cuts`) builds
+    it once.
+    """
+
     k: int
     a: int
     Z: tuple[int, ...]
     delta: int
     witness: tuple[int, int]
+    count_pair: tuple[int, int]
+    ray_system: lattice.RaySystem = field(repr=False)
 
     @property
     def N(self) -> int:
@@ -60,32 +69,18 @@ class CutProfile:
 
 
 def cut_set(k: int, a: int) -> CutProfile:
-    """Cut values plus the reflection distance dist(Z, N-Z) and a witness.
+    """Cut values, the reflection distance dist(Z, N-Z) with a witness,
+    and the count pair, all read from one ray system.
 
     The witness is the lexicographically least pair (u, v) in Z x Z with
-    u <= v attaining |u + v - N| = delta.  One two-pointer pass over the
-    sorted Z suffices: a pair it skips is beaten by a visited pair with
-    a smaller |u + v - N|, or with the same excess and a smaller u.
+    u <= v attaining |u + v - N| = delta (lattice.reflection_distance).
+    The count pair is as described in count_pair.
     """
     a = check_family_one_params(k, a)
-    Z = cut_set_values(k, a)
-    N = k - 1
-    best = None
-    i, j = 0, len(Z) - 1
-    while i <= j:
-        s = Z[i] + Z[j] - N
-        cand = (abs(s), Z[i], Z[j])
-        if best is None or cand < best:
-            best = cand
-        if s > 0:
-            j -= 1
-        elif s < 0:
-            i += 1
-        else:
-            break
-    assert best is not None, "cut set is empty"
-    delta, u, v = best
-    return CutProfile(k, a, tuple(Z), delta, (u, v))
+    rs = lattice.ray_system(k, a)
+    Z = rs.cut_values()
+    delta, u, v = lattice.reflection_distance(Z, k - 1)
+    return CutProfile(k, a, tuple(Z), delta, (u, v), _count_pair(k, a, Z), rs)
 
 
 def _cut_walk(digraph: CayleyDigraph, k: int, a: int, d: int) -> LabeledWalk:
@@ -121,8 +116,10 @@ def count_pair(k: int, a: int) -> tuple[int, int]:
     pair with least d, then least e, subject to d <= e.  Existence is
     guaranteed by the reflection bound; absence would falsify it.
     """
-    a = check_family_one_params(k, a)
-    Z = cut_set_values(k, a)
+    return cut_set(k, a).count_pair
+
+
+def _count_pair(k: int, a: int, Z: list[int]) -> tuple[int, int]:
     members = set(Z)
     for target in (k - 1, k - 2, k):
         for d in Z:

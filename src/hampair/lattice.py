@@ -3,13 +3,15 @@
 The cut values of Cay(Z_k; a, a+1) are prefix sums of multiplicities of
 slope-ordered primitive rays in a triangle attached to (k, a).  This
 module computes that ray system exactly (integer arithmetic only), the
-derived gap profile with its endpoint caps, the sector-filling counts,
-and the reflected gap graph diagnostic.
+derived gap profile with its endpoint caps, the sector-filling counts
+(O(1) per pair from the ray system's prefix sums and a closed form for
+theta), the reflection distance, and the reflected gap graph diagnostic.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -44,8 +46,9 @@ def lattice_params(k: int, a: int) -> LatticeParams:
     a = check_family_one_params(k, a)
     n = gcd(k, a)
     m = k // n
-    target = (n * (a + 1)) % k
-    e = next(e for e in range(m) if (e * a) % k == target)
+    # n(a+1) = e*a (mod k) divided by n: a+1 = e*(a/n) (mod m), and a/n
+    # is a unit mod m.
+    e = (a + 1) * pow(a // n, -1, m) % m
     assert m * n == k and lattice_check(LatticeParams(k, a, m, n, e))
     return LatticeParams(k, a, m, n, e)
 
@@ -69,6 +72,11 @@ class RaySystem:
     @property
     def f(self) -> int:
         return len(self.rays)
+
+    @functools.cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """prefix[i] = mults[0] + ... + mults[i-1], for 0 <= i <= f."""
+        return tuple(itertools.accumulate(self.mults, initial=0))
 
     def cut_values(self) -> list[int]:
         """Prefix-sum cut values U_1, ..., U_{f-1}."""
@@ -138,10 +146,18 @@ def gap_profile(Z: list[int] | tuple[int, ...], N: int) -> GapProfile:
 
 
 def theta(p: int, q: int) -> int:
-    """Number of positive integer pairs (r, s) with r/p + s/q <= 1."""
+    """Number of positive integer pairs (r, s) with r/p + s/q <= 1.
+
+    These are the lattice points of the triangle (0, 0), (p, 0), (0, q)
+    that lie inside it or on the open hypotenuse.  With g = gcd(p, q)
+    the boundary holds p + q + g lattice points, so by Pick's theorem,
+    pq/2 = I + (p + q + g)/2 - 1, the open triangle holds
+    I = ((p-1)(q-1) - g + 1)/2 of them.  The open hypotenuse holds
+    g - 1, which gives ((p-1)(q-1) + g - 1)/2 in all.
+    """
     if p < 1 or q < 1:
         raise InputError(f"theta needs p, q >= 1, got {(p, q)}")
-    return sum((q * (p - r)) // p for r in range(1, p))
+    return ((p - 1) * (q - 1) + gcd(p, q) - 1) // 2
 
 
 def sector_mass(rs: RaySystem, i: int, j: int) -> int:
@@ -149,7 +165,51 @@ def sector_mass(rs: RaySystem, i: int, j: int) -> int:
     (0-based indices into the slope order)."""
     if not 0 <= i < j < rs.f:
         raise InputError(f"ray indices out of range: {(i, j)} with f={rs.f}")
-    return sum(rs.mults[i + 1 : j])
+    return rs.prefix[j] - rs.prefix[i + 1]
+
+
+def reflection_distance(zs: list[int] | tuple[int, ...], N: int) -> tuple[int, int, int]:
+    """(delta, u, v) for a sorted, duplicate-free nonempty set Z, where
+    delta = dist(Z, N - Z) = min |u + v - N| over u, v in Z and (u, v) is
+    the lexicographically least pair with u <= v attaining it.
+
+    One two-pointer pass suffices: a pair it skips is beaten by a
+    visited pair with a smaller |u + v - N|, or with the same excess and
+    a smaller u.
+    """
+    if not zs:
+        raise InputError("cut set must be nonempty")
+    best = None
+    i, j = 0, len(zs) - 1
+    while i <= j:
+        s = zs[i] + zs[j] - N
+        cand = (abs(s), zs[i], zs[j])
+        if best is None or cand < best:
+            best = cand
+        if s > 0:
+            j -= 1
+        elif s < 0:
+            i += 1
+        else:
+            break
+    return best
+
+
+def sector_filling_violations(rs: RaySystem) -> list[tuple[int, int, int, int]]:
+    """(i, j, mass, bound) for each pair of rays i < j, both of positive
+    multiplicity p and q, whose sector mass falls below theta(p, q).
+
+    theta(1, q) = theta(p, 1) = 0 and a mass is never negative, so only
+    pairs of rays of multiplicity >= 2 are looked at; each costs O(1).
+    """
+    large = [i for i, h in enumerate(rs.mults) if h >= 2]
+    out = []
+    for i, j in itertools.combinations(large, 2):
+        mass = sector_mass(rs, i, j)
+        bound = theta(rs.mults[i], rs.mults[j])
+        if mass < bound:
+            out.append((i, j, mass, bound))
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,16 +230,13 @@ class ReflectedGapGraph:
 
 def reflected_gap_graph(Z: list[int] | tuple[int, ...], N: int) -> ReflectedGapGraph:
     zs = sorted(set(Z))
-    if not zs:
-        raise InputError("cut set must be nonempty")
-    delta = min(abs(u + v - N) for u in zs for v in zs)
-    neg = tuple(
-        (u, v) for u in zs for v in zs if u <= v and u + v == N - delta
-    )
-    pos = tuple(
-        (u, v) for u in zs for v in zs if u <= v and u + v == N + delta
-    )
-    return ReflectedGapGraph(N, delta, tuple(zs), neg, pos)
+    delta = reflection_distance(zs, N)[0]
+    members = set(zs)
+
+    def edges(total: int) -> tuple[tuple[int, int], ...]:
+        return tuple((u, total - u) for u in zs if u <= total - u and total - u in members)
+
+    return ReflectedGapGraph(N, delta, tuple(zs), edges(N - delta), edges(N + delta))
 
 
 @dataclass(frozen=True)

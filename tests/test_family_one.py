@@ -145,3 +145,11 @@ def test_cut_paths_verify_property(k, seed):
 
 def test_realize_records_stage():
     assert realize_disjoint_pair(10, 4).stage == "translate-count-pair"
+
+
+def test_cut_profile_keeps_its_ray_system():
+    p = cut_set(10, 4)
+    assert p.count_pair == count_pair(10, 4) == (3, 5)
+    assert list(p.Z) == p.ray_system.cut_values()
+    assert p.ray_system.params.k == 10
+    assert "ray_system" not in repr(p)

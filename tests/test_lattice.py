@@ -1,16 +1,21 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hampair.core import InputError
 from hampair.family_one import cut_set_values, valid_a_values
 from hampair.lattice import (
+    RaySystem,
     cap2_bound_report,
     endpoint_caps,
     gap_profile,
     lattice_params,
     ray_system,
     reflected_gap_graph,
+    reflection_distance,
+    sector_filling_violations,
     sector_mass,
     theta,
 )
@@ -31,6 +36,15 @@ def test_lattice_params_coprime_case():
 def test_lattice_params_15_3():
     p = lattice_params(15, 3)
     assert (p.m, p.n, p.N) == (5, 3, 14)
+
+
+def test_lattice_params_e_is_the_least_solution():
+    # e is the unique 0 <= e < m with n(a+1) = e*a (mod k)
+    for k in range(3, 80):
+        for a in valid_a_values(k):
+            p = lattice_params(k, a)
+            target = p.n * (a + 1) % k
+            assert [e for e in range(p.m) if e * a % k == target] == [p.e], (k, a)
 
 
 def test_ray_system_10_4():
@@ -118,6 +132,13 @@ def test_theta_brute_force_equality():
             assert theta(p, q) == _theta_brute(p, q), (p, q)
 
 
+def test_theta_matches_column_sums():
+    # sum over r of the number of s with s <= q(p-r)/p
+    for p in range(1, 200):
+        for q in range(1, 200):
+            assert theta(p, q) == sum(q * (p - r) // p for r in range(1, p)), (p, q)
+
+
 def test_theta_symmetry_and_bounds():
     for p in range(1, 51):
         for q in range(1, 51):
@@ -150,6 +171,39 @@ def test_sector_mass_bounds_sweep():
                         assert sector_mass(rs, i, j) >= theta(p, q), (k, a, i, j)
 
 
+def _fake_rays(mults):
+    return RaySystem(lattice_params(10, 4), tuple((1, i) for i in range(len(mults))), tuple(mults))
+
+
+@given(st.lists(st.integers(0, 9), min_size=2, max_size=14))
+def test_sector_mass_is_a_slice_sum(mults):
+    rs = _fake_rays(mults)
+    assert rs.prefix[0] == 0 and rs.prefix[-1] == sum(mults)
+    for i in range(rs.f):
+        for j in range(i + 1, rs.f):
+            assert sector_mass(rs, i, j) == sum(mults[i + 1 : j])
+
+
+@given(st.lists(st.integers(0, 9), min_size=2, max_size=14))
+def test_sector_filling_violations_match_every_pair(mults):
+    # mults are arbitrary, so violations do occur; only pairs with a
+    # multiplicity 1 are skipped, and those can never fail.
+    rs = _fake_rays(mults)
+    expected = [
+        (i, j, sum(mults[i + 1 : j]), theta(mults[i], mults[j]))
+        for i in range(rs.f)
+        for j in range(i + 1, rs.f)
+        if mults[i] >= 1 and mults[j] >= 1
+        and sum(mults[i + 1 : j]) < theta(mults[i], mults[j])
+    ]
+    assert sector_filling_violations(rs) == expected
+
+
+def test_sector_filling_violations_example():
+    assert sector_filling_violations(_fake_rays([2, 1, 3])) == []
+    assert sector_filling_violations(_fake_rays([3, 0, 3])) == [(0, 2, 0, 3)]
+
+
 def test_no_adjacent_large_multiplicities():
     for k in range(3, 60):
         for a in valid_a_values(k):
@@ -170,6 +224,35 @@ def test_reflected_gap_graph_15_3():
     assert g.delta == 0
     assert (6, 8) in g.negative_edges
     assert g.negative_edges == g.positive_edges
+
+
+zsets = st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True).map(sorted)
+
+
+@given(zsets, st.integers(0, 120))
+def test_reflection_distance_matches_all_pairs(zs, N):
+    best = min((abs(u + v - N), u, v) for u in zs for v in zs if u <= v)
+    assert reflection_distance(zs, N) == best
+
+
+@given(zsets, st.integers(0, 120))
+def test_reflected_gap_graph_matches_all_pairs(zs, N):
+    g = reflected_gap_graph(zs, N)
+    delta = min(abs(u + v - N) for u in zs for v in zs)
+    assert g.delta == delta
+    assert g.negative_edges == tuple(
+        (u, v) for u in zs for v in zs if u <= v and u + v == N - delta
+    )
+    assert g.positive_edges == tuple(
+        (u, v) for u in zs for v in zs if u <= v and u + v == N + delta
+    )
+
+
+def test_reflection_distance_rejects_empty():
+    with pytest.raises(InputError):
+        reflection_distance([], 5)
+    with pytest.raises(InputError):
+        reflected_gap_graph([], 5)
 
 
 def test_reflected_gap_graph_nonempty():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampair.core import (
     FiniteAbelianGroup,
@@ -18,6 +20,7 @@ from hampair.oracle import (
     find_hamiltonian_path,
     oracle_cut_set,
 )
+from hampair.lattice import ray_system
 from hampair.products import find_strongly_switchable_pair, product_digraph
 
 
@@ -122,6 +125,42 @@ def test_oracle_cut_set_rejects_bad_params():
         oracle_cut_set(5, 4)
     with pytest.raises(InputError):
         oracle_cut_set(2, 1)
+
+
+def _direct_cut_set(k, a):
+    """Reference for oracle_cut_set, O(k^2): walk the standard cut
+    candidate of every d from vertex a, stepping by a+1 below d and by a
+    above it, and keep d if the walk visits all k vertices and ends at d."""
+    b = a + 1
+    result = set()
+    for d in range(k):
+        x = a
+        seen = 1 << x
+        count = 1
+        for _ in range(k - 1):
+            if x == d:
+                break
+            x = (x + b) % k if x < d else (x + a) % k
+            if seen >> x & 1:
+                break
+            seen |= 1 << x
+            count += 1
+        if count == k and x == d:
+            result.add(d)
+    return result
+
+
+def test_oracle_cut_set_matches_direct_simulation():
+    for k in range(3, 61):
+        for a in range(1, k - 1):
+            assert oracle_cut_set(k, a) == _direct_cut_set(k, a), (k, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 400), st.integers(0, 10**6))
+def test_oracle_cut_set_matches_ray_system(k, seed):
+    a = 1 + seed % (k - 2)
+    assert oracle_cut_set(k, a) == set(ray_system(k, a).cut_values())
 
 
 def _exists_by_label_enumeration(d, mode):

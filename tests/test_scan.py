@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
-from hampair import scan
+from hampair import family_one, lattice, oracle, scan
+from hampair.cli import main
 from hampair.scan import ALL_CHECKS, run_scan, scan_cell, scan_cells
 
 
@@ -20,6 +23,45 @@ def test_cell_row_fields():
     assert (row.c_L, row.c_R) == (1, 4)
     assert row.lattice_agrees
     assert row.ok
+
+
+def test_scan_cell_builds_one_ray_system(monkeypatch):
+    # One ray system per cell, and the lattice-equality check still runs
+    # the independent reference in every cell.
+    calls = {"ray_system": 0, "oracle_cut_set": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "ray_system", counted("ray_system", lattice.ray_system))
+    monkeypatch.setattr(
+        oracle, "oracle_cut_set", counted("oracle_cut_set", oracle.oracle_cut_set)
+    )
+    rows, _ = run_scan(3, 12)
+    assert calls == {"ray_system": len(rows), "oracle_cut_set": len(rows)}
+    calls.update(ray_system=0)
+    family_one.realize_disjoint_pair(40, 9)
+    assert calls["ray_system"] == 1
+
+
+def test_sector_filling_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(lattice, "sector_filling_violations", lambda rs: [(0, 4, 1, 7)])
+    row = scan_cell((15, 3, ("sector-filling",)))
+    assert row.failures == ("sector-filling: M(A_0,A_4)=1 < theta(2, 3)=7",)
+
+
+# SHA-256 of the stdout of `hampair scan 3 45 --format csv`: the scan's
+# output must stay byte-identical when its internals change.
+SCAN_3_45_CSV_SHA256 = "8af1086b93fc5ac796a02a9b347d946a1654cab621b2156932fbc693b9a588cc"
+
+
+def test_scan_csv_output_is_pinned(capsys):
+    assert main(["scan", "3", "45", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_3_45_CSV_SHA256
 
 
 def test_scan_clean_small_window():
