@@ -2,16 +2,16 @@
 witness construction, and witness verification.
 
 Data goes to stdout (or --out); progress and diagnostics go to stderr.
-Each subcommand takes only the options it reads; HAMPAIR_<OPTION> sets
-an option's default.  Exit codes: 0 success, 1 check or verification
+Each subcommand takes only the options it reads, and each option is set
+by its flag alone.  Exit codes: 0 success, 1 check or verification
 failure, 2 usage or malformed input, 3 inconclusive (a budget ran out).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -24,7 +24,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-ENV_PREFIX = "HAMPAIR_"
 FORMATS = ("table", "json", "csv")
 
 
@@ -188,12 +187,7 @@ def _scan_text(rows, summary, fmt: str) -> str:
 
 
 def cmd_scan(args) -> int:
-    checks = tuple(args.checks) if args.checks else scan.ALL_CHECKS
-    try:
-        rows, summary = scan.run_scan(args.k_min, args.k_max, checks, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows, summary = scan.run_scan(args.k_min, args.k_max, jobs=args.jobs)
     _emit(_scan_text(rows, summary, args.format), args.out)
     if summary.failures:
         bad = summary.first_failure
@@ -271,39 +265,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _env_defaults() -> dict:
-    """The option defaults, from HAMPAIR_<NAME> where set.  All four are
-    checked as their flags would check them, whichever subcommand runs."""
-    defaults = {"format": "table", "out": None, "budget": oracle.DEFAULT_BUDGET, "jobs": 1}
-    for name, fallback in defaults.items():
-        var = ENV_PREFIX + name.upper()
-        raw = os.environ.get(var)
-        if raw is None:
-            continue
-        if name == "format" and raw not in FORMATS:
-            raise InputError(f"{var}={raw!r} is not one of {', '.join(FORMATS)}")
-        try:
-            defaults[name] = raw if fallback is None else type(fallback)(raw)
-        except ValueError:
-            raise InputError(
-                f"{var}={raw!r} is not a valid {type(fallback).__name__}"
-            ) from None
-    return defaults
-
-
-def build_parser(env: dict) -> argparse.ArgumentParser:
-    """The argument parser; `env` holds the option defaults (see
-    _env_defaults).  Each subcommand takes only the options it reads."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand
+    takes only the options it reads."""
     option_kwargs = {
-        "format": {"choices": FORMATS},
+        "format": {"choices": FORMATS, "default": "table"},
         "out": {"help": "write the data to this file instead of stdout"},
-        "budget": {"type": int, "help": "oracle node budget"},
-        "jobs": {"type": int, "help": "worker processes"},
+        "budget": {"type": int, "default": oracle.DEFAULT_BUDGET, "help": "oracle node budget"},
+        "jobs": {"type": int, "default": 1, "help": "worker processes"},
     }
 
     def add_options(p: argparse.ArgumentParser, names: str) -> None:
         for name in names.split():
-            p.add_argument("--" + name, default=env[name], **option_kwargs[name])
+            p.add_argument("--" + name, **option_kwargs[name])
 
     parser = argparse.ArgumentParser(
         prog="hampair",
@@ -322,16 +297,10 @@ def build_parser(env: dict) -> argparse.ArgumentParser:
         add_options(p, "format out")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("scan", help="sweep (k, a) cells and run consistency checks")
+    p = sub.add_parser("scan", help="sweep (k, a) cells and run all six consistency checks")
     p.add_argument("k_min", type=int)
     p.add_argument("k_max", type=int)
     add_options(p, "format out jobs")
-    p.add_argument(
-        "--checks",
-        nargs="*",
-        choices=scan.ALL_CHECKS,
-        help="subset of checks to run (default: all)",
-    )
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("build", help="construct and emit a witness file")
@@ -357,8 +326,8 @@ def build_parser(env: dict) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser(_env_defaults()).parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -357,6 +357,18 @@ def verify_hamiltonian(
     return VerificationReport(True, mode)
 
 
+def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:
+    """Why (p, q) is not a pair of arc-disjoint Hamiltonian paths of d,
+    or None if it is.  Paths are checked first, in order."""
+    for name, w in (("path1", p), ("path2", q)):
+        rep = verify_hamiltonian(d, w)
+        if not rep.ok:
+            return f"{name}: {rep.reason}"
+    if not arc_disjoint(p, q):
+        return "arc overlap between path1 and path2"
+    return None
+
+
 def arc_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:
     """True iff the two walks share no (tail, label) arc."""
     if w1.digraph != w2.digraph:

@@ -17,10 +17,9 @@ from .core import (
     CayleyDigraph,
     InputError,
     LabeledWalk,
-    arc_disjoint,
     cayley,
     check_family_one_params,
-    verify_hamiltonian,
+    pair_failure,
 )
 
 
@@ -167,12 +166,9 @@ def realize_disjoint_pair(k: int, a: int) -> RealizedPair:
     digraph = cayley([k], a, a + 1)
     p = _cut_walk(digraph, k, a, d)
     q = _cut_walk(digraph, k, a, e).translate(h)
-    if not (
-        verify_hamiltonian(digraph, p).ok
-        and verify_hamiltonian(digraph, q).ok
-        and arc_disjoint(p, q)
-    ):
-        raise RuntimeError(f"realized pair for {(k, a)} failed verification")
+    reason = pair_failure(digraph, p, q)
+    if reason:
+        raise RuntimeError(f"realized pair for {(k, a)} failed verification: {reason}")
     return RealizedPair(p, q, "translate-count-pair")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
-from .core import CayleyDigraph, InputError, LabeledWalk, arc_disjoint, cayley, verify_hamiltonian
+from .core import CayleyDigraph, InputError, LabeledWalk, cayley, pair_failure
 
 
 @dataclass(frozen=True)
@@ -183,10 +183,7 @@ def build_family_two(a: int, L: int) -> tuple[LabeledWalk, LabeledWalk]:
         path2 = _walk_from_vertices(d, first_part + second_part)
         path1 = _walk_from_vertices(d, _cycle_as_path(d, p_cycle, u))
 
-    for w in (path1, path2):
-        rep = verify_hamiltonian(d, w)
-        if not rep.ok:
-            raise RuntimeError(f"family-two path failed verification: {rep.reason}")
-    if not arc_disjoint(path1, path2):
-        raise RuntimeError(f"family-two paths are not arc-disjoint for {(a, L)}")
+    reason = pair_failure(d, path1, path2)
+    if reason:
+        raise RuntimeError(f"family-two pair for {(a, L)} failed verification: {reason}")
     return path1, path2

@@ -51,6 +51,10 @@ class _Budget:
     limit: int
     used: int = 0
 
+    def __post_init__(self) -> None:
+        if self.limit <= 0:
+            raise InputError("node_budget must be positive")
+
     def spend(self) -> None:
         self.used += 1
         if self.used > self.limit:
@@ -62,11 +66,6 @@ class SearchConstraints:
     required_start: Optional[Vertex] = None
     required_end: Optional[Vertex] = None
     required_b_count: Optional[int] = None
-    node_budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.node_budget <= 0:
-            raise InputError("node_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,12 @@ def _iter_paths(
 
 
 def find_hamiltonian_path(
-    d: CayleyDigraph, c: SearchConstraints = SearchConstraints()
+    d: CayleyDigraph,
+    c: SearchConstraints = SearchConstraints(),
+    node_budget: int = DEFAULT_BUDGET,
 ) -> SearchOutcome:
     """First Hamiltonian path satisfying the constraints, if any."""
-    budget = _Budget(c.node_budget)
+    budget = _Budget(node_budget)
     try:
         for walk in _iter_paths(d, c, budget):
             return SearchOutcome(Status.FOUND, walk, budget.used)
@@ -177,8 +178,7 @@ def find_hamiltonian_cycle(
     budget = _Budget(node_budget)
     start = d.group.zero
     try:
-        c = SearchConstraints(required_start=start, node_budget=node_budget)
-        for walk in _iter_paths(d, c, budget):
+        for walk in _iter_paths(d, SearchConstraints(required_start=start), budget):
             # Close the path back to the start (index 0) if some generator does.
             last = walk.index_list[-1]
             for lab, table in zip(d.labels, d.successor_tables):
@@ -198,7 +198,6 @@ def iter_arc_disjoint_pairs(
 
     Backtracks over the first path as well as the second.
     """
-    outer = SearchConstraints(node_budget=budget.limit)
     # A pair needs the first path's n nodes, and a proof of absence tries
     # all n starts at a node each: with fewer than n nodes left the search
     # ends inconclusive at limit + 1 nodes, so end it before any table is
@@ -206,8 +205,9 @@ def iter_arc_disjoint_pairs(
     if d.group.size > budget.limit - budget.used:
         budget.used = budget.limit + 1
         raise BudgetExhausted
-    for p in _iter_paths(d, outer, budget):
-        for q in _iter_paths(d, outer, budget, frozenset(arc_ids(p))):
+    anywhere = SearchConstraints()
+    for p in _iter_paths(d, anywhere, budget):
+        for q in _iter_paths(d, anywhere, budget, frozenset(arc_ids(p))):
             yield p, q
 
 

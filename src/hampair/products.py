@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import oracle
 from .core import (
@@ -22,7 +22,7 @@ from .core import (
     LabeledWalk,
     Vertex,
     arc_disjoint,
-    verify_hamiltonian,
+    pair_failure,
 )
 
 
@@ -66,12 +66,9 @@ def is_strongly_switchable(
     Requires p, q to be arc-disjoint Hamiltonian paths (raises if not).
     Returns the pass flag, the endpoint data, and the violated clauses.
     """
-    for w in (p, q):
-        rep = verify_hamiltonian(d, w)
-        if not rep.ok:
-            raise InputError(f"input is not a Hamiltonian path: {rep.reason}")
-    if not arc_disjoint(p, q):
-        raise InputError("input paths are not arc-disjoint")
+    reason = pair_failure(d, p, q)
+    if reason:
+        raise InputError(f"input is not an arc-disjoint Hamiltonian path pair: {reason}")
     data = _switch_data(p, q)
     g = d.group
     violations = []
@@ -84,20 +81,9 @@ def is_strongly_switchable(
     return not violations, data, violations
 
 
-@dataclass(frozen=True)
-class SwitchablePairOutcome:
-    status: oracle.Status
-    pair: Optional[tuple[LabeledWalk, LabeledWalk]] = None
-    nodes_used: int = 0
-
-    @property
-    def found(self) -> bool:
-        return self.status is oracle.Status.FOUND
-
-
 def find_strongly_switchable_pair(
     d: CayleyDigraph, node_budget: int = oracle.DEFAULT_BUDGET
-) -> SwitchablePairOutcome:
+) -> oracle.PairOutcome:
     """First strongly switchable ordered pair, enumerating arc-disjoint
     Hamiltonian path pairs in DFS order and testing both orders."""
     budget = oracle._Budget(node_budget)
@@ -106,10 +92,10 @@ def find_strongly_switchable_pair(
             for cand in ((p, q), (q, p)):
                 ok, _, _ = is_strongly_switchable(d, *cand)
                 if ok:
-                    return SwitchablePairOutcome(oracle.Status.FOUND, cand, budget.used)
+                    return oracle.PairOutcome(oracle.Status.FOUND, cand, budget.used)
     except oracle.BudgetExhausted:
-        return SwitchablePairOutcome(oracle.Status.INCONCLUSIVE, None, budget.used)
-    return SwitchablePairOutcome(oracle.Status.ABSENT, None, budget.used)
+        return oracle.PairOutcome(oracle.Status.INCONCLUSIVE, None, budget.used)
+    return oracle.PairOutcome(oracle.Status.ABSENT, None, budget.used)
 
 
 def lift_plan(data: SwitchabilityData, group: FiniteAbelianGroup, ell: int):
@@ -156,12 +142,9 @@ def lift_through_cycle(
 
     w1 = build(True)
     w2 = build(False)
-    for w in (w1, w2):
-        rep = verify_hamiltonian(lifted, w)
-        if not rep.ok:
-            raise RuntimeError(f"lifted path failed verification: {rep.reason}")
-    if not arc_disjoint(w1, w2):
-        raise RuntimeError("lifted paths are not arc-disjoint")
+    reason = pair_failure(lifted, w1, w2)
+    if reason:
+        raise RuntimeError(f"lifted pair failed verification: {reason}")
     return w1, w2
 
 

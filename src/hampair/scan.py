@@ -1,9 +1,10 @@
 """Parameter scans over the first cyclic family.
 
-One scan cell covers a single (k, a); selected checks compare the
-ray-system cut set with oracle_cut_set, the reflection distance against
-its parity prediction, the gcd cap formulas, and the sector-filling
-inequalities.
+One scan cell covers a single (k, a) and always runs all six checks:
+parity-sharp (the reflection distance against its parity prediction),
+lattice-equality (the ray-system cut set against oracle_cut_set, and
+the endpoint identity), caps (the gcd cap formulas), sector-filling,
+adjacent-large and cap2 (the sector-filling inequalities).
 
 A cell builds one ray system: family_one.cut_set reads Z, the
 reflection distance with its witness and the count pair from it and
@@ -23,19 +24,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import family_one, lattice, oracle
-
-ALL_CHECKS = (
-    "parity-sharp",
-    "lattice-equality",
-    "caps",
-    "sector-filling",
-    "adjacent-large",
-    "cap2",
-)
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -55,8 +46,8 @@ class ScanRow:
         return not self.failures
 
 
-def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
-    k, a, checks = args
+def scan_cell(cell: tuple[int, int]) -> ScanRow:
+    k, a = cell
     profile = family_one.cut_set(k, a)
     N = profile.N
     Z = profile.Z
@@ -67,34 +58,28 @@ def scan_cell(args: tuple[int, int, tuple[str, ...]]) -> ScanRow:
     oracle_Z = tuple(sorted(oracle.oracle_cut_set(k, a)))
     lattice_agrees = oracle_Z == Z
 
-    if "parity-sharp" in checks:
-        expected = 0 if k % 2 else 1
-        if profile.delta != expected:
-            failures.append(f"parity-sharp: delta={profile.delta}, expected {expected}")
-    if "lattice-equality" in checks:
-        if not lattice_agrees:
-            failures.append(f"lattice-equality: rays give {Z}, oracle gives {oracle_Z}")
-        if rs.cut_values()[-1] + rs.mults[-1] != N:
-            failures.append("lattice-equality: endpoint identity violated")
-    if "caps" in checks:
-        gp = lattice.gap_profile(Z, N)
-        if (gp.c_L, gp.c_R) != caps:
-            failures.append(f"caps: profile gives {(gp.c_L, gp.c_R)}, gcds give {caps}")
-    if "sector-filling" in checks:
-        for i, j, mass, bound in lattice.sector_filling_violations(rs):
-            p, q = rs.mults[i], rs.mults[j]
-            failures.append(f"sector-filling: M(A_{i},A_{j})={mass} < theta{(p, q)}={bound}")
-    if "adjacent-large" in checks:
-        for h1, h2 in zip(rs.mults, rs.mults[1:]):
-            if h1 >= 2 and h2 >= 2:
-                failures.append(f"adjacent-large: consecutive blocks {h1}, {h2}")
-    if "cap2" in checks:
-        for check in lattice.cap2_bound_report(rs):
-            if not check.ok:
-                failures.append(
-                    f"cap2: side {check.side} ray {check.ray}: "
-                    f"mass {check.mass} < {check.required}"
-                )
+    expected = 0 if k % 2 else 1
+    if profile.delta != expected:
+        failures.append(f"parity-sharp: delta={profile.delta}, expected {expected}")
+    if not lattice_agrees:
+        failures.append(f"lattice-equality: rays give {Z}, oracle gives {oracle_Z}")
+    if Z[-1] + rs.mults[-1] != N:
+        failures.append("lattice-equality: endpoint identity violated")
+    gp = lattice.gap_profile(Z, N)
+    if (gp.c_L, gp.c_R) != caps:
+        failures.append(f"caps: profile gives {(gp.c_L, gp.c_R)}, gcds give {caps}")
+    for i, j, mass, bound in lattice.sector_filling_violations(rs):
+        p, q = rs.mults[i], rs.mults[j]
+        failures.append(f"sector-filling: M(A_{i},A_{j})={mass} < theta{(p, q)}={bound}")
+    for h1, h2 in zip(rs.mults, rs.mults[1:]):
+        if h1 >= 2 and h2 >= 2:
+            failures.append(f"adjacent-large: consecutive blocks {h1}, {h2}")
+    for check in lattice.cap2_bound_report(rs):
+        if not check.ok:
+            failures.append(
+                f"cap2: side {check.side} ray {check.ray}: "
+                f"mass {check.mass} < {check.required}"
+            )
 
     return ScanRow(
         k=k,
@@ -140,25 +125,16 @@ def scan_cells(k_min: int, k_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def run_scan(
-    k_min: int,
-    k_max: int,
-    checks: Iterable[str] = ALL_CHECKS,
-    jobs: int = 1,
-) -> tuple[list[ScanRow], ScanSummary]:
-    checks = tuple(checks)
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
-    args = [(k, a, checks) for k, a in scan_cells(k_min, k_max)]
+def run_scan(k_min: int, k_max: int, jobs: int = 1) -> tuple[list[ScanRow], ScanSummary]:
+    cells = scan_cells(k_min, k_max)
     # The pool starts all its workers at once, so never ask for more than
     # there are cells or CPUs.
-    workers = min(jobs, len(args), os.cpu_count() or 1)
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(scan_cell, args, chunksize=16))
+            rows = list(pool.map(scan_cell, cells, chunksize=16))
     else:
-        rows = [scan_cell(cell) for cell in args]
+        rows = [scan_cell(cell) for cell in cells]
     summary = ScanSummary()
     for row in rows:
         summary.absorb(row)

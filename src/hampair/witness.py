@@ -16,8 +16,7 @@ from .core import (
     FiniteAbelianGroup,
     InputError,
     LabeledWalk,
-    arc_disjoint,
-    verify_hamiltonian,
+    pair_failure,
 )
 
 FORMAT_VERSION = 1
@@ -63,13 +62,8 @@ class WitnessFile:
 
     def verify(self) -> tuple[bool, str]:
         """Re-run the Hamiltonicity and disjointness checks."""
-        for name, walk in (("path1", self.path1), ("path2", self.path2)):
-            rep = verify_hamiltonian(self.digraph, walk)
-            if not rep.ok:
-                return False, f"{name}: {rep.reason}"
-        if not arc_disjoint(self.path1, self.path2):
-            return False, "arc overlap between path1 and path2"
-        return True, "ok"
+        reason = pair_failure(self.digraph, self.path1, self.path2)
+        return (False, reason) if reason else (True, "ok")
 
 
 def witness_from_json(text: str) -> WitnessFile:

@@ -9,7 +9,7 @@ import pytest
 
 import hampair
 from hampair import products
-from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, main
+from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from hampair.core import cayley
 from hampair.witness import witness_from_json
 
@@ -152,7 +152,7 @@ def test_build_product_budget_exhausted(capsys):
 
 
 def test_build_product_absent_base_fails(capsys, monkeypatch):
-    absent = products.SwitchablePairOutcome(products.oracle.Status.ABSENT)
+    absent = products.oracle.PairOutcome(products.oracle.Status.ABSENT)
     monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
     products._base_analysis.cache_clear()
     try:
@@ -236,18 +236,23 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_env_format_default(capsys, monkeypatch):
-    monkeypatch.setenv("HAMPAIR_FORMAT", "json")
-    code, out, _ = run(capsys, "cuts", "10", "4")
-    assert code == EXIT_OK
-    assert json.loads(out)["Z"] == [1, 3, 5]
+@pytest.mark.parametrize(
+    "name, value", [("FORMAT", "json"), ("OUT", "x.json"), ("BUDGET", "abc"), ("JOBS", "x")]
+)
+def test_environment_sets_no_option(capsys, monkeypatch, tmp_path, name, value):
+    # Options are set by their flags only: a HAMPAIR_* variable, valid or
+    # not, changes nothing, even on a freshly built parser.
+    monkeypatch.chdir(tmp_path)
+    expected = run(capsys, "cuts", "10", "4")
+    monkeypatch.setenv("HAMPAIR_" + name, value)
+    build_parser.cache_clear()
+    assert run(capsys, "cuts", "10", "4") == expected
+    assert not list(tmp_path.iterdir())
+    assert expected[0] == EXIT_OK and expected[1].startswith("k=10 a=4 N=9\n")
 
 
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("HAMPAIR_FORMAT", "json")
-    code, out, _ = run(capsys, "cuts", "10", "4", "--format", "csv")
-    assert code == EXIT_OK
-    assert out.startswith("k,a,Z,")
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize(
@@ -261,23 +266,11 @@ def test_build_help_names_parameters(capsys, family, names):
     assert usage.split()[-len(names):] == names
 
 
-@pytest.mark.parametrize(
-    "name, value", [("BUDGET", "abc"), ("JOBS", "x"), ("FORMAT", "bogus")]
-)
-def test_bad_env_value_is_usage_error(capsys, monkeypatch, name, value):
-    monkeypatch.setenv("HAMPAIR_" + name, value)
-    code, out, err = run(capsys, "cuts", "10", "4")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "HAMPAIR_" + name in err
-
-
-# Each subcommand's options: the ones its code reads, 14 in all.
+# Each subcommand's options: the ones its code reads, 13 in all.
 OPTIONS = {
     "cuts": {"--format", "--out"},
     "rays": {"--format", "--out"},
-    "scan": {"--format", "--out", "--jobs", "--checks"},
+    "scan": {"--format", "--out", "--jobs"},
     "build one": {"--out"},
     "build two": {"--out"},
     "build product": {"--out", "--budget"},
@@ -300,3 +293,11 @@ def test_option_of_another_subcommand_is_usage_error(capsys):
         main(["verify", "w.json", "--format", "json"])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_scan_has_no_check_selection(capsys):
+    # A scan always runs all six checks; there is no flag to skip any.
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "3", "5", "--checks", "caps"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --checks caps" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from hampair.core import (
     arc_disjoint,
     arc_ids,
     cayley,
+    pair_failure,
     verify_hamiltonian,
 )
 
@@ -91,6 +92,17 @@ def test_arc_disjoint_self_false():
     d = cayley([6], 5, 2)
     w = LabeledWalk(d, (0,), "AAB")
     assert not arc_disjoint(w, w)
+
+
+def test_pair_failure_reasons():
+    # Cay(Z_3; 1, 2): 0,1,2 by A and 0,2,1 by B share no arc.
+    d = cayley([3], 1, 2)
+    p, q = LabeledWalk(d, (0,), "AA"), LabeledWalk(d, (0,), "BB")
+    short, loop = LabeledWalk(d, (0,), "A"), LabeledWalk(d, (0,), "BA")
+    assert pair_failure(d, p, q) is None
+    assert pair_failure(d, short, loop) == "path1: wrong length: 1 labels, expected 2"
+    assert pair_failure(d, p, loop) == "path2: repeated vertex (0,)"
+    assert pair_failure(d, p, p) == "arc overlap between path1 and path2"
 
 
 def test_arc_disjoint_same_tail_different_labels():

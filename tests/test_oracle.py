@@ -62,9 +62,19 @@ def test_trivial_group_not_representable():
 
 def test_budget_exhaustion_is_reported():
     d = cayley([12], 1, 5)
-    out = find_hamiltonian_path(d, SearchConstraints(node_budget=3))
+    out = find_hamiltonian_path(d, node_budget=3)
     assert out.status is Status.INCONCLUSIVE
     assert out.nodes_used > 3 - 1
+
+
+@pytest.mark.parametrize(
+    "search",
+    [find_hamiltonian_path, find_hamiltonian_cycle, find_arc_disjoint_pair,
+     find_strongly_switchable_pair],
+)
+def test_nonpositive_budget_rejected(search):
+    with pytest.raises(InputError, match="node_budget must be positive"):
+        search(product_digraph((2, 3)), node_budget=0)
 
 
 def test_pair_search_larger_than_budget_builds_no_table(monkeypatch):

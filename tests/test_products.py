@@ -133,9 +133,9 @@ def fresh_base_cache():
     products._base_analysis.cache_clear()
 
 
-def test_base_cycle_search_runs_only_on_fallback(fresh_base_cache, monkeypatch):
+def test_product_build_runs_no_cycle_search(fresh_base_cache, monkeypatch):
     def no_cycle_search(*args):
-        raise AssertionError("base cycle search ran although strategy (a) succeeded")
+        raise AssertionError("a product build ran a Hamiltonian cycle search")
 
     monkeypatch.setattr(products.oracle, "find_hamiltonian_cycle", no_cycle_search)
     w1, w2 = build_three_factor(2, 3, 3)
@@ -144,7 +144,7 @@ def test_base_cycle_search_runs_only_on_fallback(fresh_base_cache, monkeypatch):
 
 def test_base_search_outcomes_raise_distinct_errors(fresh_base_cache, monkeypatch):
     # A proof that the base has no strongly switchable pair fails the build.
-    absent = products.SwitchablePairOutcome(products.oracle.Status.ABSENT)
+    absent = products.oracle.PairOutcome(products.oracle.Status.ABSENT)
     monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
     with pytest.raises(RuntimeError) as exc:
         build_three_factor(2, 3, 3)

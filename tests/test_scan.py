@@ -4,7 +4,7 @@ import pytest
 
 from hampair import family_one, lattice, oracle, scan
 from hampair.cli import main
-from hampair.scan import ALL_CHECKS, run_scan, scan_cell, scan_cells
+from hampair.scan import run_scan, scan_cell, scan_cells
 
 
 def test_cells_cover_all_valid_a():
@@ -15,7 +15,7 @@ def test_cells_cover_all_valid_a():
 
 
 def test_cell_row_fields():
-    row = scan_cell((10, 4, ALL_CHECKS))
+    row = scan_cell((10, 4))
     assert row.Z == (1, 3, 5)
     assert row.reflected == (4, 6, 8)
     assert row.delta == 1
@@ -49,7 +49,7 @@ def test_scan_cell_builds_one_ray_system(monkeypatch):
 
 def test_sector_filling_failure_is_reported(monkeypatch):
     monkeypatch.setattr(lattice, "sector_filling_violations", lambda rs: [(0, 4, 1, 7)])
-    row = scan_cell((15, 3, ("sector-filling",)))
+    row = scan_cell((15, 3))
     assert row.failures == ("sector-filling: M(A_0,A_4)=1 < theta(2, 3)=7",)
 
 
@@ -88,17 +88,6 @@ def test_scan_even_k_sum_split():
     rows, summary = run_scan(3, 40)
     even_cells = sum(1 for r in rows if r.k % 2 == 0)
     assert summary.sum_k_minus_2 + summary.sum_k == even_cells
-
-
-def test_scan_check_subset():
-    rows, summary = run_scan(3, 15, checks=("parity-sharp",))
-    assert summary.failures == 0
-    assert all(r.ok for r in rows)
-
-
-def test_scan_rejects_unknown_check():
-    with pytest.raises(ValueError):
-        run_scan(3, 10, checks=("no-such-check",))
 
 
 @pytest.mark.parametrize(
