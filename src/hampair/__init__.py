@@ -17,7 +17,6 @@ from .family_one import CutProfile, count_pair, cut_path, cut_set, realize_disjo
 from .family_two import QuotientFiberConfig, build_family_two, skew_cover
 from .lattice import endpoint_caps, gap_profile, lattice_params, ray_system, theta
 from .oracle import (
-    SearchConstraints,
     Status,
     find_arc_disjoint_pair,
     find_hamiltonian_cycle,
@@ -41,7 +40,6 @@ __all__ = [
     "InputError",
     "LabeledWalk",
     "QuotientFiberConfig",
-    "SearchConstraints",
     "Status",
     "VerificationReport",
     "arc_disjoint",

@@ -4,7 +4,8 @@ witness construction, and witness verification.
 Data goes to stdout (or --out); progress and diagnostics go to stderr.
 Each subcommand takes only the options it reads, and each option is set
 by its flag alone.  Exit codes: 0 success, 1 check or verification
-failure, 2 usage or malformed input, 3 inconclusive (a budget ran out).
+failure, 2 usage, malformed input or an --out that cannot be written,
+3 inconclusive (a budget ran out).
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ FORMATS = ("table", "json", "csv")
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

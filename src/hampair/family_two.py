@@ -6,8 +6,12 @@ of quotient positions (and a+1 to the rest) defines a skew-product
 permutation whose cycles are the orbits of the fiber return shift
 a+1-|S|.  With |S| = a+2 the shift is -1 and the cover is one
 Hamiltonian cycle; the complementary cover has shift +2 and either is
-Hamiltonian too (L odd) or splits into two cycles joined by one splice
-arc borrowed from the first cycle (L even).
+Hamiltonian too (L odd) or splits into two cycles joined by the
+canonical arc leaving 0 (L even).  A cover's labels depend only on the
+quotient position, so build_family_two reads both paths' labels off
+the two M-letter patterns; skew_cover computes the covers' cycles
+themselves, the reference the tests and the demo check the paths
+against.
 """
 
 from __future__ import annotations
@@ -79,12 +83,6 @@ class SkewCover:
     def step(self, x: int) -> int:
         return (x + self.steps[x % self.config.M]) % self.config.k
 
-    def cycle_of(self, x: int) -> tuple[int, ...]:
-        for cyc in self.cycles:
-            if x in cyc:
-                return cyc
-        raise KeyError(x)
-
 
 def skew_cover(cfg: QuotientFiberConfig, S: Iterable[int]) -> SkewCover:
     M, k = cfg.M, cfg.k
@@ -109,80 +107,49 @@ def skew_cover(cfg: QuotientFiberConfig, S: Iterable[int]) -> SkewCover:
     return cover
 
 
-def _walk_from_vertices(d: CayleyDigraph, vertices: list[int]) -> LabeledWalk:
-    """Recover the labels of a vertex sequence from its step differences."""
-    k = d.group.orders[0]
-    a = d.gen_a[0]
-    b = d.gen_b[0]
-    labels = []
-    for u, v in zip(vertices, vertices[1:]):
-        step = (v - u) % k
-        if step == a:
-            labels.append("A")
-        elif step == b:
-            labels.append("B")
-        else:
-            raise AssertionError(f"step {u} -> {v} uses neither generator")
-    return LabeledWalk(d, (vertices[0],), "".join(labels))
-
-
-def _cycle_as_path(d: CayleyDigraph, cyc: tuple[int, ...], tail: int) -> list[int]:
-    """The cycle opened by removing the arc whose tail is `tail`:
-    a vertex list starting at the successor of `tail` and ending at it."""
-    i = cyc.index(tail)
-    return list(cyc[i + 1 :] + cyc[: i + 1])
-
-
 def build_family_two(a: int, L: int) -> tuple[LabeledWalk, LabeledWalk]:
-    """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; -a, a+1).
+    """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; -a, a+1),
+    read off the quotient pattern.
 
-    Path one deletes the arc leaving vertex 0 from the Hamiltonian cycle
-    of the canonical cover.  Path two comes from the complementary
-    cover: for odd L it is that cover minus its arc leaving 0; for even
-    L the cover's two cycles are spliced along the first arc of the
-    cycle (traversed from 0) that crosses between them, and the same arc
-    is deleted from path one's cycle instead.
+    Both generators advance t by one and t(0) = 0, so t(-a) = t(a+1) = 1
+    and the step with index i of a walk from either vertex leaves
+    quotient position i+1 mod M.  Along a cover's walk the labels are
+    therefore that cover's pattern over Z_M ("A" on S, "B" elsewhere),
+    read cyclically.  P is the canonical pattern, "A"*(a+2) + "B"*(a-1),
+    and Q its complement.
+
+    M steps of a cover add M*(a+1-|S|), its return shift times M, so a
+    cover splits into gcd(L, a+1-|S|) cycles.  The canonical cover has
+    shift -1 and is one k-cycle: path one is that cycle opened after 0,
+    from -a to 0, the labels of P from position 1.  The complement has
+    shift +2: one k-cycle for odd L, whose opening after 0 is path two,
+    from a+1 to 0, the labels of Q from position 1.
+
+    For even L, write each vertex as c_t + M*j, where c_t is the vertex
+    t < M complement steps after 0.  A complement step keeps the fiber
+    index j (adding 2 after position M-1), so its two cycles are the
+    even and the odd j.  At every vertex the canonical arc and the
+    complement arc differ by -a - (a+1) = -M or by +M, so every
+    canonical arc flips the parity of j and joins the two cycles.  Path
+    two takes the complement cycle of 0 from a+1 to 0, the canonical
+    arc 0 -> -a (step k/2 - 1, at position 0, becomes "A"), then the
+    other complement cycle from -a: still Q from position 1, since
+    t(-a) = 1.  Path one omits that arc, and every other arc of path
+    two is a complement arc, which no canonical arc equals.  The pair
+    is checked by core.pair_failure before it is returned.
     """
     cfg = QuotientFiberConfig(a, L)
     d = cfg.digraph()
-    k = cfg.k
     S = cfg.canonical_S()
-    P = skew_cover(cfg, S)
-    if len(P.cycles) != 1:
-        raise RuntimeError(f"canonical cover is not a Hamiltonian cycle for {(a, L)}")
-    p_cycle = P.cycle_of(0)
-
-    Q = skew_cover(cfg, frozenset(range(cfg.M)) - S)
-    expected = gcd(L, 2)
-    if len(Q.cycles) != expected:
-        raise RuntimeError(
-            f"complementary cover has {len(Q.cycles)} cycles, expected {expected}"
-        )
-
-    if L % 2 == 1:
-        path1 = _walk_from_vertices(d, _cycle_as_path(d, p_cycle, 0))
-        path2 = _walk_from_vertices(d, _cycle_as_path(d, Q.cycle_of(0), 0))
-    else:
-        # First arc of P (from vertex 0) crossing the two complementary cycles.
-        q0 = set(Q.cycles[0])
-        splice = None
-        i = p_cycle.index(0)
-        ordered = p_cycle[i:] + p_cycle[:i]
-        for u, v in zip(ordered, ordered[1:] + ordered[:1]):
-            if (u in q0) != (v in q0):
-                splice = (u, v)
-                break
-        if splice is None:
-            raise RuntimeError(f"no crossing arc between complementary cycles for {(a, L)}")
-        u, v = splice
-        # Open the cycle through u after u, and the cycle through v before v.
-        first_part = _cycle_as_path(d, Q.cycle_of(u), u)  # ends at u
-        second = Q.cycle_of(v)
-        j = second.index(v)
-        second_part = list(second[j:] + second[:j])  # starts at v
-        path2 = _walk_from_vertices(d, first_part + second_part)
-        path1 = _walk_from_vertices(d, _cycle_as_path(d, p_cycle, u))
-
+    P = "".join("A" if t in S else "B" for t in range(cfg.M))
+    Q = P.translate(str.maketrans("AB", "BA"))
+    labels1 = P[1:] + P * (L - 1)
+    labels2 = Q[1:] + Q * (L - 1)
+    if L % 2 == 0:
+        i = cfg.k // 2 - 1
+        labels2 = labels2[:i] + "A" + labels2[i + 1 :]
+    path1 = LabeledWalk(d, (cfg.gen_a,), labels1)
+    path2 = LabeledWalk(d, (cfg.gen_b,), labels2)
     reason = pair_failure(d, path1, path2)
     if reason:
         raise RuntimeError(f"family-two pair for {(a, L)} failed verification: {reason}")

@@ -20,11 +20,6 @@ from .core import InputError, check_family_one_params
 Ray = tuple[int, int]
 
 
-def cross(u: Ray, v: Ray) -> int:
-    """u x v; positive iff u has strictly smaller slope than v."""
-    return u[0] * v[1] - u[1] * v[0]
-
-
 @dataclass(frozen=True)
 class LatticeParams:
     k: int
@@ -110,7 +105,12 @@ def ray_system(k: int, a: int) -> RaySystem:
             if gcd(x, y) == 1 and (x, y) != last:
                 internal.append((x, y))
 
-    rays = [first] + sorted(internal, key=functools.cmp_to_key(lambda u, v: -cross(u, v))) + [last]
+    # Slope order by an exact integer key: internal rays have 1 <= x < k
+    # and y >= 1, and two distinct primitive slopes differ by at least
+    # 1/(x1*x2) > 1/k^2, so their floors of y*k^2/x differ too.
+    kk = k * k
+    internal.sort(key=lambda r: r[1] * kk // r[0])
+    rays = [first] + internal + [last]
     mults = tuple(N // p.L(x, y) for x, y in rays)
     rs = RaySystem(p, tuple(rays), mults)
     # endpoint identity of the parametrization

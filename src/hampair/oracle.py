@@ -10,6 +10,9 @@ The search runs on core's integer kernel (mixed-radix vertex indices,
 per-generator successor tables, core's arc ids for forbidden arcs) with
 an explicit stack, so its depth is bounded by the group order, not by
 Python's recursion limit.  One budget node is spent per vertex entered.
+A path search starts at every vertex in turn, a cycle search only at 0
+(the digraph is vertex-transitive), and a pair search forbids the first
+path's arcs to the second; no search takes any other constraint.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .core import (
     CayleyDigraph,
     InputError,
     LabeledWalk,
-    Vertex,
     arc_ids,
     check_family_one_params,
     verify_hamiltonian,
@@ -62,13 +64,6 @@ class _Budget:
 
 
 @dataclass(frozen=True)
-class SearchConstraints:
-    required_start: Optional[Vertex] = None
-    required_end: Optional[Vertex] = None
-    required_b_count: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     status: Status
     walk: Optional[LabeledWalk] = None
@@ -91,56 +86,45 @@ class PairOutcome:
 
 
 def _iter_paths(
-    d: CayleyDigraph, c: SearchConstraints, budget: _Budget, forbidden: frozenset[int] = frozenset()
+    d: CayleyDigraph,
+    budget: _Budget,
+    start: Optional[int] = None,
+    forbidden: frozenset[int] = frozenset(),
 ) -> Iterator[LabeledWalk]:
-    """Yield every Hamiltonian path satisfying c whose arcs avoid the ids
-    in `forbidden` (see core.arc_ids), in deterministic DFS order.
+    """Yield every Hamiltonian path from vertex index `start` (from every
+    vertex if None) whose arcs avoid the ids in `forbidden` (see
+    core.arc_ids), in deterministic DFS order.
 
     Raises BudgetExhausted when the node budget runs out.
     """
     group = d.group
     n = group.size
-    want_b = c.required_b_count
-    if want_b is not None and want_b > n - 1:
-        return
-
-    def index(v: Vertex) -> int:
-        return group.encode(group.check_vertex(v))
-
-    end = None if c.required_end is None else index(c.required_end)
-    starts = range(n) if c.required_start is None else [index(c.required_start)]
+    starts = range(n) if start is None else [start]
     labels = d.labels
     tables = d.successor_tables
     r = len(tables)
     on_path = bytearray(n)
 
-    for start in starts:
-        path = [start]  # vertex indices
+    for first in starts:
+        path = [first]  # vertex indices
         steps: list[int] = []  # label positions: steps[i] leads to path[i + 1]
         todo = [-1]  # per vertex on the path: the next label position to try
-        on_path[start] = 1
-        b_used = 0
+        on_path[first] = 1
         while path:
             v = path[-1]
             i = todo[-1]
             if i < 0:  # v was just entered
                 budget.spend()
-                left = n - 1 - len(steps)  # steps still to take
-                if not left and end in (None, v) and want_b in (None, b_used):
-                    walk_labels = "".join(map(labels.__getitem__, steps))
-                    yield LabeledWalk(d, group.decode(start), walk_labels)
-                # Expand no further at a leaf, at the required end (it cannot be
-                # internal), or when the B arcs still needed do not fit.
                 i = 0
-                if not left or v == end or (
-                    want_b is not None and not 0 <= want_b - b_used <= left
-                ):
+                if len(steps) == n - 1:  # a leaf: yield it, expand no further
+                    walk_labels = "".join(map(labels.__getitem__, steps))
+                    yield LabeledWalk(d, group.decode(first), walk_labels)
                     i = r
             if i == r:  # every branch tried: backtrack
                 todo.pop()
                 on_path[path.pop()] = 0
                 if steps:
-                    b_used -= steps.pop() == 1
+                    steps.pop()
                 continue
             todo[-1] = i + 1
             w = tables[i][v]
@@ -150,18 +134,13 @@ def _iter_paths(
             path.append(w)
             steps.append(i)
             todo.append(-1)
-            b_used += i == 1
 
 
-def find_hamiltonian_path(
-    d: CayleyDigraph,
-    c: SearchConstraints = SearchConstraints(),
-    node_budget: int = DEFAULT_BUDGET,
-) -> SearchOutcome:
-    """First Hamiltonian path satisfying the constraints, if any."""
+def find_hamiltonian_path(d: CayleyDigraph, node_budget: int = DEFAULT_BUDGET) -> SearchOutcome:
+    """First Hamiltonian path, if any."""
     budget = _Budget(node_budget)
     try:
-        for walk in _iter_paths(d, c, budget):
+        for walk in _iter_paths(d, budget):
             return SearchOutcome(Status.FOUND, walk, budget.used)
     except BudgetExhausted:
         return SearchOutcome(Status.INCONCLUSIVE, None, budget.used)
@@ -176,14 +155,13 @@ def find_hamiltonian_cycle(
     The digraph is vertex-transitive, so the start is fixed at 0.
     """
     budget = _Budget(node_budget)
-    start = d.group.zero
     try:
-        for walk in _iter_paths(d, SearchConstraints(required_start=start), budget):
+        for walk in _iter_paths(d, budget, start=0):
             # Close the path back to the start (index 0) if some generator does.
             last = walk.index_list[-1]
             for lab, table in zip(d.labels, d.successor_tables):
                 if table[last] == 0:
-                    cyc = LabeledWalk(d, start, walk.labels + lab)
+                    cyc = LabeledWalk(d, d.group.zero, walk.labels + lab)
                     assert verify_hamiltonian(d, cyc, "cycle").ok
                     return SearchOutcome(Status.FOUND, cyc, budget.used)
     except BudgetExhausted:
@@ -205,9 +183,8 @@ def iter_arc_disjoint_pairs(
     if d.group.size > budget.limit - budget.used:
         budget.used = budget.limit + 1
         raise BudgetExhausted
-    anywhere = SearchConstraints()
-    for p in _iter_paths(d, anywhere, budget):
-        for q in _iter_paths(d, anywhere, budget, frozenset(arc_ids(p))):
+    for p in _iter_paths(d, budget):
+        for q in _iter_paths(d, budget, forbidden=frozenset(arc_ids(p))):
             yield p, q
 
 

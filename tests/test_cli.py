@@ -237,6 +237,22 @@ def test_verify_missing_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("cuts", "10", "4"), ("scan", "3", "5"), ("build", "one", "10", "4")],
+    ids=["cuts", "scan", "build-one"],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    # An --out in a missing directory is one error line and exit 2, like
+    # an unreadable verify input, not a traceback.
+    target = tmp_path / "absent" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
     "name, value", [("FORMAT", "json"), ("OUT", "x.json"), ("BUDGET", "abc"), ("JOBS", "x")]
 )
 def test_environment_sets_no_option(capsys, monkeypatch, tmp_path, name, value):

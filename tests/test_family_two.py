@@ -1,7 +1,9 @@
+import hashlib
 from math import gcd
 
 import pytest
 
+from hampair.cli import main
 from hampair.core import InputError, arc_disjoint, verify_hamiltonian
 from hampair.family_two import QuotientFiberConfig, build_family_two, skew_cover
 
@@ -109,13 +111,36 @@ def test_build_sweep():
             assert arc_disjoint(p1, p2), (a, L)
 
 
-def test_build_even_L_splice_structure():
-    # for even L path two starts inside one complementary cycle and
-    # crosses to the other exactly once via an A arc
-    p1, p2 = build_family_two(2, 4)
-    cfg = QuotientFiberConfig(2, 4)
+@pytest.mark.parametrize("L", range(2, 13))
+@pytest.mark.parametrize("a", range(1, 9))
+def test_build_matches_skew_covers(a, L):
+    # path one is the canonical cycle opened after 0; every arc of path
+    # two is a complement arc, except, for even L, the canonical arc
+    # 0 -> -a, its one crossing between the complement's two cycles
+    p1, p2 = build_family_two(a, L)
+    cfg = QuotientFiberConfig(a, L)
+    P = skew_cover(cfg, cfg.canonical_S())
     Q = skew_cover(cfg, frozenset(range(cfg.M)) - cfg.canonical_S())
-    assert len(Q.cycles) == 2
-    side = [0 if v[0] in set(Q.cycles[0]) else 1 for v in p2.vertex_list]
+    assert [v[0] for v in p1.vertex_list] == list(P.cycles[0][1:]) + [0]
+    vertices = [v[0] for v in p2.vertex_list]
+    borrowed = [(u, v) for u, v in zip(vertices, vertices[1:]) if v != Q.step(u)]
+    assert borrowed == ([(0, P.step(0))] if L % 2 == 0 else [])
+    first_cycle = set(Q.cycles[0])
+    side = [x in first_cycle for x in vertices]
     crossings = sum(1 for s, t in zip(side, side[1:]) if s != t)
-    assert crossings == 1
+    assert (len(Q.cycles), crossings) == ((2, 1) if L % 2 == 0 else (1, 0))
+
+
+# SHA-256 of the stdout of `hampair build two a L`, concatenated over
+# a = 1..12 and L = 2..40: a change to either path of any of these
+# witnesses shows here.
+BUILD_TWO_SHA256 = "0ff4b6d8e213f08457194ab09fab836ad1e03f7d41237470cb722e34da4dd139"
+
+
+def test_build_two_witnesses_unchanged(capsys):
+    digest = hashlib.sha256()
+    for a in range(1, 13):
+        for L in range(2, 41):
+            assert main(["build", "two", str(a), str(L)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BUILD_TWO_SHA256

@@ -13,7 +13,6 @@ from hampair.core import (
     verify_hamiltonian,
 )
 from hampair.oracle import (
-    SearchConstraints,
     Status,
     find_arc_disjoint_pair,
     find_hamiltonian_cycle,
@@ -22,29 +21,6 @@ from hampair.oracle import (
 )
 from hampair.lattice import ray_system
 from hampair.products import find_strongly_switchable_pair, product_digraph
-
-
-def test_constrained_path_exists():
-    # Cay(Z_5; 2, 3): cut value 0 is Hamiltonian, so an all-A path from
-    # 2 to 0 exists.
-    d = cayley([5], 2, 3)
-    out = find_hamiltonian_path(
-        d, SearchConstraints(required_start=(2,), required_end=(0,), required_b_count=0)
-    )
-    assert out.found
-    assert verify_hamiltonian(d, out.walk).ok
-    assert out.walk.start == (2,) and out.walk.end == (0,)
-    assert out.walk.delta_b() == 0
-
-
-def test_constrained_path_absent():
-    # cut value 1 is not Hamiltonian for (5, 2): no path from 2 to 1
-    # using exactly one B arc.
-    d = cayley([5], 2, 3)
-    out = find_hamiltonian_path(
-        d, SearchConstraints(required_start=(2,), required_end=(1,), required_b_count=1)
-    )
-    assert out.status is Status.ABSENT
 
 
 def test_trivial_group_not_representable():
@@ -232,18 +208,15 @@ def test_returned_witnesses_always_verify():
         ),
         (lambda: find_hamiltonian_cycle(product_digraph((3, 4))), ("absent", 215, [])),
         (
-            lambda: find_hamiltonian_path(
-                cayley([9], 2, 3),
-                SearchConstraints(required_start=(4,), required_end=(8,), required_b_count=6),
-            ),
-            ("found", 32, [((4,), "BBABBABB")]),
+            lambda: find_hamiltonian_path(product_digraph((3, 4))),
+            ("found", 12, [((0, 0), "AABAABAABAA")]),
         ),
         (
             lambda: find_hamiltonian_cycle(product_digraph((4, 5)), 1000),
             ("inconclusive", 1001, []),
         ),
     ],
-    ids=["pair", "coprime-cycle-absent", "constrained-path", "budget-exhausted"],
+    ids=["pair", "coprime-cycle-absent", "path", "budget-exhausted"],
 )
 def test_search_outcomes_pinned(search, expected):
     out = search()
