@@ -147,11 +147,14 @@ class CayleyDigraph:
 
     group: FiniteAbelianGroup
     gens: tuple[Vertex, ...]
-    # Filled by successor_tables on first use.  A field set in __init__,
-    # not a cached_property: writing a new key into the instance __dict__
-    # would slow every later attribute load on the digraph, which the
-    # oracle's search makes millions of.
+    # Filled by successor_tables and predecessor_tables on first use.
+    # Fields set in __init__, not cached_properties: writing a new key
+    # into the instance __dict__ would slow every later attribute load on
+    # the digraph, which the oracle's search makes millions of.
     _tables: tuple[list[int], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _pred_tables: tuple[list[int], ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -202,6 +205,21 @@ class CayleyDigraph:
             tables = tuple(self.group.translation_table(g) for g in self.gens)
             object.__setattr__(self, "_tables", tables)
         return self._tables
+
+    @property
+    def predecessor_tables(self) -> tuple[list[int], ...]:
+        """predecessor_tables[i][v]: the index of the tail of the arc
+        labeled GENERATOR_LABELS[i] whose head has index v, i.e. the
+        inverse permutation of successor_tables[i] (translation by -g)."""
+        if self._pred_tables is None:
+            tables = []
+            for succ in self.successor_tables:
+                pred = [0] * len(succ)
+                for v, w in enumerate(succ):
+                    pred[w] = v
+                tables.append(pred)
+            object.__setattr__(self, "_pred_tables", tuple(tables))
+        return self._pred_tables
 
     @property
     def labels(self) -> str:

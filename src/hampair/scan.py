@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import family_one, lattice, oracle
+from .core import InputError
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -126,6 +127,8 @@ def scan_cells(k_min: int, k_max: int) -> list[tuple[int, int]]:
 
 
 def run_scan(k_min: int, k_max: int, jobs: int = 1) -> tuple[list[ScanRow], ScanSummary]:
+    if jobs < 1:
+        raise InputError("jobs must be positive")
     cells = scan_cells(k_min, k_max)
     # The pool starts all its workers at once, so never ask for more than
     # there are cells or CPUs.

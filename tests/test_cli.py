@@ -151,6 +151,17 @@ def test_build_product_budget_exhausted(capsys):
     assert out == "" and "inconclusive" in err
 
 
+@pytest.mark.parametrize("m, n", [(5, 11), (4, 12)])
+def test_build_product_on_formerly_stuck_base(capsys, m, n):
+    # The unpruned base search in C_m x C_n ran out of its 10^7 nodes
+    # (exit 3 after 11-13 s); dead-end pruning finishes it.
+    code, out, _ = run(capsys, "build", "product", str(m), str(n), "3")
+    assert code == EXIT_OK
+    wf = witness_from_json(out)
+    assert wf.digraph.group.orders == (m, n, 3)
+    assert wf.verify() == (True, "ok")
+
+
 def test_build_product_absent_base_fails(capsys, monkeypatch):
     absent = products.oracle.PairOutcome(products.oracle.Status.ABSENT)
     monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
@@ -309,6 +320,13 @@ def test_option_of_another_subcommand_is_usage_error(capsys):
         main(["verify", "w.json", "--format", "json"])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_scan_nonpositive_jobs_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "scan", "3", "5", "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert out == "" and err == "error: jobs must be positive\n"
 
 
 def test_scan_has_no_check_selection(capsys):

@@ -1,10 +1,13 @@
 import itertools
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampair import oracle
 from hampair.core import (
+    CayleyDigraph,
     FiniteAbelianGroup,
     InputError,
     LabeledWalk,
@@ -197,32 +200,146 @@ def test_returned_witnesses_always_verify():
             assert arc_disjoint(p, q)
 
 
+def _outcome(out):
+    """(status, nodes_used, [(start, labels), ...]) of any search outcome."""
+    if hasattr(out, "pair"):
+        walks = out.pair or ()
+    else:
+        walks = [out.walk] if out.walk else []
+    return out.status.value, out.nodes_used, [(w.start, w.labels) for w in walks]
+
+
 # Exact (status, nodes_used, [(start, labels), ...]): a change to the
-# branch order or to the node accounting shows here.
+# branch order, the pruning or the node accounting shows here.
 @pytest.mark.parametrize(
     "search, expected",
     [
         (
             lambda: find_arc_disjoint_pair(cayley([12], 4, 9)),
-            ("found", 74, [((0,), "AABAABAABAA"), ((3,), "BBBABBBABBB")]),
+            ("found", 40, [((0,), "AABAABAABAA"), ((3,), "BBBABBBABBB")]),
         ),
-        (lambda: find_hamiltonian_cycle(product_digraph((3, 4))), ("absent", 215, [])),
+        (lambda: find_hamiltonian_cycle(product_digraph((3, 4))), ("absent", 72, [])),
         (
             lambda: find_hamiltonian_path(product_digraph((3, 4))),
             ("found", 12, [((0, 0), "AABAABAABAA")]),
         ),
+        (lambda: find_hamiltonian_cycle(product_digraph((4, 5))), ("absent", 494, [])),
+        # Trotter-Erdos: gcd(6, 7) = 1, so C_6 x C_7 has no Hamiltonian
+        # cycle; the unpruned search needed 6,907,243 nodes to prove it.
+        (lambda: find_hamiltonian_cycle(product_digraph((6, 7))), ("absent", 64157, [])),
         (
-            lambda: find_hamiltonian_cycle(product_digraph((4, 5)), 1000),
+            lambda: find_hamiltonian_cycle(product_digraph((5, 11)), 1000),
             ("inconclusive", 1001, []),
         ),
     ],
-    ids=["pair", "coprime-cycle-absent", "path", "budget-exhausted"],
+    ids=[
+        "pair",
+        "coprime-cycle-absent",
+        "path",
+        "coprime-cycle-absent-c4c5",
+        "coprime-cycle-absent-c6c7",
+        "budget-exhausted",
+    ],
 )
 def test_search_outcomes_pinned(search, expected):
-    out = search()
-    if hasattr(out, "pair"):
-        walks = out.pair or ()
-    else:
-        walks = [out.walk] if out.walk else []
-    got = (out.status.value, out.nodes_used, [(w.start, w.labels) for w in walks])
-    assert got == expected
+    assert _outcome(search()) == expected
+
+
+def _unpruned_iter_paths(
+    d: CayleyDigraph,
+    budget,
+    start: Optional[int] = None,
+    forbidden: frozenset[int] = frozenset(),
+    closed: bool = False,
+) -> Iterator[LabeledWalk]:
+    """Reference for oracle._iter_paths without dead-end pruning: every
+    Hamiltonian path from `start` (every vertex if None) avoiding the arc
+    ids in `forbidden`, in the same DFS order.  `closed` is ignored, as
+    find_hamiltonian_cycle tests each yielded path for a closing arc."""
+    group = d.group
+    n = group.size
+    starts = range(n) if start is None else [start]
+    labels = d.labels
+    tables = d.successor_tables
+    r = len(tables)
+    on_path = bytearray(n)
+
+    for first in starts:
+        path = [first]  # vertex indices
+        steps: list[int] = []  # label positions: steps[i] leads to path[i + 1]
+        todo = [-1]  # per vertex on the path: the next label position to try
+        on_path[first] = 1
+        while path:
+            v = path[-1]
+            i = todo[-1]
+            if i < 0:  # v was just entered
+                budget.spend()
+                i = 0
+                if len(steps) == n - 1:  # a leaf: yield it, expand no further
+                    walk_labels = "".join(map(labels.__getitem__, steps))
+                    yield LabeledWalk(d, group.decode(first), walk_labels)
+                    i = r
+            if i == r:  # every branch tried: backtrack
+                todo.pop()
+                on_path[path.pop()] = 0
+                if steps:
+                    steps.pop()
+                continue
+            todo[-1] = i + 1
+            w = tables[i][v]
+            if on_path[w] or v * r + i in forbidden:
+                continue
+            on_path[w] = 1
+            path.append(w)
+            steps.append(i)
+            todo.append(-1)
+
+
+def _two_generated_digraphs(max_order: int):
+    """Every Cay(G; a, b) with G = Z_{n1} x ... (n1 <= n2 <= ..., each
+    factorization of each order <= max_order) and (a, b) an ordered pair
+    of distinct nonzero elements that generates G."""
+
+    def factorizations(order: int, minimum: int = 2):
+        if order == 1:
+            yield ()
+            return
+        for first in range(minimum, order + 1):
+            if order % first == 0:
+                for rest in factorizations(order // first, first):
+                    yield (first,) + rest
+
+    for order in range(2, max_order + 1):
+        for orders in factorizations(order):
+            group = FiniteAbelianGroup(orders)
+            nonzero = [v for v in group.elements() if v != group.zero]
+            for a, b in itertools.permutations(nonzero, 2):
+                try:
+                    yield CayleyDigraph(group, (a, b))
+                except InputError:
+                    continue  # the pair does not generate the group
+
+
+SEARCHES = (
+    find_hamiltonian_path,
+    find_hamiltonian_cycle,
+    find_arc_disjoint_pair,
+    find_strongly_switchable_pair,
+)
+
+
+def test_pruning_keeps_every_outcome(monkeypatch):
+    # Dead-end pruning cuts only subtrees without a Hamiltonian leaf, so
+    # every search returns what the unpruned DFS returns, in no more nodes.
+    digraphs = list(_two_generated_digraphs(12))
+    pruned = [[_outcome(search(d)) for search in SEARCHES] for d in digraphs]
+    monkeypatch.setattr(oracle, "_iter_paths", _unpruned_iter_paths)
+    fewer = 0
+    for d, got in zip(digraphs, pruned):
+        for search, (status, nodes, walks) in zip(SEARCHES, got):
+            want_status, want_nodes, want_walks = _outcome(search(d))
+            case = (d.group.orders, d.gens, search.__name__)
+            assert (status, walks) == (want_status, want_walks), case
+            assert nodes <= want_nodes, case
+            fewer += nodes < want_nodes
+    assert len(digraphs) == 728 and fewer > 0
