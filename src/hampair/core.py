@@ -8,12 +8,19 @@ Vertices are residue tuples at the API, and mixed-radix integers inside
 the checks: in Z_{n1} x ... x Z_{nr} the vertex (x1, ..., xr) has index
 (...((x1*n2 + x2)*n3 + x3)...)*nr + xr in [0, n), so index order is the
 lexicographic order of `elements()`.  A digraph builds, on first use,
-one successor table per generator over these indices; a walk follows
-the tables to its `index_list`, and an arc is the integer
-tail*r + label position for r generators.  `verify_hamiltonian` and
-`arc_disjoint` run on these integers only; `verify_hamiltonian` checks
-a walk's length before any table is built, so a walk whose size does
-not match its group costs nothing in the group's order.
+one successor table per generator over these indices.  A walk
+translates its labels once into label-position bytes and follows the
+tables, one lookup per byte, to its `index_list`.  `verify_hamiltonian`
+and `arc_disjoint` run on these integers only; `verify_hamiltonian`
+checks a walk's length before any table is built, so a walk whose size
+does not match its group costs nothing in the group's order.
+
+Two walks share an arc iff some tail carries the same label in both.
+`arc_disjoint` therefore keeps one set per label: the first walk's
+tails that carry it, picked out by a byte mask over the encoded labels,
+probed with the second walk's tails that carry it.  This holds for any
+two walks, Hamiltonian or not.  The oracle encodes an arc as the
+integer tail*r + label position for r generators (`arc_ids`).
 
 Generation is decided arithmetically, without visiting the group: the
 generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
@@ -26,6 +33,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +42,16 @@ Vertex = tuple[int, ...]
 # Generator labels, in branch order.  Two-generated digraphs use "A","B";
 # cycle products add a third direction "C".
 GENERATOR_LABELS = string.ascii_uppercase
+
+# bytes.translate tables over a walk's encoded labels: _POSITIONS maps
+# each label to its position, and _LABEL_MASKS[i] maps the i-th label to
+# 1 and every other byte to 0.
+_POSITIONS = bytes.maketrans(
+    GENERATOR_LABELS.encode(), bytes(range(len(GENERATOR_LABELS)))
+)
+_LABEL_MASKS = tuple(
+    bytes(c) + b"\x01" + bytes(255 - c) for c in GENERATOR_LABELS.encode()
+)
 
 
 class InputError(ValueError):
@@ -262,8 +280,7 @@ def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
     return CayleyDigraph(group, tuple(group.canon(g) for g in gens))
 
 
-# An arc in a Cayley digraph is determined by (tail, label).  The checks
-# below encode it as tail index * r + label position.
+# An arc in a Cayley digraph is determined by (tail, label).
 Arc = tuple[Vertex, str]
 ArcSet = frozenset[Arc]
 
@@ -295,14 +312,9 @@ class LabeledWalk:
     @cached_property
     def index_list(self) -> list[int]:
         """The mixed-radix indices of the walk's vertices, start first."""
-        tables = dict(zip(self.digraph.labels, self.digraph.successor_tables))
+        tables = self.digraph.successor_tables
         v = self.digraph.group.encode(self.start)
-        out = [v]
-        append = out.append
-        for lab in self.labels:
-            v = tables[lab][v]
-            append(v)
-        return out
+        return [v, *[v := tables[i][v] for i in self.labels.encode().translate(_POSITIONS)]]
 
     @cached_property
     def vertex_list(self) -> tuple[Vertex, ...]:
@@ -388,15 +400,21 @@ def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None
 
 
 def arc_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:
-    """True iff the two walks share no (tail, label) arc."""
+    """True iff the two walks share no (tail, label) arc: for each label,
+    no tail of w2 that carries it is a tail of w1 that carries it."""
     if w1.digraph != w2.digraph:
         raise InputError("walks live in different digraphs")
-    return set(arc_ids(w1)).isdisjoint(arc_ids(w2))
+    tails1, labels1 = w1.index_list, w1.labels.encode()
+    tails2, labels2 = w2.index_list, w2.labels.encode()
+    for mask in _LABEL_MASKS[: len(w1.digraph.gens)]:
+        carry = set(compress(tails1, labels1.translate(mask)))
+        if not carry.isdisjoint(compress(tails2, labels2.translate(mask))):
+            return False
+    return True
 
 
 def arc_ids(w: LabeledWalk) -> Iterator[int]:
     """The walk's arcs as tail index * r + label position, r generators:
-    the one arc encoding of the package (arc_disjoint, the oracle)."""
+    the oracle's encoding of forbidden arcs."""
     r = len(w.digraph.gens)
-    position = {lab: i for i, lab in enumerate(w.digraph.labels)}
-    return map(add, map(r.__mul__, w.index_list), map(position.__getitem__, w.labels))
+    return map(add, map(r.__mul__, w.index_list), w.labels.encode().translate(_POSITIONS))

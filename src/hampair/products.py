@@ -165,26 +165,48 @@ def _base_analysis(m: int, n: int, node_budget: int):
     return d, find_strongly_switchable_pair(d, node_budget)
 
 
+_SWAP_AB = str.maketrans("AB", "BA")
+
+
 def build_three_factor(
     m: int, n: int, ell: int, node_budget: int = oracle.DEFAULT_BUDGET
 ) -> tuple[LabeledWalk, LabeledWalk]:
     """Two verified arc-disjoint Hamiltonian paths in C_m x C_n x C_ell,
     lifted from a strongly switchable pair of the base C_m x C_n.
 
+    Swapping the first two coordinates and the labels A and B maps
+    C_n x C_m x C_ell onto C_m x C_n x C_ell, so the pair is built on the
+    base with the shorter first factor and mapped back when m > n: the
+    search finishes there (C_8 x C_10 in 2,470 nodes, where C_10 x C_8
+    is inconclusive at 10^7), and a base and its transpose share one
+    cached search.  The mapped pair is checked by core.pair_failure.
+
     Raises oracle.BudgetExhausted when the base search is inconclusive,
     and RuntimeError when it proves that the base has no such pair.
     """
     if min(m, n, ell) < 2:
         raise InputError(f"need m, n, ell >= 2, got {(m, n, ell)}")
-    d, switchable = _base_analysis(m, n, node_budget)
+    lo, hi = sorted((m, n))
+    d, switchable = _base_analysis(lo, hi, node_budget)
     if switchable.status is oracle.Status.INCONCLUSIVE:
         raise oracle.BudgetExhausted(
-            f"strongly switchable pair search in C_{m} x C_{n} "
+            f"strongly switchable pair search in C_{lo} x C_{hi} "
             f"exhausted its budget of {node_budget} nodes"
         )
     if not switchable.found:
         raise RuntimeError(
-            f"C_{m} x C_{n} has no strongly switchable pair to lift "
+            f"C_{lo} x C_{hi} has no strongly switchable pair to lift "
             f"to C_{m} x C_{n} x C_{ell}"
         )
-    return lift_through_cycle(d, *switchable.pair, ell)
+    pair = lift_through_cycle(d, *switchable.pair, ell)
+    if m <= n:
+        return pair
+    target = product_digraph((m, n, ell))
+    w1, w2 = (
+        LabeledWalk(target, (w.start[1], w.start[0], w.start[2]), w.labels.translate(_SWAP_AB))
+        for w in pair
+    )
+    reason = pair_failure(target, w1, w2)
+    if reason:
+        raise RuntimeError(f"transposed pair failed verification: {reason}")
+    return w1, w2

@@ -32,9 +32,18 @@ def walk_to_dict(w: LabeledWalk) -> dict[str, Any]:
 
 def walk_from_dict(d: CayleyDigraph, doc: dict[str, Any]) -> LabeledWalk:
     try:
-        return LabeledWalk(d, d.group.canon(doc["start"]), doc["labels"])
+        return LabeledWalk(d, d.group.canon(_integers(doc["start"], "start")), doc["labels"])
     except (KeyError, TypeError, InputError) as exc:
         raise MalformedWitness(f"bad walk record: {exc}") from exc
+
+
+def _integers(value: Any, name: str) -> list[int]:
+    """value if it is a JSON list of integers.  Floats and booleans are
+    refused: Python reads true as 1, and a float fails later, deep in
+    the index arithmetic."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise MalformedWitness(f"{name} must be a list of integers")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,14 +83,15 @@ def witness_from_json(text: str) -> WitnessFile:
     try:
         if doc["version"] != FORMAT_VERSION:
             raise MalformedWitness(f"unsupported version {doc['version']}")
-        group = FiniteAbelianGroup(tuple(doc["group_orders"]))
-        gens = [group.canon(doc["gen_a"]), group.canon(doc["gen_b"])]
-        if "gen_c" in doc:
-            gens.append(group.canon(doc["gen_c"]))
-        digraph = CayleyDigraph(group, tuple(gens))
+        group = FiniteAbelianGroup(tuple(_integers(doc["group_orders"], "group_orders")))
+        names = ("gen_a", "gen_b", "gen_c") if "gen_c" in doc else ("gen_a", "gen_b")
+        digraph = CayleyDigraph(group, tuple(group.canon(_integers(doc[g], g)) for g in names))
+        params = doc["params"]
+        if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
+            raise MalformedWitness("params must be an object of integers")
         return WitnessFile(
             family=doc["family"],
-            params={k: int(v) for k, v in doc["params"].items()},
+            params=params,
             digraph=digraph,
             path1=walk_from_dict(digraph, doc["path1"]),
             path2=walk_from_dict(digraph, doc["path2"]),

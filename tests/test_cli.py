@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import hampair
-from hampair import products
+from hampair import cli, core, family_one, family_two, oracle, products, witness
 from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
-from hampair.core import cayley
+from hampair.core import LabeledWalk, cayley
 from hampair.witness import witness_from_json
 
 
@@ -151,10 +151,14 @@ def test_build_product_budget_exhausted(capsys):
     assert out == "" and "inconclusive" in err
 
 
-@pytest.mark.parametrize("m, n", [(5, 11), (4, 12)])
+@pytest.mark.parametrize(
+    "m, n", [(5, 11), (4, 12), (10, 8), (11, 8), (11, 9), (12, 8), (12, 9), (12, 10)]
+)
 def test_build_product_on_formerly_stuck_base(capsys, m, n):
     # The unpruned base search in C_m x C_n ran out of its 10^7 nodes
-    # (exit 3 after 11-13 s); dead-end pruning finishes it.
+    # (exit 3 after 11-13 s); dead-end pruning finishes it.  The pruned
+    # search still ran out in C_10 x C_8 and the other bases with m > n
+    # here, which are now built on their transposes.
     code, out, _ = run(capsys, "build", "product", str(m), str(n), "3")
     assert code == EXIT_OK
     wf = witness_from_json(out)
@@ -172,6 +176,51 @@ def test_build_product_absent_base_fails(capsys, monkeypatch):
         products._base_analysis.cache_clear()
     assert code == EXIT_FAIL
     assert out == "" and err.startswith("builder failed: ")
+
+
+def test_build_search_rejects_overlapping_pair(capsys, monkeypatch, tmp_path):
+    # The oracle's pair is checked once, by the builder, before anything
+    # is written.
+    d = cayley([3], 1, 2)
+    p = LabeledWalk(d, (0,), "AA")
+    found = oracle.PairOutcome(oracle.Status.FOUND, (p, p), 1)
+    monkeypatch.setattr(oracle, "find_arc_disjoint_pair", lambda d, budget: found)
+    target = tmp_path / "w.json"
+    code, out, err = run(capsys, "build", "search", "3", "1", "2", "--out", str(target))
+    assert code == EXIT_FAIL
+    assert out == "" and err.startswith("builder failed: ")
+    assert "arc overlap between path1 and path2" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("one", "10", "4"), ("two", "1", "4"), ("product", "10", "8", "3"),
+     ("search", "2,3", "1,0", "0,1")],
+    ids=["one", "two", "product", "search"],
+)
+def test_each_witness_is_checked_once(capsys, monkeypatch, tmp_path, argv):
+    # pair_failure is imported by name, so count the calls at every module
+    # that holds it, and only those on the written pair's digraph (the
+    # product build also checks its base pair).
+    checked = []
+
+    def counting(d, p, q):
+        checked.append(d)
+        return core.pair_failure(d, p, q)
+
+    for module in (cli, family_one, family_two, products, witness):
+        if getattr(module, "pair_failure", None) is core.pair_failure:
+            monkeypatch.setattr(module, "pair_failure", counting)
+    target = tmp_path / "w.json"
+    code, _, _ = run(capsys, "build", *argv, "--out", str(target))
+    assert code == EXIT_OK
+    digraph = witness_from_json(target.read_text()).digraph
+    assert checked.count(digraph) == 1
+    checked.clear()
+    code, _, _ = run(capsys, "verify", str(target))
+    assert code == EXIT_OK
+    assert checked == [digraph]
 
 
 def test_build_rejects_bad_params(capsys):
@@ -240,6 +289,51 @@ def test_verify_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(target))
     assert code == EXIT_USAGE
     assert "malformed" in err
+
+
+# Cay(Z_5; 1, 2): A^4 from 0 and B^4 from 0 are arc-disjoint Hamiltonian paths.
+MISTYPED_BASE = json.dumps(
+    {
+        "version": 1,
+        "family": "search",
+        "params": {"order_0": 5},
+        "group_orders": [5],
+        "gen_a": [1],
+        "gen_b": [2],
+        "path1": {"start": [0], "labels": "AAAA"},
+        "path2": {"start": [0], "labels": "BBBB"},
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("params", [5]), ("group_orders", [5.0]), ("gen_a", [1.0]), ("gen_b", [True]),
+     ("start", [0.0]), ("start", [True])],
+    ids=["params-list", "float-order", "float-gen", "bool-gen", "float-start", "bool-start"],
+)
+def test_verify_mistyped_witness_is_malformed(capsys, tmp_path, field, value):
+    # Each of these was a traceback with exit 1, or "ok" for [True].
+    target = tmp_path / "w.json"
+    doc = json.loads(MISTYPED_BASE)
+    if field == "start":
+        doc["path1"]["start"] = value
+    else:
+        doc[field] = value
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"malformed witness file: {field} must be ")
+
+
+def test_verify_non_utf8_file_is_malformed(capsys, tmp_path):
+    target = tmp_path / "w.json"
+    target.write_bytes(MISTYPED_BASE.replace("search", "s\u00e9arch").encode("latin-1"))
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("malformed witness file: not UTF-8 text: ")
 
 
 def test_verify_missing_file(capsys, tmp_path):

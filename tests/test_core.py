@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -22,6 +23,10 @@ from hampair.core import (
     pair_failure,
     verify_hamiltonian,
 )
+from hampair.family_one import realize_disjoint_pair
+from hampair.family_two import build_family_two
+from hampair.oracle import find_arc_disjoint_pair
+from hampair.products import build_three_factor
 
 
 def test_successor_residue_addition():
@@ -289,3 +294,45 @@ def test_index_list_decodes_to_successor_walk(case):
 def test_arc_disjoint_matches_tuple_arc_sets(case):
     _, (w1, w2) = case
     assert arc_disjoint(w1, w2) == (not (w1.arc_set() & w2.arc_set()))
+
+
+def arc_id_sets_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:
+    """The reference: arc_disjoint as one set of arc ids, before it kept
+    one set of tails per label."""
+    return set(arc_ids(w1)).isdisjoint(arc_ids(w2))
+
+
+@given(walks_in(1, 3, 2))
+def test_arc_disjoint_matches_arc_id_sets(case):
+    d, (w1, w2) = case
+    assert arc_disjoint(w1, w2) == arc_id_sets_disjoint(w1, w2)
+    empty = LabeledWalk(d, w2.start, "")
+    assert arc_disjoint(w1, empty) and arc_disjoint(empty, w1)
+    assert arc_id_sets_disjoint(w1, empty)
+
+
+@functools.cache
+def verified_pairs() -> list[tuple[LabeledWalk, LabeledWalk]]:
+    """Arc-disjoint Hamiltonian path pairs of ranks 1, 2 and 3."""
+    r = realize_disjoint_pair(10, 4)
+    pairs = [
+        (r.path1, r.path2),
+        build_family_two(1, 4),
+        find_arc_disjoint_pair(cayley([2, 4], (1, 0), (0, 1))).pair,
+        build_three_factor(2, 3, 2),
+    ]
+    assert all(pair_failure(p.digraph, p, q) is None for p, q in pairs)
+    return pairs
+
+
+@given(st.data())
+def test_arc_disjoint_matches_arc_id_sets_on_flipped_pairs(data):
+    # One label of a verified pair changed: the walks stay in the digraph
+    # but may now share an arc, or wander off a Hamiltonian path.
+    pair = list(data.draw(st.sampled_from(verified_pairs())))
+    which = data.draw(st.integers(0, 1))
+    w = pair[which]
+    i = data.draw(st.integers(0, len(w.labels) - 1))
+    lab = data.draw(st.sampled_from([x for x in w.digraph.labels if x != w.labels[i]]))
+    pair[which] = LabeledWalk(w.digraph, w.start, w.labels[:i] + lab + w.labels[i + 1 :])
+    assert arc_disjoint(*pair) == arc_id_sets_disjoint(*pair)

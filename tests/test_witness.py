@@ -126,3 +126,24 @@ def test_family_one_realization_round_trip():
     d = cayley([10], 4, 5)
     wf = WitnessFile("one", {"k": 10, "a": 4}, d, r.path1, r.path2)
     assert witness_from_json(wf.to_json()).verify() == (True, "ok")
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [(("params", "m"), 2.0), (("params",), [2, 3, 2]), (("group_orders",), [2, True, 2]),
+     (("gen_c",), [0, 0, 1.0]), (("path2", "start"), [0, 0, False])],
+    ids=["float-param", "list-params", "bool-order", "float-gen-c", "bool-start"],
+)
+def test_non_integer_fields_rejected(keys, value):
+    # Python would take a float or a bool for an int here (or index with
+    # it), so each of these either verified or failed with a TypeError.
+    w1, w2 = build_three_factor(2, 3, 2)
+    wf = WitnessFile("product", {"m": 2, "n": 3, "l": 2}, w1.digraph, w1, w2)
+    doc = json.loads(wf.to_json())
+    *parents, last = keys
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(MalformedWitness, match="must be"):
+        witness_from_json(json.dumps(doc))
