@@ -8,7 +8,7 @@ which must be UTF-8 JSON with integer coordinates.
 Each subcommand takes only the options it reads, and each option is set
 by its flag alone.  Exit codes: 0 success, 1 check or verification
 failure, 2 usage, malformed input or an --out that cannot be written,
-3 inconclusive (a budget ran out).
+3 inconclusive (a node budget or memory ran out).
 """
 
 from __future__ import annotations
@@ -343,6 +343,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # reported below, once the traceback and all it holds are freed
+    # Memory is a budget that ran out, so the outcome is inconclusive.
+    print("inconclusive: out of memory", file=sys.stderr)
+    return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

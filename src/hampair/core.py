@@ -257,10 +257,6 @@ class CayleyDigraph:
             raise InputError(f"unknown generator label {lab!r}")
         return self.gens[i]
 
-    def successor(self, v: Vertex, lab: str) -> Vertex:
-        """The head of the arc with tail v and the given label."""
-        return self.group.add(self.group.check_vertex(v), self.gen(lab))
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b > 0, for (a, b) != (0, 0)."""
@@ -278,11 +274,6 @@ def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
     """Convenience constructor: cayley([10], 4, 5) is Cay(Z_10; 4, 5)."""
     group = FiniteAbelianGroup(tuple(orders))
     return CayleyDigraph(group, tuple(group.canon(g) for g in gens))
-
-
-# An arc in a Cayley digraph is determined by (tail, label).
-Arc = tuple[Vertex, str]
-ArcSet = frozenset[Arc]
 
 
 @dataclass(frozen=True)
@@ -323,13 +314,6 @@ class LabeledWalk:
     @property
     def end(self) -> Vertex:
         return self.digraph.group.decode(self.index_list[-1])
-
-    def arcs(self) -> list[Arc]:
-        """Arcs in traversal order, as (tail, label) pairs."""
-        return [(v, lab) for v, lab in zip(self.vertex_list, self.labels)]
-
-    def arc_set(self) -> ArcSet:
-        return frozenset(self.arcs())
 
     def translate(self, g: int | Iterable[int]) -> "LabeledWalk":
         g = self.digraph.group.canon(g)

@@ -3,8 +3,11 @@
 This is the independent ground truth used to validate the structured
 constructions.  Search results are three-valued: a witness, a proof of
 absence (the search space was exhausted), or an explicit "inconclusive"
-when the node budget ran out.  Branches are explored in generator-label
-order ("A" before "B"), so every outcome is deterministic.
+when the node budget ran out.  One function, `first_outcome`, gives
+every search that result from a generator of candidates: the path,
+cycle and pair searches here and products' strongly switchable pair
+search.  Branches are explored in generator-label order ("A" before
+"B"), so every outcome is deterministic.
 
 The search runs on core's integer kernel (mixed-radix vertex indices,
 per-generator successor and predecessor tables, core's arc ids for
@@ -64,7 +67,7 @@ class Status(enum.Enum):
 class BudgetExhausted(Exception):
     """A search ran out of node budget, so its outcome is inconclusive.
 
-    The find_* functions return Status.INCONCLUSIVE instead;
+    first_outcome turns it into Status.INCONCLUSIVE;
     products.build_three_factor raises it to its caller.
     """
 
@@ -184,15 +187,22 @@ def _iter_paths(
                 todo.append(-1)
 
 
-def find_hamiltonian_path(d: CayleyDigraph, node_budget: int = DEFAULT_BUDGET) -> SearchOutcome:
-    """First Hamiltonian path, if any."""
+def first_outcome(outcome_cls, node_budget: int, results):
+    """The one search loop: outcome_cls(FOUND, item, nodes) for the
+    first item of results(budget), ABSENT when results runs out, and
+    INCONCLUSIVE when the node budget runs out first."""
     budget = _Budget(node_budget)
     try:
-        for walk in _iter_paths(d, budget):
-            return SearchOutcome(Status.FOUND, walk, budget.used)
+        for item in results(budget):
+            return outcome_cls(Status.FOUND, item, budget.used)
     except BudgetExhausted:
-        return SearchOutcome(Status.INCONCLUSIVE, None, budget.used)
-    return SearchOutcome(Status.ABSENT, None, budget.used)
+        return outcome_cls(Status.INCONCLUSIVE, None, budget.used)
+    return outcome_cls(Status.ABSENT, None, budget.used)
+
+
+def find_hamiltonian_path(d: CayleyDigraph, node_budget: int = DEFAULT_BUDGET) -> SearchOutcome:
+    """First Hamiltonian path, if any."""
+    return first_outcome(SearchOutcome, node_budget, lambda b: _iter_paths(d, b))
 
 
 def find_hamiltonian_cycle(
@@ -200,22 +210,21 @@ def find_hamiltonian_cycle(
 ) -> SearchOutcome:
     """Hamiltonian directed cycle search.
 
-    The digraph is vertex-transitive, so the start is fixed at 0.
+    The digraph is vertex-transitive, so the start is fixed at 0.  Each
+    path found is closed by its first arc back to 0, and a path without
+    one is skipped.
     """
-    budget = _Budget(node_budget)
-    try:
+
+    def cycles(budget: _Budget) -> Iterator[LabeledWalk]:
         for walk in _iter_paths(d, budget, start=0, closed=True):
-            # A closed search yields only paths with an arc back to the
-            # start (index 0); append that arc's label.
             last = walk.index_list[-1]
             for lab, table in zip(d.labels, d.successor_tables):
                 if table[last] == 0:
                     cyc = LabeledWalk(d, d.group.zero, walk.labels + lab)
                     assert verify_hamiltonian(d, cyc, "cycle").ok
-                    return SearchOutcome(Status.FOUND, cyc, budget.used)
-    except BudgetExhausted:
-        return SearchOutcome(Status.INCONCLUSIVE, None, budget.used)
-    return SearchOutcome(Status.ABSENT, None, budget.used)
+                    yield cyc
+
+    return first_outcome(SearchOutcome, node_budget, cycles)
 
 
 def iter_arc_disjoint_pairs(
@@ -241,13 +250,7 @@ def find_arc_disjoint_pair(
     d: CayleyDigraph, node_budget: int = DEFAULT_BUDGET
 ) -> PairOutcome:
     """First ordered pair of arc-disjoint Hamiltonian paths, if any."""
-    budget = _Budget(node_budget)
-    try:
-        for p, q in iter_arc_disjoint_pairs(d, budget):
-            return PairOutcome(Status.FOUND, (p, q), budget.used)
-    except BudgetExhausted:
-        return PairOutcome(Status.INCONCLUSIVE, None, budget.used)
-    return PairOutcome(Status.ABSENT, None, budget.used)
+    return first_outcome(PairOutcome, node_budget, lambda b: iter_arc_disjoint_pairs(d, b))
 
 
 def oracle_cut_set(k: int, a: int) -> set[int]:

@@ -3,9 +3,12 @@
 The three-factor product C_m x C_n x C_l is handled by finding a
 "strongly switchable" ordered pair of arc-disjoint Hamiltonian paths in
 the two-factor base and lifting it layer by layer through the third
-cycle.  That is the only construction: when the base search proves
-that no strongly switchable pair exists, or runs out of budget, the
-build fails with that outcome.
+cycle.  A walk is its start and its labels, and translation keeps the
+labels, so a lifted path is one base path's start and the two base
+label strings, alternated l times and joined by the third generator.
+That is the only construction: when the base search proves that no
+strongly switchable pair exists, or runs out of budget, the build
+fails with that outcome.
 """
 
 from __future__ import annotations
@@ -86,27 +89,14 @@ def find_strongly_switchable_pair(
 ) -> oracle.PairOutcome:
     """First strongly switchable ordered pair, enumerating arc-disjoint
     Hamiltonian path pairs in DFS order and testing both orders."""
-    budget = oracle._Budget(node_budget)
-    try:
+
+    def switchable(budget):
         for p, q in oracle.iter_arc_disjoint_pairs(d, budget):
             for cand in ((p, q), (q, p)):
-                ok, _, _ = is_strongly_switchable(d, *cand)
-                if ok:
-                    return oracle.PairOutcome(oracle.Status.FOUND, cand, budget.used)
-    except oracle.BudgetExhausted:
-        return oracle.PairOutcome(oracle.Status.INCONCLUSIVE, None, budget.used)
-    return oracle.PairOutcome(oracle.Status.ABSENT, None, budget.used)
+                if is_strongly_switchable(d, *cand)[0]:
+                    yield cand
 
-
-def lift_plan(data: SwitchabilityData, group: FiniteAbelianGroup, ell: int):
-    """Layer translations p_i, q_i: p_0 = q_0 = 0, q_{i+1} = p_i + alpha,
-    p_{i+1} = q_i + beta."""
-    ps = [group.zero]
-    qs = [group.zero]
-    for i in range(ell - 1):
-        qs.append(group.add(ps[i], data.alpha))
-        ps.append(group.add(qs[i], data.beta))
-    return ps, qs
+    return oracle.first_outcome(oracle.PairOutcome, node_budget, switchable)
 
 
 def lift_through_cycle(
@@ -116,32 +106,27 @@ def lift_through_cycle(
     Hamiltonian path pair of D x C_ell.
 
     Layer i of the first lifted path carries P + p_i for even i and
-    Q + q_i for odd i (the second path swaps the roles); consecutive
-    layers are joined by one arc in the new cycle direction.
+    Q + q_i for odd i (the second path swaps the roles), where p_0 =
+    q_0 = 0, q_{i+1} = p_i + alpha and p_{i+1} = q_i + beta; consecutive
+    layers are joined by one arc in the new cycle direction.  That arc
+    leads from a layer's end to the next layer's start (P + p_i ends at
+    tau_P + p_i = iota_Q + q_{i+1}, and likewise for Q), so the
+    translations need no computing: each lifted path is its first
+    layer's start at height 0 and the base labels, alternated.
     """
     if ell < 2:
         raise InputError(f"need ell >= 2, got {ell}")
-    ok, data, violations = is_strongly_switchable(d, p, q)
+    ok, _, violations = is_strongly_switchable(d, p, q)
     if not ok:
         raise InputError(f"pair is not strongly switchable: {violations}")
-    group = d.group
     lifted = product_like_extension(d, ell)
     vertical = lifted.labels[-1]
-    ps, qs = lift_plan(data, group, ell)
 
-    def build(first_is_p: bool) -> LabeledWalk:
-        segments = []
-        for i in range(ell):
-            use_p = first_is_p == (i % 2 == 0)
-            segments.append(p.translate(ps[i]) if use_p else q.translate(qs[i]))
-        start = segments[0].start + (0,)
-        labels = segments[0].labels
-        for seg in segments[1:]:
-            labels += vertical + seg.labels
-        return LabeledWalk(lifted, start, labels)
+    def build(first: LabeledWalk, second: LabeledWalk) -> LabeledWalk:
+        layers = ((first.labels, second.labels)[i % 2] for i in range(ell))
+        return LabeledWalk(lifted, first.start + (0,), vertical.join(layers))
 
-    w1 = build(True)
-    w2 = build(False)
+    w1, w2 = build(p, q), build(q, p)
     reason = pair_failure(lifted, w1, w2)
     if reason:
         raise RuntimeError(f"lifted pair failed verification: {reason}")
@@ -174,12 +159,14 @@ def build_three_factor(
     """Two verified arc-disjoint Hamiltonian paths in C_m x C_n x C_ell,
     lifted from a strongly switchable pair of the base C_m x C_n.
 
-    Swapping the first two coordinates and the labels A and B maps
-    C_n x C_m x C_ell onto C_m x C_n x C_ell, so the pair is built on the
-    base with the shorter first factor and mapped back when m > n: the
-    search finishes there (C_8 x C_10 in 2,470 nodes, where C_10 x C_8
-    is inconclusive at 10^7), and a base and its transpose share one
-    cached search.  The mapped pair is checked by core.pair_failure.
+    Swapping the two coordinates and the labels A and B maps C_n x C_m
+    onto C_m x C_n, so the pair is searched on the base with the shorter
+    first factor and, when m > n, the base pair is mapped to C_m x C_n
+    before the lift: the search finishes there (C_8 x C_10 in 2,470
+    nodes, where C_10 x C_8 is inconclusive at 10^7), and a base and its
+    transpose share one cached search.  The map is a group isomorphism
+    that carries arcs to arcs, so the mapped pair is strongly switchable
+    too; lift_through_cycle checks it, and checks the lifted pair once.
 
     Raises oracle.BudgetExhausted when the base search is inconclusive,
     and RuntimeError when it proves that the base has no such pair.
@@ -198,15 +185,8 @@ def build_three_factor(
             f"C_{lo} x C_{hi} has no strongly switchable pair to lift "
             f"to C_{m} x C_{n} x C_{ell}"
         )
-    pair = lift_through_cycle(d, *switchable.pair, ell)
-    if m <= n:
-        return pair
-    target = product_digraph((m, n, ell))
-    w1, w2 = (
-        LabeledWalk(target, (w.start[1], w.start[0], w.start[2]), w.labels.translate(_SWAP_AB))
-        for w in pair
-    )
-    reason = pair_failure(target, w1, w2)
-    if reason:
-        raise RuntimeError(f"transposed pair failed verification: {reason}")
-    return w1, w2
+    p, q = switchable.pair
+    if m > n:
+        d = product_digraph((m, n))
+        p, q = (LabeledWalk(d, w.start[::-1], w.labels.translate(_SWAP_AB)) for w in (p, q))
+    return lift_through_cycle(d, p, q, ell)

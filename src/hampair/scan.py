@@ -129,6 +129,8 @@ def scan_cells(k_min: int, k_max: int) -> list[tuple[int, int]]:
 def run_scan(k_min: int, k_max: int, jobs: int = 1) -> tuple[list[ScanRow], ScanSummary]:
     if jobs < 1:
         raise InputError("jobs must be positive")
+    if k_max < max(k_min, 3):
+        raise InputError(f"no cells to scan: k = {max(k_min, 3)}..{k_max} is empty")
     cells = scan_cells(k_min, k_max)
     # The pool starts all its workers at once, so never ask for more than
     # there are cells or CPUs.

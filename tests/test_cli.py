@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -421,6 +422,36 @@ def test_scan_nonpositive_jobs_is_usage_error(capsys, jobs):
     code, out, err = run(capsys, "scan", "3", "5", "--jobs", jobs)
     assert code == EXIT_USAGE
     assert out == "" and err == "error: jobs must be positive\n"
+
+
+@pytest.mark.parametrize("k_min, k_max, first", [("5", "3", 5), ("1", "2", 3)])
+def test_scan_empty_range_is_usage_error(capsys, k_min, k_max, first):
+    code, out, err = run(capsys, "scan", k_min, k_max)
+    assert code == EXIT_USAGE
+    assert out == "" and err == f"error: no cells to scan: k = {first}..{k_max} is empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("build", "two", "1", "3000000"), ("scan", "3", "30000")], ids=["build", "scan"]
+)
+def test_out_of_memory_is_inconclusive(argv):
+    # The child alone gets a ~390 MB address space; a witness of 9 * 10^6
+    # vertices or a scan of ~4.5 * 10^8 cells does not fit in it.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
+
+    src = str(Path(hampair.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hampair.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_INCONCLUSIVE
+    assert proc.stdout == ""
+    assert proc.stderr == "inconclusive: out of memory\n"
 
 
 def test_scan_has_no_check_selection(capsys):

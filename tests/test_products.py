@@ -1,17 +1,39 @@
+import hashlib
+
 import pytest
 
 from hampair import products
-from hampair.core import InputError, LabeledWalk, arc_disjoint, verify_hamiltonian
+from hampair.cli import main
+from hampair.core import (
+    FiniteAbelianGroup,
+    InputError,
+    LabeledWalk,
+    arc_disjoint,
+    verify_hamiltonian,
+)
 from hampair.oracle import BudgetExhausted, find_arc_disjoint_pair
 from hampair.products import (
+    SwitchabilityData,
     build_three_factor,
     find_strongly_switchable_pair,
     is_strongly_switchable,
-    lift_plan,
     lift_through_cycle,
     product_digraph,
     product_like_extension,
 )
+
+
+def lift_plan(data: SwitchabilityData, group: FiniteAbelianGroup, ell: int):
+    """Reference layer translations p_i, q_i of the lift: p_0 = q_0 = 0,
+    q_{i+1} = p_i + alpha, p_{i+1} = q_i + beta.  Layer i of the first
+    lifted path is P + p_i for even i and Q + q_i for odd i, and the
+    second path swaps P and Q."""
+    ps = [group.zero]
+    qs = [group.zero]
+    for i in range(ell - 1):
+        qs.append(group.add(ps[i], data.alpha))
+        ps.append(group.add(qs[i], data.beta))
+    return ps, qs
 
 
 def test_product_digraph_basics():
@@ -81,6 +103,26 @@ def test_lift_plan_differences():
         diffs = [g.add(q, g.neg(p)) for p, q in zip(ps, qs)]
         assert set(diffs) <= {g.zero, data.gamma}
         assert diffs[0] == g.zero
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 4), (5, 3)])
+@pytest.mark.parametrize("ell", [2, 3, 6])
+def test_lifted_layers_start_where_the_plan_puts_them(m, n, ell):
+    # The lift is built from labels alone; each layer must still start at
+    # the translate that lift_plan computes, one level up per layer.  The
+    # base pair is read off the first layer of each lifted path, so the
+    # m > n case covers the pair mapped from C_n x C_m.
+    w1, w2 = build_three_factor(m, n, ell)
+    d = product_digraph((m, n))
+    size = m * n
+    p, q = (LabeledWalk(d, w.start[:2], w.labels[: size - 1]) for w in (w1, w2))
+    ok, data, _ = is_strongly_switchable(d, p, q)
+    assert ok
+    ps, qs = lift_plan(data, d.group, ell)
+    starts = [(d.group.add(p.start, ps[i]), d.group.add(q.start, qs[i])) for i in range(ell)]
+    for w, first in ((w1, 0), (w2, 1)):
+        for i in range(ell):
+            assert w.vertex_list[i * size] == starts[i][(first + i) % 2] + (i,), i
 
 
 def test_lift_through_cycle_sound():
@@ -167,3 +209,19 @@ def test_three_factor_agrees_with_oracle_small():
         w1, w2 = build_three_factor(m, n, ell)
         out = find_arc_disjoint_pair(product_digraph((m, n, ell)))
         assert out.found, (m, n, ell)
+
+
+# SHA-256 of the stdout of `hampair build product m n l`, concatenated
+# over m = 2..7, n = 2..7 and l = 2, 3 in that order: a change to either
+# path of any of these witnesses, those with m > n included, shows here.
+PRODUCT_SHA256 = "41fb3526bbca9f8211a80631e84ff6b05cf3ad6d00d856c63d03be58be938780"
+
+
+def test_build_product_witnesses_unchanged(capsys):
+    digest = hashlib.sha256()
+    for m in range(2, 8):
+        for n in range(2, 8):
+            for ell in (2, 3):
+                assert main(["build", "product", str(m), str(n), str(ell)]) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PRODUCT_SHA256
