@@ -2,7 +2,8 @@
 
 The cut values of Cay(Z_k; a, a+1) are prefix sums of multiplicities of
 slope-ordered primitive rays in a triangle attached to (k, a).  This
-module computes that ray system exactly (integer arithmetic only), the
+module computes that ray system exactly (integer arithmetic only, the
+rays in slope order from a pruned Stern-Brocot walk), the
 derived gap profile with its endpoint caps, the sector-filling counts
 (O(1) per pair from the ray system's prefix sums and a closed form for
 theta), the reflection distance, and the reflected gap graph diagnostic.
@@ -73,13 +74,61 @@ class RaySystem:
         """prefix[i] = mults[0] + ... + mults[i-1], for 0 <= i <= f."""
         return tuple(itertools.accumulate(self.mults, initial=0))
 
-    def cut_values(self) -> list[int]:
-        """Prefix-sum cut values U_1, ..., U_{f-1}."""
+    @functools.cached_property
+    def _cuts(self) -> tuple[int, ...]:
         h = self.mults
-        out = [h[0]]
-        for q in range(1, self.f - 1):
-            out.append(out[-1] + 2 * h[q])
-        return out
+        return tuple(itertools.accumulate((2 * x for x in h[1:-1]), initial=h[0]))
+
+    def cut_values(self) -> list[int]:
+        """Prefix-sum cut values U_1, ..., U_{f-1}: U_1 = mults[0] and
+        U_{q+1} = U_q + 2 * mults[q]."""
+        return list(self._cuts)
+
+
+def _internal_rays(p: LatticeParams, last: Ray) -> list[Ray]:
+    """Primitive rays strictly between (1, 0) and `last` with L <= N, in
+    slope order, read off an in-order walk of the Stern-Brocot tree.
+
+    The node of the subtree between l and r is the mediant l + r, and its
+    descendants are the primitive p*l + q*r with p, q >= 1, so an in-order
+    walk meets every primitive ray of the open quadrant once, by
+    increasing slope.  Two prunings keep the walk finite and exact:
+
+    - A mediant of slope >= slope(last) lies outside the open cone, and
+      so does everything right of it: walk only its left subtree.
+    - Otherwise the mediant lies in the cone, and if L(mediant) > N its
+      whole subtree goes.  The subtree's left end l is (1, 0), where
+      L = m <= mn = N + 1, or a ray already emitted, where L <= N; either
+      way L(l) > 0, as L is positive on the cone (L(1, 0) = m and
+      L(e, m) = mn).  So L(r) = L(mediant) - L(l) > N - (N + 1), that is
+      L(r) >= 0, and every descendant has L = p*L(l) + q*L(r) >=
+      L(l) + L(r) = L(mediant) > N.
+
+    L(0, 1) = n - e is negative when n < e, so a right end can have
+    L < 0; the bound above shows that the mediant below such an end has
+    L <= N and is emitted, never pruned, and the assert checks it.  A run
+    of left steps heads towards l, so L grows past N and the walk ends.
+    """
+    N, m, c = p.N, p.m, p.n - p.e
+    lx, ly = last
+    out: list[Ray] = []
+    # (mediant, right end) of each subtree whose left part is being
+    # walked: the mediant is emitted, and its right part walked, next.
+    pending: list[tuple[int, int, int, int]] = []
+    ax, ay, bx, by = 1, 0, 0, 1  # the subtree between (ax, ay) and (bx, by)
+    while True:
+        x, y = ax + bx, ay + by
+        if y * lx >= x * ly:
+            bx, by = x, y
+        elif m * x + c * y <= N:
+            pending.append((x, y, bx, by))
+            bx, by = x, y
+        else:
+            assert m * bx + c * by >= 0, (p, (x, y))
+            if not pending:
+                return out
+            ax, ay, bx, by = pending.pop()
+            out.append((ax, ay))
 
 
 def ray_system(k: int, a: int) -> RaySystem:
@@ -89,32 +138,12 @@ def ray_system(k: int, a: int) -> RaySystem:
     N = p.N
     first: Ray = (1, 0)
     last: Ray = _primitive((p.e, p.m)) if p.e != 0 else (0, 1)
-
-    internal: list[Ray] = []
-    # For each height y, x ranges over the open cone between the two
-    # boundary rays, cut off by L <= N.
-    for y in range(1, p.m + 1):
-        # strictly right of `last`: x * last_y > y * last_x
-        x_lo = (y * last[0]) // last[1] + 1
-        # L(x, y) <= N
-        num = N - (p.n - p.e) * y
-        if num < p.m * x_lo:
-            continue
-        x_hi = num // p.m
-        for x in range(x_lo, x_hi + 1):
-            if gcd(x, y) == 1 and (x, y) != last:
-                internal.append((x, y))
-
-    # Slope order by an exact integer key: internal rays have 1 <= x < k
-    # and y >= 1, and two distinct primitive slopes differ by at least
-    # 1/(x1*x2) > 1/k^2, so their floors of y*k^2/x differ too.
-    kk = k * k
-    internal.sort(key=lambda r: r[1] * kk // r[0])
-    rays = [first] + internal + [last]
-    mults = tuple(N // p.L(x, y) for x, y in rays)
+    rays = [first] + _internal_rays(p, last) + [last]
+    m, c = p.m, p.n - p.e  # L(x, y) = m*x + c*y, inlined
+    mults = tuple(N // (m * x + c * y) for x, y in rays)
     rs = RaySystem(p, tuple(rays), mults)
     # endpoint identity of the parametrization
-    assert rs.cut_values()[-1] + mults[-1] == N, rs
+    assert rs._cuts[-1] + mults[-1] == N, rs
     return rs
 
 

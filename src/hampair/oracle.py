@@ -261,23 +261,43 @@ def oracle_cut_set(k: int, a: int) -> set[int]:
     permutation phi_d, and the candidate is a Hamiltonian path iff phi_d
     is a single k-cycle.  phi_0 is translation by a, whose cycles are the
     gcd(k, a) cosets of <a>.  phi_{d+1} = phi_d o (d d+1): the images of
-    d and d+1 swap.  Composing with a transposition merges the two
+    d and d+1 swap.
+
+    The pass tracks psi_d, the first-return map of phi_d on F_d =
+    {d, ..., k-1}, and its inverse, instead of phi_d itself.  The cycles
+    of phi_d that meet F_d are those of psi_d with the vertices below d
+    put back.  phi_d and phi_{d+1} differ only at d and d+1, which are
+    both in F_d, so the first-return map of phi_{d+1} on F_d is
+    psi_d o (d d+1).  Composing with a transposition merges the two
     cycles through d and d+1 if they differ and splits their common
     cycle otherwise, so the cycle count moves by exactly one per step.
-    One pass over d = 0..k-1 tracks a cycle id per vertex and relabels
-    the smaller side of each merge or split; a split is measured by
-    walking the two new cycles in lockstep until one closes, so each
-    step costs the size of the smaller part.
+    A cycle id per tracked vertex finds which: a merge relabels the
+    smaller side, and a split walks the two new cycles in lockstep until
+    one closes, so each step costs the size of the smaller part.
+    Splicing d out, psi[inv[d]] = psi[d], then gives psi_{d+1}.
+
+    If psi[d] == d right after the swap, the cycle of phi_{d+1} through d
+    lies inside [0, d].  No later transposition (d' d'+1), d' > d, moves
+    it, and k-1 lies on another cycle, so no later cut permutation is a
+    single cycle and the pass stops.  Until then no cycle of phi_d hides
+    below d, so the cycle count of psi_d is that of phi_d.
 
     The code uses only this permutation argument, never the lattice ray
     system that family_one reads the cut set from, so the two stay
     independent cross-checks of each other.
     """
+    return _cut_set_steps(k, a)[0]
+
+
+def _cut_set_steps(k: int, a: int) -> tuple[set[int], int]:
+    """oracle_cut_set's pass, with the number of steps d it took: fewer
+    than k-1 when it stopped early."""
     a = check_family_one_params(k, a)
     n = gcd(k, a)
-    phi = [(i + a) % k for i in range(k)]
-    cid = [i % n for i in range(k)]  # cycle id; the cosets of <a> = <n>
-    size = [k // n] * n  # size[c] for every id ever issued
+    psi = [*range(a, k), *range(a)]  # translation by a
+    inv = [*range(k - a, k), *range(k - a)]
+    cid = [*range(n)] * (k // n)  # cycle id; the cosets of <a> = <n>
+    size = [k // n] * n  # size[c], in tracked vertices, for every id issued
     count = n
     result = {0} if count == 1 else set()
     for d in range(k - 1):
@@ -290,19 +310,23 @@ def oracle_cut_set(k: int, a: int) -> set[int]:
             z = x
             while True:
                 cid[z] = cy
-                z = phi[z]
+                z = psi[z]
                 if z == x:
                     break
             size[cy] += size[cx]
             count -= 1
-            phi[d], phi[d + 1] = phi[d + 1], phi[d]
-        else:
-            phi[d], phi[d + 1] = phi[d + 1], phi[d]
+        u, v = psi[d + 1], psi[d]
+        psi[d], psi[d + 1] = u, v
+        inv[u], inv[v] = d, d + 1
+        if cx == cy:
+            if u == d:
+                # d's cycle closed inside [0, d]
+                return result, d + 1
             # split: the cycles through d and d+1 are now disjoint; walk
             # both until one closes, then relabel that (shorter) one
-            u, v, steps = phi[x], phi[y], 1
+            u, v, steps = psi[x], psi[y], 1
             while u != x and v != y:
-                u, v, steps = phi[u], phi[v], steps + 1
+                u, v, steps = psi[u], psi[v], steps + 1
             z = x if u == x else y
             new = len(size)
             size.append(steps)
@@ -310,10 +334,15 @@ def oracle_cut_set(k: int, a: int) -> set[int]:
             start = z
             while True:
                 cid[z] = new
-                z = phi[z]
+                z = psi[z]
                 if z == start:
                     break
             count += 1
         if count == 1:
             result.add(d + 1)
-    return result
+        # splice d out of psi
+        u, v = psi[d], inv[d]
+        psi[v] = u
+        inv[u] = v
+        size[cid[d]] -= 1
+    return result, k - 1

@@ -9,11 +9,12 @@ adjacent-large and cap2 (the sector-filling inequalities).
 A cell builds one ray system: family_one.cut_set reads Z, the
 reflection distance with its witness and the count pair from it and
 hands it on in the CutProfile, and the lattice checks read the same
-object.  The independent reference oracle_cut_set is one incremental
-pass over the cut values, and each sector-filling pair costs O(1) by
-prefix sums and the closed form of theta.  Rows k = 24..87 (2,912
-cells) take about 0.9 s on one core of a 2-core Xeon (Python 3.11),
-and `hampair scan 100 130` about 2 s.
+object.  The ray system comes from a pruned Stern-Brocot walk, the
+independent reference oracle_cut_set is one incremental pass over the
+cut values that tracks first-return maps, and each sector-filling pair
+costs O(1) by prefix sums and the closed form of theta.  Rows
+k = 24..87 (3,424 cells) take about 0.55 s on one core of a 2-core
+Xeon (Python 3.11), and `hampair scan 100 130` about 1.6 s.
 
 Cells are independent, so scans parallelize; results are always
 reported in (k, a) order.

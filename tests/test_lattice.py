@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampair.cli import main
 from hampair.core import InputError
 from hampair.family_one import cut_set_values, valid_a_values
 from hampair.lattice import (
@@ -45,6 +49,82 @@ def test_lattice_params_e_is_the_least_solution():
             p = lattice_params(k, a)
             target = p.n * (a + 1) % k
             assert [e for e in range(p.m) if e * a % k == target] == [p.e], (k, a)
+
+
+def _rays_by_height(k, a):
+    """Reference for ray_system, the per-height scan it used before the
+    Stern-Brocot walk: for each height y = 1..m, every primitive (x, y)
+    strictly right of the last ray with L(x, y) <= N, then a sort by
+    slope.  Returns the rays and their multiplicities."""
+    p = lattice_params(k, a)
+    N = p.N
+    g = math.gcd(p.e, p.m)
+    last = (p.e // g, p.m // g) if p.e != 0 else (0, 1)
+    internal = []
+    for y in range(1, p.m + 1):
+        # strictly right of `last`: x * last_y > y * last_x
+        x_lo = (y * last[0]) // last[1] + 1
+        num = N - (p.n - p.e) * y
+        if num < p.m * x_lo:
+            continue
+        for x in range(x_lo, num // p.m + 1):
+            if math.gcd(x, y) == 1 and (x, y) != last:
+                internal.append((x, y))
+    # Distinct primitive slopes in the cone differ by more than 1/k^2.
+    kk = k * k
+    internal.sort(key=lambda r: r[1] * kk // r[0])
+    rays = [(1, 0)] + internal + [last]
+    return tuple(rays), tuple(N // p.L(x, y) for x, y in rays)
+
+
+def test_ray_walk_matches_height_scan():
+    for k in range(3, 151):
+        for a in valid_a_values(k):
+            rs = ray_system(k, a)
+            assert (rs.rays, rs.mults) == _rays_by_height(k, a), (k, a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 10**5), st.integers(0, 10**9))
+def test_ray_walk_matches_height_scan_large(k, seed):
+    a = 1 + seed % (k - 2)
+    rs = ray_system(k, a)
+    assert (rs.rays, rs.mults) == _rays_by_height(k, a)
+
+
+def test_ray_walk_right_end_below_zero():
+    # n - e = -4 < 0, so the walk's first right end (0, 1) has L < 0.  The
+    # mediant (1, 1) below it is emitted, and so is (3, 4), reached on
+    # the left of (1, 2) and (2, 3), which lie beyond the last ray (5, 7).
+    p = lattice_params(7, 2)
+    assert (p.m, p.n, p.e) == (7, 1, 5) and p.L(0, 1) == -4
+    rs = ray_system(7, 2)
+    assert rs.rays == ((1, 0), (1, 1), (3, 4), (5, 7))
+    assert (rs.rays, rs.mults) == _rays_by_height(7, 2)
+
+
+# SHA-256 of the stdout of `hampair rays k a`, concatenated over these
+# cells: n - e < 0 in the first two and the last, e = 0 in the third,
+# n - e > 0 in the fourth.
+RAYS_CELLS = ((200000, 7), (402001, 200000), (100002, 50000), (120000, 45000), (100000, 98998))
+RAYS_SHA256 = "7230f6370a3efb03e05d25d4f932a1cf0ded899f3328a25b9773df35a1620aa9"
+
+
+def test_rays_output_is_pinned():
+    digest = hashlib.sha256()
+    for k, a in RAYS_CELLS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["rays", str(k), str(a)]) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == RAYS_SHA256
+
+
+def test_cut_values_are_fresh_lists():
+    rs = ray_system(15, 3)
+    values = rs.cut_values()
+    values.append(-1)
+    assert rs.cut_values() == [2, 4, 6, 8, 14]
 
 
 def test_ray_system_10_4():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hampair import oracle
+from hampair import lattice, oracle
 from hampair.core import (
     CayleyDigraph,
     FiniteAbelianGroup,
@@ -143,6 +143,27 @@ def test_oracle_cut_set_matches_direct_simulation():
     for k in range(3, 61):
         for a in range(1, k - 1):
             assert oracle_cut_set(k, a) == _direct_cut_set(k, a), (k, a)
+
+
+def test_oracle_cut_set_stops_early():
+    # (6, 2): phi_4 has the cycle (0 3) inside [0, 3].  (8, 3): phi_5 has
+    # the cycle (0 4) inside [0, 4].  No later transposition moves it, so
+    # the pass stops there, before its last step d = k - 2.
+    for k, a in ((6, 2), (8, 3)):
+        cuts, steps = oracle._cut_set_steps(k, a)
+        assert steps < k - 1, (k, a)
+        assert cuts == _direct_cut_set(k, a), (k, a)
+    assert oracle._cut_set_steps(5, 2)[1] == 4  # runs to the end
+
+
+def test_oracle_cut_set_never_uses_the_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("oracle_cut_set reached the lattice")
+
+    for name in ("ray_system", "lattice_params", "_internal_rays"):
+        monkeypatch.setattr(lattice, name, refuse)
+    assert oracle_cut_set(15, 3) == {2, 4, 6, 8, 14}
+    assert "lattice" not in vars(oracle)
 
 
 @settings(max_examples=150, deadline=None)
