@@ -8,7 +8,10 @@ which must be UTF-8 JSON with integer coordinates.
 Each subcommand takes only the options it reads, and each option is set
 by its flag alone.  Exit codes: 0 success, 1 check or verification
 failure, 2 usage, malformed input or an --out that cannot be written,
-3 inconclusive (a node budget or memory ran out).
+3 inconclusive (a node budget or memory ran out, or a size is past the
+address space).  A failure that a command raises is reported by `main`
+alone, from one table that gives each failure class its exit code and
+the prefix of its one stderr line.
 """
 
 from __future__ import annotations
@@ -29,6 +32,19 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 FORMATS = ("table", "json", "csv")
+
+# What main reports for each failure a command raises, matched in order:
+# the exit code and the one stderr line, which "{}" fills with the
+# failure's text.  Memory is a budget that ran out, and a size past the
+# address space (an OverflowError) would run it out, so both are
+# inconclusive.
+_FAILURES = (
+    (InputError, EXIT_USAGE, "error: {}"),
+    (MalformedWitness, EXIT_USAGE, "malformed witness file: {}"),
+    (oracle.BudgetExhausted, EXIT_INCONCLUSIVE, "search inconclusive: {}"),
+    (RuntimeError, EXIT_FAIL, "builder failed: {}"),
+    ((MemoryError, OverflowError), EXIT_INCONCLUSIVE, "inconclusive: out of memory"),
+)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -61,7 +77,7 @@ def cmd_cuts(args) -> int:
     pair = profile.count_pair
     record = {
         "k": args.k,
-        "a": args.a % args.k,
+        "a": profile.a,
         "N": profile.N,
         "Z": list(profile.Z),
         "reflected": [profile.N - z for z in reversed(profile.Z)],
@@ -79,12 +95,12 @@ def cmd_cuts(args) -> int:
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
         text = "k,a,Z,delta,c_L,c_R,count_d,count_e\n" + (
-            f"{args.k},{args.a % args.k},{';'.join(map(str, profile.Z))},"
+            f"{args.k},{profile.a},{';'.join(map(str, profile.Z))},"
             f"{profile.delta},{gp.c_L},{gp.c_R},{pair[0]},{pair[1]}\n"
         )
     else:
         lines = [
-            f"k={args.k} a={args.a % args.k} N={profile.N}",
+            f"k={args.k} a={profile.a} N={profile.N}",
             f"Z        = {_fmt_set(profile.Z)}",
             f"N-Z      = {_fmt_set(record['reflected'])}",
             f"dist     = {profile.delta} (witness {profile.witness})",
@@ -106,7 +122,7 @@ def cmd_rays(args) -> int:
     if args.format == "json":
         record = {
             "k": args.k,
-            "a": args.a % args.k,
+            "a": rs.params.a,
             "m": rs.params.m,
             "n": rs.params.n,
             "e": rs.params.e,
@@ -210,7 +226,8 @@ def cmd_scan(args) -> int:
 def _build_one(args):
     realized = family_one.realize_disjoint_pair(args.k, args.a)
     print(f"realization stage: {realized.stage}", file=sys.stderr)
-    return {"k": args.k, "a": args.a}, (realized.path1, realized.path2)
+    a = realized.path1.digraph.gens[0][0]  # args.a reduced mod k
+    return {"k": args.k, "a": a}, (realized.path1, realized.path2)
 
 
 def _build_two(args):
@@ -238,18 +255,7 @@ def _build_search(args):
 def cmd_build(args) -> int:
     # Every builder returns only a pair that its own core.pair_failure
     # call accepted, so the pair is checked once, there, and not here.
-    try:
-        params, pair = args.build(args)
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except oracle.BudgetExhausted as exc:
-        print(f"search inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except RuntimeError as exc:
-        print(f"builder failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-
+    params, pair = args.build(args)
     wf = WitnessFile(args.family, params, pair[0].digraph, pair[0], pair[1])
     _emit(wf.to_json(), args.out)
     return EXIT_OK
@@ -258,17 +264,12 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
-            wf = witness_from_json(fh.read())
+            text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"cannot read {args.file}: {exc}") from None
     except UnicodeDecodeError as exc:
-        print(f"malformed witness file: not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MalformedWitness as exc:
-        print(f"malformed witness file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ok, reason = wf.verify()
+        raise MalformedWitness(f"not UTF-8 text: {exc}") from None
+    ok, reason = witness_from_json(text).verify()
     if not ok:
         print(f"verification failed: {reason}", file=sys.stderr)
         return EXIT_FAIL
@@ -340,14 +341,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
-        pass  # reported below, once the traceback and all it holds are freed
-    # Memory is a budget that ran out, so the outcome is inconclusive.
-    print("inconclusive: out of memory", file=sys.stderr)
-    return EXIT_INCONCLUSIVE
+    except Exception as exc:
+        for cls, code, text in _FAILURES:
+            if isinstance(exc, cls):
+                line = text.format(exc)
+                break
+        else:
+            raise
+    # Reported once the handler is left: the traceback, and all that a run
+    # which ran out of memory holds, is freed by then.
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

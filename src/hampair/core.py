@@ -33,7 +33,8 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, product
+from math import prod
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -83,10 +84,7 @@ class FiniteAbelianGroup:
 
     @property
     def size(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     @property
     def zero(self) -> Vertex:
@@ -143,15 +141,7 @@ class FiniteAbelianGroup:
 
     def elements(self) -> Iterator[Vertex]:
         """All vertices in lexicographic order."""
-
-        def rec(i: int, prefix: tuple[int, ...]) -> Iterator[Vertex]:
-            if i == len(self.orders):
-                yield prefix
-                return
-            for x in range(self.orders[i]):
-                yield from rec(i + 1, prefix + (x,))
-
-        return rec(0, ())
+        return product(*map(range, self.orders))
 
 
 @dataclass(frozen=True)
@@ -243,14 +233,6 @@ class CayleyDigraph:
     def labels(self) -> str:
         return GENERATOR_LABELS[: len(self.gens)]
 
-    @property
-    def gen_a(self) -> Vertex:
-        return self.gens[0]
-
-    @property
-    def gen_b(self) -> Vertex:
-        return self.gens[1]
-
     def gen(self, lab: str) -> Vertex:
         i = GENERATOR_LABELS.find(lab)
         if not (0 <= i < len(self.gens)):
@@ -272,8 +254,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
     """Convenience constructor: cayley([10], 4, 5) is Cay(Z_10; 4, 5)."""
-    group = FiniteAbelianGroup(tuple(orders))
-    return CayleyDigraph(group, tuple(group.canon(g) for g in gens))
+    return CayleyDigraph(FiniteAbelianGroup(tuple(orders)), gens)
 
 
 @dataclass(frozen=True)
@@ -329,7 +310,6 @@ class LabeledWalk:
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
-    mode: str
     reason: str | None = None
 
     def __bool__(self) -> bool:
@@ -351,7 +331,7 @@ def verify_hamiltonian(
     want = n - 1 if mode == "path" else n
     if len(w.labels) != want:
         return VerificationReport(
-            False, mode, f"wrong length: {len(w.labels)} labels, expected {want}"
+            False, f"wrong length: {len(w.labels)} labels, expected {want}"
         )
     vs = w.index_list
     head = vs[:n]
@@ -359,16 +339,14 @@ def verify_hamiltonian(
         seen: set[int] = set()
         for v in head:
             if v in seen:
-                return VerificationReport(
-                    False, mode, f"repeated vertex {d.group.decode(v)}"
-                )
+                return VerificationReport(False, f"repeated vertex {d.group.decode(v)}")
             seen.add(v)
     if mode == "cycle" and vs[-1] != vs[0]:
         end, start = d.group.decode(vs[-1]), d.group.decode(vs[0])
         return VerificationReport(
-            False, mode, f"cycle does not close: ends at {end}, started at {start}"
+            False, f"cycle does not close: ends at {end}, started at {start}"
         )
-    return VerificationReport(True, mode)
+    return VerificationReport(True)
 
 
 def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:

@@ -87,8 +87,7 @@ class SkewCover:
 def skew_cover(cfg: QuotientFiberConfig, S: Iterable[int]) -> SkewCover:
     M, k = cfg.M, cfg.k
     S = frozenset(t % M for t in S)
-    inv = pow(cfg.gen_b, -1, M)  # gcd(a+1, 2a+1) = 1
-    steps = tuple(cfg.gen_a if r * inv % M in S else cfg.gen_b for r in range(M))
+    steps = tuple(cfg.gen_a if cfg.quotient_coordinate(r) in S else cfg.gen_b for r in range(M))
     cycles = []
     seen = bytearray(k)
     for x0 in range(k):

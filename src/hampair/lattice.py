@@ -45,13 +45,9 @@ def lattice_params(k: int, a: int) -> LatticeParams:
     # n(a+1) = e*a (mod k) divided by n: a+1 = e*(a/n) (mod m), and a/n
     # is a unit mod m.
     e = (a + 1) * pow(a // n, -1, m) % m
-    assert m * n == k and lattice_check(LatticeParams(k, a, m, n, e))
+    # The congruence that defines e; as a is not 0 mod k, it fails for e +- 1.
+    assert n * (a + 1) % k == e * a % k, (k, a, e)
     return LatticeParams(k, a, m, n, e)
-
-
-def lattice_check(p: LatticeParams) -> bool:
-    # Both boundary vertices of the triangle lie on the line L = mn.
-    return p.L(p.n, 0) == p.m * p.n and p.L(p.e, p.m) == p.m * p.n
 
 
 def _primitive(v: Ray) -> Ray:
@@ -288,17 +284,12 @@ def cap2_bound_report(rs: RaySystem) -> list[Cap2Check]:
     """
     N = rs.params.N
     report: list[Cap2Check] = []
-    internal = range(1, rs.f - 1)
-    if rs.mults[0] == 2:
-        for r in internal:
+    for side, cap in (("L", 0), ("R", rs.f - 1)):
+        if rs.mults[cap] != 2:
+            continue
+        for r in range(1, rs.f - 1):
             alpha = rs.mults[r]
-            mass = sector_mass(rs, 0, r)
+            mass = sector_mass(rs, min(cap, r), max(cap, r))
             required = alpha - 1 if N == 4 * alpha - 2 else alpha - 2
-            report.append(Cap2Check("L", rs.rays[r], alpha, mass, required, mass >= required))
-    if rs.mults[-1] == 2:
-        for r in internal:
-            alpha = rs.mults[r]
-            mass = sector_mass(rs, r, rs.f - 1)
-            required = alpha - 1 if N == 4 * alpha - 2 else alpha - 2
-            report.append(Cap2Check("R", rs.rays[r], alpha, mass, required, mass >= required))
+            report.append(Cap2Check(side, rs.rays[r], alpha, mass, required, mass >= required))
     return report

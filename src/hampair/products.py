@@ -44,10 +44,9 @@ def product_digraph(orders: Sequence[int]) -> CayleyDigraph:
 
 @dataclass(frozen=True)
 class SwitchabilityData:
-    iota_p: Vertex
-    tau_p: Vertex
-    iota_q: Vertex
-    tau_q: Vertex
+    """Endpoint differences of an ordered pair (P, Q); iota and tau are a
+    walk's start and end."""
+
     alpha: Vertex  # tau_P - iota_Q
     beta: Vertex  # tau_Q - iota_P
     gamma: Vertex  # alpha - beta
@@ -58,7 +57,7 @@ def _switch_data(p: LabeledWalk, q: LabeledWalk) -> SwitchabilityData:
     alpha = g.add(p.end, g.neg(q.start))
     beta = g.add(q.end, g.neg(p.start))
     gamma = g.add(alpha, g.neg(beta))
-    return SwitchabilityData(p.start, p.end, q.start, q.end, alpha, beta, gamma)
+    return SwitchabilityData(alpha, beta, gamma)
 
 
 def is_strongly_switchable(
@@ -145,9 +144,8 @@ def product_like_extension(d: CayleyDigraph, ell: int) -> CayleyDigraph:
 @lru_cache(maxsize=None)
 def _base_analysis(m: int, n: int, node_budget: int):
     """Cached per-base work: the strongly switchable pair search in
-    C_m x C_n."""
-    d = product_digraph((m, n))
-    return d, find_strongly_switchable_pair(d, node_budget)
+    C_m x C_n.  A pair found carries its digraph."""
+    return find_strongly_switchable_pair(product_digraph((m, n)), node_budget)
 
 
 _SWAP_AB = str.maketrans("AB", "BA")
@@ -174,7 +172,7 @@ def build_three_factor(
     if min(m, n, ell) < 2:
         raise InputError(f"need m, n, ell >= 2, got {(m, n, ell)}")
     lo, hi = sorted((m, n))
-    d, switchable = _base_analysis(lo, hi, node_budget)
+    switchable = _base_analysis(lo, hi, node_budget)
     if switchable.status is oracle.Status.INCONCLUSIVE:
         raise oracle.BudgetExhausted(
             f"strongly switchable pair search in C_{lo} x C_{hi} "
@@ -189,4 +187,4 @@ def build_three_factor(
     if m > n:
         d = product_digraph((m, n))
         p, q = (LabeledWalk(d, w.start[::-1], w.labels.translate(_SWAP_AB)) for w in (p, q))
-    return lift_through_cycle(d, p, q, ell)
+    return lift_through_cycle(p.digraph, p, q, ell)

@@ -107,6 +107,16 @@ def test_build_one_witness(capsys, tmp_path):
     assert wf.verify() == (True, "ok")
 
 
+@pytest.mark.parametrize("a", ["14", "-6"])
+def test_build_one_params_hold_the_reduced_a(capsys, a):
+    # The witness records the a of its digraph, as `cuts` prints it.
+    code, out, _ = run(capsys, "build", "one", "10", a)
+    assert code == EXIT_OK
+    wf = witness_from_json(out)
+    assert wf.params == {"k": 10, "a": 4}
+    assert wf.digraph.gens == ((4,), (5,))
+
+
 def test_build_two_witness(capsys):
     code, out, _ = run(capsys, "build", "two", "2", "3")
     assert code == EXIT_OK
@@ -452,6 +462,45 @@ def test_out_of_memory_is_inconclusive(argv):
     assert proc.returncode == EXIT_INCONCLUSIVE
     assert proc.stdout == ""
     assert proc.stderr == "inconclusive: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "failure, code, line",
+    [
+        (core.InputError("bad"), EXIT_USAGE, "error: bad"),
+        (witness.MalformedWitness("bad"), EXIT_USAGE, "malformed witness file: bad"),
+        (oracle.BudgetExhausted("bad"), EXIT_INCONCLUSIVE, "search inconclusive: bad"),
+        (RuntimeError("bad"), EXIT_FAIL, "builder failed: bad"),
+        (MemoryError("bad"), EXIT_INCONCLUSIVE, "inconclusive: out of memory"),
+        (OverflowError("bad"), EXIT_INCONCLUSIVE, "inconclusive: out of memory"),
+    ],
+    ids=["InputError", "MalformedWitness", "BudgetExhausted", "RuntimeError", "MemoryError",
+         "OverflowError"],
+)
+def test_failure_table(capsys, monkeypatch, failure, code, line):
+    # main alone turns what a command raises into one stderr line and
+    # its exit code.
+    def failing(a, L):
+        raise failure
+
+    monkeypatch.setattr(family_two, "build_family_two", failing)
+    assert run(capsys, "build", "two", "1", "4") == (code, "", line + "\n")
+
+
+def test_unmatched_failure_is_not_swallowed(capsys, monkeypatch):
+    def failing(a, L):
+        raise KeyError("bad")
+
+    monkeypatch.setattr(family_two, "build_family_two", failing)
+    with pytest.raises(KeyError):
+        main(["build", "two", "1", "4"])
+
+
+def test_size_past_the_address_space_is_inconclusive(capsys):
+    # The family-two labels for L = 10^19 would be longer than an index
+    # can hold: an OverflowError traceback and exit 1 before.
+    code, out, err = run(capsys, "build", "two", "1", "10000000000000000000")
+    assert (code, out, err) == (EXIT_INCONCLUSIVE, "", "inconclusive: out of memory\n")
 
 
 def test_scan_has_no_check_selection(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hampair import lattice
 from hampair.cli import main
 from hampair.core import InputError
 from hampair.family_one import cut_set_values, valid_a_values
@@ -49,6 +50,14 @@ def test_lattice_params_e_is_the_least_solution():
             p = lattice_params(k, a)
             target = p.n * (a + 1) % k
             assert [e for e in range(p.m) if e * a % k == target] == [p.e], (k, a)
+
+
+def test_lattice_params_checks_its_congruence(monkeypatch):
+    # An inverse off by one gives e = 3 for (15, 3), where e = 4, and the
+    # congruence n(a+1) = e*a (mod k) that defines e refuses it.
+    monkeypatch.setattr(lattice, "pow", lambda b, x, m: pow(b, x, m) + 1, raising=False)
+    with pytest.raises(AssertionError):
+        lattice_params(15, 3)
 
 
 def _rays_by_height(k, a):

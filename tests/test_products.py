@@ -69,11 +69,12 @@ def test_switchable_data_consistency():
     d = product_digraph((2, 3))
     out = find_strongly_switchable_pair(d)
     assert out.found
-    ok, data, violations = is_strongly_switchable(d, *out.pair)
+    p, q = out.pair
+    ok, data, violations = is_strongly_switchable(d, p, q)
     assert ok and violations == []
     g = d.group
-    assert data.alpha == g.add(data.tau_p, g.neg(data.iota_q))
-    assert data.beta == g.add(data.tau_q, g.neg(data.iota_p))
+    assert data.alpha == g.add(p.end, g.neg(q.start))
+    assert data.beta == g.add(q.end, g.neg(p.start))
     assert data.gamma == g.add(data.alpha, g.neg(data.beta))
 
 
