@@ -142,7 +142,7 @@ def cmd_rays(args) -> int:
         p = rs.params
         lines = [
             f"k={p.k} a={p.a} m={p.m} n={p.n} e={p.e} N={p.N} "
-            f"L(x,y)={p.m}x+{p.n - p.e}y",
+            f"L(x,y)={p.m}x{p.n - p.e:+}y",
             "ray        mult  cut",
         ]
         for i, ((x, y), h) in enumerate(zip(rs.rays, rs.mults)):

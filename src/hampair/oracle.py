@@ -11,9 +11,16 @@ search.  Branches are explored in generator-label order ("A" before
 
 The search runs on core's integer kernel (mixed-radix vertex indices,
 per-generator successor and predecessor tables, core's arc ids for
-forbidden arcs) with an explicit stack, so its depth is bounded by the
-group order, not by Python's recursion limit.  One budget node is spent
-per vertex entered.  A path search starts at every vertex in turn, a
+forbidden arcs) with two arrays of the group order indexed by depth,
+the vertex and the next label to try at each, so its depth is bounded
+by the group order, not by Python's recursion limit.  Forbidden arcs
+cost nothing per branch: a search that has any copies the tables once
+and points each forbidden arc, and its head's in-arc, at a sentinel
+vertex n that is always on the path.  One budget node is spent per
+vertex entered, counted in a local that is written back to the budget
+before every yield and every exit and read again after each yield, as
+a pair search's second path spends from the same budget while the
+first is suspended.  A path search starts at every vertex in turn, a
 cycle search only at 0 (the digraph is vertex-transitive), and a pair
 search forbids the first path's arcs to the second.
 
@@ -81,11 +88,6 @@ class _Budget:
         if self.limit <= 0:
             raise InputError("node_budget must be positive")
 
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExhausted
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -126,65 +128,84 @@ def _iter_paths(
     """
     group = d.group
     n = group.size
+    leaf_parent = n - 2  # the depth from which a move enters a leaf
     starts = range(n) if start is None else [start]
-    labels = d.labels
+    label_of = ("", *d.labels)  # label_of[i + 1]: the label at position i
     tables = d.successor_tables
-    preds = d.predecessor_tables
+    moves, preds = tables, d.predecessor_tables
     r = len(tables)
+    if forbidden:
+        # Vertex n is a sentinel that is always on the path: a forbidden
+        # arc leads to it, and its head's in-arc comes from it.
+        moves, preds = [[*t] for t in moves], [[*t] for t in preds]
+        for arc in forbidden:
+            v, i = divmod(arc, r)
+            moves[i][v] = n
+            preds[i][tables[i][v]] = n
     # checks[i]: for each label j != i, the successor table of j and the
-    # in-arcs (predecessor table, label) of its head other than the one
+    # predecessor tables of the in-arcs of its head other than the one
     # from the tail, which is on the path.
     checks = [
-        [(tables[j], [(preds[k], k) for k in range(r) if k != j]) for j in range(r) if j != i]
+        [(tables[j], [preds[k] for k in range(r) if k != j]) for j in range(r) if j != i]
         for i in range(r)
     ]
-    on_path = bytearray(n)
+    on_path = bytearray(n + 1)
+    on_path[n] = 1
+    path = [0] * n  # path[t]: the vertex index at depth t
+    todo = [0] * n  # todo[t]: the next label position to try from path[t]
+    used, limit = budget.used, budget.limit
 
     for first in starts:
         # In a cycle search the start is on the path, yet it must keep an
         # in-arc like an unvisited vertex.
         closing = first if closed else -1
-        path = [first]  # vertex indices
-        steps: list[int] = []  # label positions: steps[i] leads to path[i + 1]
-        todo = [-1]  # per vertex on the path: the next label position to try
+        used += 1
+        if used > limit:
+            budget.used = used
+            raise BudgetExhausted
+        path[0] = first
+        todo[0] = 0
         on_path[first] = 1
-        while path:
-            v = path[-1]
-            i = todo[-1]
-            if i < 0:  # v was just entered
-                budget.spend()
-                i = 0
-                if len(steps) == n - 1:  # a leaf: yield it, expand no further
-                    walk_labels = "".join(map(labels.__getitem__, steps))
-                    yield LabeledWalk(d, group.decode(first), walk_labels)
-                    i = r
+        depth = 0
+        while depth >= 0:
+            v = path[depth]
+            i = todo[depth]
             if i == r:  # every branch tried: backtrack
-                todo.pop()
-                on_path[path.pop()] = 0
-                if steps:
-                    steps.pop()
+                on_path[v] = 0
+                depth -= 1
                 continue
-            todo[-1] = i + 1
-            w = tables[i][v]
-            if on_path[w] or v * r + i in forbidden:
+            todo[depth] = i + 1
+            w = moves[i][v]
+            if on_path[w]:
                 continue
             # Dead-end pruning: after v -> w, no other out-neighbour x of
             # v can be entered from v.
-            for table, in_arcs in checks[i]:
+            for table, in_tables in checks[i]:
                 x = table[v]
                 if on_path[x] and x != closing:
                     continue
-                for pred, k in in_arcs:
-                    y = pred[x]
-                    if not on_path[y] and y * r + k not in forbidden:
+                for pred in in_tables:
+                    if not on_path[pred[x]]:
                         break
                 else:  # x has no in-arc left: skip the branch
                     break
             else:
-                on_path[w] = 1
-                path.append(w)
-                steps.append(i)
-                todo.append(-1)
+                used += 1
+                if used > limit:
+                    budget.used = used
+                    raise BudgetExhausted
+                if depth == leaf_parent:  # w is a leaf: yield it, expand no further
+                    budget.used = used
+                    yield LabeledWalk(
+                        d, group.decode(first), "".join(map(label_of.__getitem__, todo[: n - 1]))
+                    )
+                    used = budget.used
+                else:
+                    depth += 1
+                    path[depth] = w
+                    todo[depth] = 0
+                    on_path[w] = 1
+    budget.used = used
 
 
 def first_outcome(outcome_cls, node_budget: int, results):

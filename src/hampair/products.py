@@ -122,8 +122,11 @@ def lift_through_cycle(
     vertical = lifted.labels[-1]
 
     def build(first: LabeledWalk, second: LabeledWalk) -> LabeledWalk:
-        layers = ((first.labels, second.labels)[i % 2] for i in range(ell))
-        return LabeledWalk(lifted, first.start + (0,), vertical.join(layers))
+        # ell layers joined by ell - 1 vertical arcs, sized up front: an
+        # ell too large to hold fails here at once.
+        unit = first.labels + vertical + second.labels + vertical
+        last = first.labels if ell % 2 else unit[:-1]
+        return LabeledWalk(lifted, first.start + (0,), unit * ((ell - 1) // 2) + last)
 
     w1, w2 = build(p, q), build(q, p)
     reason = pair_failure(lifted, w1, w2)

@@ -23,7 +23,6 @@ reported in (k, a) order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,6 +135,10 @@ def run_scan(k_min: int, k_max: int, jobs: int = 1) -> tuple[list[ScanRow], Scan
     # there are cells or CPUs.
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the pool's modules would add to the start-up of
+        # every single-job run.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(scan_cell, cells, chunksize=16))
     else:

@@ -76,6 +76,21 @@ def test_rays_formats(capsys):
     assert doc["cut_values"] == [1, 3, 5]
 
 
+@pytest.mark.parametrize(
+    "k, a, header",
+    [
+        ("10", "4", "k=10 a=4 m=5 n=2 e=0 N=9 L(x,y)=5x+2y"),
+        ("7", "2", "k=7 a=2 m=7 n=1 e=5 N=6 L(x,y)=7x-4y"),
+    ],
+    ids=["n-e-positive", "n-e-negative"],
+)
+def test_rays_header_signs(capsys, k, a, header):
+    # The y coefficient n - e carries its own sign: 7x-4y, not 7x+-4y.
+    code, out, _ = run(capsys, "rays", k, a)
+    assert code == EXIT_OK
+    assert out.split("\n")[0] == header
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "scan", "3", "12", "--format", "csv")
     assert code == EXIT_OK
@@ -500,6 +515,13 @@ def test_size_past_the_address_space_is_inconclusive(capsys):
     # The family-two labels for L = 10^19 would be longer than an index
     # can hold: an OverflowError traceback and exit 1 before.
     code, out, err = run(capsys, "build", "two", "1", "10000000000000000000")
+    assert (code, out, err) == (EXIT_INCONCLUSIVE, "", "inconclusive: out of memory\n")
+
+
+def test_product_layers_past_the_address_space_are_inconclusive(capsys):
+    # The lifted labels for l = 10^20 cannot be held, and the lift sizes
+    # them before it builds them, so this fails at once.
+    code, out, err = run(capsys, "build", "product", "2", "3", "100000000000000000000")
     assert (code, out, err) == (EXIT_INCONCLUSIVE, "", "inconclusive: out of memory\n")
 
 

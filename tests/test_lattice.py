@@ -116,7 +116,7 @@ def test_ray_walk_right_end_below_zero():
 # cells: n - e < 0 in the first two and the last, e = 0 in the third,
 # n - e > 0 in the fourth.
 RAYS_CELLS = ((200000, 7), (402001, 200000), (100002, 50000), (120000, 45000), (100000, 98998))
-RAYS_SHA256 = "7230f6370a3efb03e05d25d4f932a1cf0ded899f3328a25b9773df35a1620aa9"
+RAYS_SHA256 = "50a9317680cb38f62831db1cb767d25cb3628e8eccb4d11e35a01a665b7ca5b4"
 
 
 def test_rays_output_is_pinned():

@@ -266,6 +266,32 @@ def test_search_outcomes_pinned(search, expected):
     assert _outcome(search()) == expected
 
 
+@pytest.mark.parametrize(
+    "search, d, found_at",
+    [
+        (find_arc_disjoint_pair, cayley([12], 4, 9), 40),
+        (find_strongly_switchable_pair, product_digraph((4, 6)), 174),
+        (find_arc_disjoint_pair, cayley([6], 1, 3), 30),
+    ],
+    ids=["pair", "switchable", "pair-after-an-absent-second-path"],
+)
+def test_nested_searches_share_one_budget(search, d, found_at):
+    # The second path's search spends from the budget while the first
+    # path's search is suspended at its yield, and the first resumes with
+    # what is left: every budget short of the full count ends one node
+    # past it, and the full count finds the same pair.  In Cay(Z_6; 1, 3)
+    # the first path has no arc-disjoint partner, so the first search
+    # resumes after a second search ran out.
+    full = search(d)
+    assert (full.status, full.nodes_used) == (Status.FOUND, found_at)
+    for budget in range(1, found_at):
+        out = search(d, budget)
+        assert (out.status, out.pair, out.nodes_used) == (Status.INCONCLUSIVE, None, budget + 1)
+    out = search(d, found_at)
+    assert (out.status, out.nodes_used) == (Status.FOUND, found_at)
+    assert [(w.start, w.labels) for w in out.pair] == [(w.start, w.labels) for w in full.pair]
+
+
 def _unpruned_iter_paths(
     d: CayleyDigraph,
     budget,
@@ -294,7 +320,9 @@ def _unpruned_iter_paths(
             v = path[-1]
             i = todo[-1]
             if i < 0:  # v was just entered
-                budget.spend()
+                budget.used += 1
+                if budget.used > budget.limit:
+                    raise oracle.BudgetExhausted
                 i = 0
                 if len(steps) == n - 1:  # a leaf: yield it, expand no further
                     walk_labels = "".join(map(labels.__getitem__, steps))

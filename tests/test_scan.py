@@ -1,7 +1,13 @@
+import concurrent.futures
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hampair
 from hampair import family_one, lattice, oracle, scan
 from hampair.cli import main
 from hampair.scan import run_scan, scan_cell, scan_cells
@@ -112,8 +118,24 @@ def test_scan_workers_capped_by_cells_and_cpus(monkeypatch, jobs, cpus, k_max, w
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(scan, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
     rows, _ = run_scan(3, k_max, jobs=jobs)
     assert [(r.k, r.a) for r in rows] == scan_cells(3, k_max)
     assert started == ([] if workers is None else [workers])
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only a scan with more than one worker needs the pool, so a
+    # single-job run does not pay for importing it.
+    src = str(Path(hampair.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hampair.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
