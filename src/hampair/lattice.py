@@ -226,12 +226,16 @@ def sector_filling_violations(rs: RaySystem) -> list[tuple[int, int, int, int]]:
 
     theta(1, q) = theta(p, 1) = 0 and a mass is never negative, so only
     pairs of rays of multiplicity >= 2 are looked at; each costs O(1).
+    The mass and theta are sector_mass and theta inlined: indices from
+    the ray system need no range checks.
     """
-    large = [i for i, h in enumerate(rs.mults) if h >= 2]
+    h, prefix = rs.mults, rs.prefix
+    large = [i for i, x in enumerate(h) if x >= 2]
     out = []
     for i, j in itertools.combinations(large, 2):
-        mass = sector_mass(rs, i, j)
-        bound = theta(rs.mults[i], rs.mults[j])
+        p, q = h[i], h[j]
+        mass = prefix[j] - prefix[i + 1]
+        bound = ((p - 1) * (q - 1) + gcd(p, q) - 1) // 2
         if mass < bound:
             out.append((i, j, mass, bound))
     return out

@@ -303,6 +303,15 @@ def oracle_cut_set(k: int, a: int) -> set[int]:
     single cycle and the pass stops.  Until then no cycle of phi_d hides
     below d, so the cycle count of psi_d is that of phi_d.
 
+    Mirror lemma: with N = k-1, d is in Z(k, a) iff N-d is in
+    Z(k, N-a), so one pass serves both cells of a mirror pair.  Let
+    a' = N-a, which is -a-1 mod k, and sigma(x) = N-x, an involution of
+    Z_k; put y = sigma(x).  For x < d, sigma(phi_d(x)) = N-x-a-1 = y+a'
+    and y > N-d.  For x > d, sigma(phi_d(x)) = N-x-a = y+a'+1 and
+    y < N-d.  And sigma(phi_d(d)) = sigma(a) = a'.  So
+    sigma phi^(a)_d sigma = phi^(a')_(N-d), and conjugate permutations
+    have the same cycle type: one is a single k-cycle iff the other is.
+
     The code uses only this permutation argument, never the lattice ray
     system that family_one reads the cut set from, so the two stay
     independent cross-checks of each other.

@@ -38,6 +38,18 @@ def test_cut_permutation_orbit_5_2_0():
     assert orbit == [0, 2, 4, 1, 3]
 
 
+def test_cut_permutation_mirror_conjugation():
+    # sigma(x) = N - x conjugates phi^(a)_d onto phi^(N-a)_(N-d), the
+    # lemma behind the scan's shared reference for mirror cells.
+    for k in range(3, 41):
+        N = k - 1
+        for a in range(1, k - 1):
+            for d in range(k):
+                phi = cut_permutation(k, a, d)
+                mirrored = cut_permutation(k, N - a, N - d)
+                assert mirrored == [N - phi[N - y] for y in range(k)], (k, a, d)
+
+
 def test_cut_permutation_rejects_bad_input():
     with pytest.raises(InputError):
         cut_permutation(5, 0, 1)

@@ -288,6 +288,22 @@ def test_sector_filling_violations_match_every_pair(mults):
     assert sector_filling_violations(rs) == expected
 
 
+def test_sector_filling_violations_match_sector_mass_on_real_cells():
+    # The inlined mass and theta against the public functions, on every
+    # ray system with k <= 60.
+    for k in range(3, 61):
+        for a in valid_a_values(k):
+            rs = ray_system(k, a)
+            large = [i for i, h in enumerate(rs.mults) if h >= 2]
+            expected = [
+                (i, j, sector_mass(rs, i, j), theta(rs.mults[i], rs.mults[j]))
+                for i in large
+                for j in large
+                if i < j and sector_mass(rs, i, j) < theta(rs.mults[i], rs.mults[j])
+            ]
+            assert sector_filling_violations(rs) == expected, (k, a)
+
+
 def test_sector_filling_violations_example():
     assert sector_filling_violations(_fake_rays([2, 1, 3])) == []
     assert sector_filling_violations(_fake_rays([3, 0, 3])) == [(0, 2, 0, 3)]

@@ -107,6 +107,14 @@ def test_oracle_cut_set_reference_rows():
     assert oracle_cut_set(15, 3) == {2, 4, 6, 8, 14}
 
 
+def test_oracle_cut_set_mirror_pairs():
+    # Z(k, N-a) = N - Z(k, a): one pass serves both cells of a mirror pair.
+    for k in range(3, 81):
+        N = k - 1
+        for a in range(1, k - 1):
+            assert oracle_cut_set(k, N - a) == {N - z for z in oracle_cut_set(k, a)}, (k, a)
+
+
 def test_oracle_cut_set_rejects_bad_params():
     with pytest.raises(InputError):
         oracle_cut_set(5, 0)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import hampair
 from hampair import family_one, lattice, oracle, scan
 from hampair.cli import main
-from hampair.scan import run_scan, scan_cell, scan_cells
+from hampair.scan import run_scan, scan_cell, scan_cells, scan_mirror_pair
 
 
 def test_cells_cover_all_valid_a():
@@ -21,7 +22,7 @@ def test_cells_cover_all_valid_a():
 
 
 def test_cell_row_fields():
-    row = scan_cell((10, 4))
+    row = scan_cell((10, 4), (1, 3, 5))
     assert row.Z == (1, 3, 5)
     assert row.reflected == (4, 6, 8)
     assert row.delta == 1
@@ -31,9 +32,20 @@ def test_cell_row_fields():
     assert row.ok
 
 
+def test_mirror_pair_rows():
+    # (10, 4) and its mirror (10, 5) from one unit; N - {1, 3, 5}.
+    first, mirror = scan_mirror_pair((10, 4))
+    assert first == scan_cell((10, 4), (1, 3, 5))
+    assert (mirror.k, mirror.a, mirror.Z) == (10, 5, (4, 6, 8))
+    assert mirror.lattice_agrees and mirror.ok
+    # odd k, a = N/2: a unit of one
+    (row,) = scan_mirror_pair((11, 5))
+    assert (row.k, row.a) == (11, 5) and row.ok
+
+
 def test_scan_cell_builds_one_ray_system(monkeypatch):
-    # One ray system per cell, and the lattice-equality check still runs
-    # the independent reference in every cell.
+    # One ray system per cell, and one run of the independent reference
+    # per mirror pair: floor((k-1)/2) per row.
     calls = {"ray_system": 0, "oracle_cut_set": 0}
 
     def counted(name, fn):
@@ -47,7 +59,8 @@ def test_scan_cell_builds_one_ray_system(monkeypatch):
         oracle, "oracle_cut_set", counted("oracle_cut_set", oracle.oracle_cut_set)
     )
     rows, _ = run_scan(3, 12)
-    assert calls == {"ray_system": len(rows), "oracle_cut_set": len(rows)}
+    pairs = sum((k - 1) // 2 for k in range(3, 13))
+    assert calls == {"ray_system": len(rows), "oracle_cut_set": pairs}
     calls.update(ray_system=0)
     family_one.realize_disjoint_pair(40, 9)
     assert calls["ray_system"] == 1
@@ -55,7 +68,7 @@ def test_scan_cell_builds_one_ray_system(monkeypatch):
 
 def test_sector_filling_failure_is_reported(monkeypatch):
     monkeypatch.setattr(lattice, "sector_filling_violations", lambda rs: [(0, 4, 1, 7)])
-    row = scan_cell((15, 3))
+    row = scan_cell((15, 3), (2, 4, 6, 8, 14))
     assert row.failures == ("sector-filling: M(A_0,A_4)=1 < theta(2, 3)=7",)
 
 
@@ -98,11 +111,12 @@ def test_scan_even_k_sum_split():
 
 @pytest.mark.parametrize(
     "jobs, cpus, k_max, workers",
-    [(100000, 64, 4, 3), (100000, 2, 20, 2), (100000, None, 20, None), (1, 64, 20, None)],
+    [(100000, 64, 4, 2), (100000, 2, 20, 2), (100000, None, 20, None), (1, 64, 20, None)],
 )
 def test_scan_workers_capped_by_cells_and_cpus(monkeypatch, jobs, cpus, k_max, workers):
     # The pool forks every worker up front, so its size is checked on a
-    # fake that maps in this process: no process starts.
+    # fake that maps in this process: no process starts.  The cap is the
+    # number of mirror pairs: k = 3..4 has 3 cells in 2 pairs.
     started = []
 
     class SerialPool:
@@ -123,6 +137,54 @@ def test_scan_workers_capped_by_cells_and_cpus(monkeypatch, jobs, cpus, k_max, w
     rows, _ = run_scan(3, k_max, jobs=jobs)
     assert [(r.k, r.a) for r in rows] == scan_cells(3, k_max)
     assert started == ([] if workers is None else [workers])
+
+
+def _move_one_value(Z):
+    # Z[1] - 1 stays above Z[0], since cut values differ by even gaps
+    return (Z[0], Z[1] - 1, *Z[2:])
+
+
+@pytest.mark.parametrize("cell", [(15, 12), (15, 7)], ids=["mirrored", "self-mirrored"])
+def test_moved_lattice_value_fails_only_its_row(monkeypatch, cell):
+    # (15, 12) is the mirror of (15, 2), whose reference comes from the
+    # pass for a = 2; (15, 7) is its own mirror, with Z = {0, 14}, so its
+    # moved value is the last one and also fails the caps check.
+    cut_set = family_one.cut_set
+
+    def moved(k, a):
+        profile = cut_set(k, a)
+        if (k, a) != cell:
+            return profile
+        return dataclasses.replace(profile, Z=_move_one_value(profile.Z))
+
+    monkeypatch.setattr(family_one, "cut_set", moved)
+    rows, _ = run_scan(14, 16)
+    flagged = [
+        (r.k, r.a) for r in rows if any(f.startswith("lattice-equality") for f in r.failures)
+    ]
+    assert flagged == [cell]
+    assert [(r.k, r.a) for r in rows if not r.ok] == [cell]
+
+
+def test_moved_oracle_value_fails_both_rows_of_its_pair(monkeypatch):
+    # A wrong reference for (15, 2) is also the wrong reference for its
+    # mirror (15, 12), and both rows say so.
+    reference = oracle.oracle_cut_set
+
+    def moved(k, a):
+        Z = reference(k, a)
+        if (k, a) != (15, 2):
+            return Z
+        return set(_move_one_value(sorted(Z)))
+
+    monkeypatch.setattr(oracle, "oracle_cut_set", moved)
+    rows, summary = run_scan(14, 16)
+    assert [(r.k, r.a) for r in rows if not r.ok] == [(15, 2), (15, 12)]
+    for r in rows:
+        if not r.ok:
+            assert len(r.failures) == 1
+            assert r.failures[0].startswith("lattice-equality: rays give")
+    assert summary.failures == 2
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
