@@ -4,7 +4,8 @@ A strongly switchable pair in the base C_m x C_n -- an ordered pair of
 arc-disjoint Hamiltonian paths whose endpoint offsets alpha, beta,
 gamma avoid three collision clauses -- can be stacked layer by layer
 into C_m x C_n x C_l for every l >= 2, alternating translated copies of
-the two paths.
+the two paths.  The base pair comes from the coset construction
+(hampair.cosets); the DFS oracle cross-checks it.
 
 Run:  python3 demos/cycle_product_lifting.py
 """
@@ -17,19 +18,30 @@ from hampair import (
     lift_through_cycle,
     product_digraph,
 )
+from hampair.cosets import coset_split, iter_pairs
 
 
 def main() -> None:
     m, n = 2, 3
     base = product_digraph((m, n))
-    print(f"== base C_{m} x C_{n}")
+    split = coset_split(base)
+    print(f"== base C_{m} x C_{n}: delta = {split.delta} of order {split.n}, "
+          f"{split.m} coset(s), sigma = {split.sigma}")
 
-    out = find_strongly_switchable_pair(base)
-    p, q = out.pair
+    # The first structured pair that is strongly switchable in either
+    # order, as build_three_factor picks it.
+    p, q = next(
+        cand
+        for pair in iter_pairs(base)
+        for cand in (pair, pair[::-1])
+        if is_strongly_switchable(base, *cand)[0]
+    )
     _, data, _ = is_strongly_switchable(base, p, q)
     print(f"   P: start {p.start}, labels {p.labels}, end {p.end}")
     print(f"   Q: start {q.start}, labels {q.labels}, end {q.end}")
     print(f"   alpha = {data.alpha}, beta = {data.beta}, gamma = {data.gamma}")
+    print(f"   the DFS oracle's reference search also finds a strongly switchable "
+          f"pair: {find_strongly_switchable_pair(base).found}")
 
     for ell in (2, 3, 5):
         w1, w2 = lift_through_cycle(base, p, q, ell)

@@ -1,7 +1,8 @@
 """Arc-disjoint Hamiltonian path pairs in two-generated abelian Cayley
 digraphs: cut-value enumeration, lattice-ray parametrization, quotient-
-fiber construction, directed-cycle-product lifting, and an exhaustive
-search oracle for small cases."""
+fiber construction, the coset construction for any two-generated
+digraph, directed-cycle-product lifting, and an exhaustive search
+oracle for small cases."""
 
 from .core import (
     CayleyDigraph,

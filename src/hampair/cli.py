@@ -5,13 +5,16 @@ Data goes to stdout (or --out); progress and diagnostics go to stderr.
 `build` writes a witness only after its builder's one core.pair_failure
 check has passed, and `verify` runs that same check on a witness file,
 which must be UTF-8 JSON with integer coordinates.
+`build search` and the base pair of `build product` come from the coset
+construction (hampair.cosets); no command runs the DFS oracle.
 Each subcommand takes only the options it reads, and each option is set
 by its flag alone.  Exit codes: 0 success, 1 check or verification
 failure, 2 usage, malformed input or an --out that cannot be written,
-3 inconclusive (a node budget or memory ran out, or a size is past the
-address space).  A failure that a command raises is reported by `main`
-alone, from one table that gives each failure class its exit code and
-the prefix of its one stderr line.
+3 inconclusive (memory ran out, a size is past the address space, or
+`build search` was given more than SEARCH_MAX_ORDER vertices).  A
+failure that a command raises is reported by `main` alone, from one
+table that gives each failure class its exit code and the prefix of its
+one stderr line.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import family_one, family_two, lattice, oracle, products, scan
-from .core import InputError, cayley, pair_failure
+from . import cosets, family_one, family_two, lattice, products, scan
+from .core import InputError, cayley
 from .witness import MalformedWitness, WitnessFile, witness_from_json
 
 EXIT_OK = 0
@@ -33,15 +36,19 @@ EXIT_INCONCLUSIVE = 3
 
 FORMATS = ("table", "json", "csv")
 
+# `build search` refuses a digraph of more vertices than this before it
+# builds anything, as if memory had run out: at about 150 B a vertex its
+# tables and walks would take gigabytes.
+SEARCH_MAX_ORDER = 10**7
+
 # What main reports for each failure a command raises, matched in order:
 # the exit code and the one stderr line, which "{}" fills with the
-# failure's text.  Memory is a budget that ran out, and a size past the
-# address space (an OverflowError) would run it out, so both are
-# inconclusive.
+# failure's text.  Memory that runs out, a size past the address space
+# (an OverflowError), which would run it out, and a `build search` past
+# SEARCH_MAX_ORDER are inconclusive.
 _FAILURES = (
     (InputError, EXIT_USAGE, "error: {}"),
     (MalformedWitness, EXIT_USAGE, "malformed witness file: {}"),
-    (oracle.BudgetExhausted, EXIT_INCONCLUSIVE, "search inconclusive: {}"),
     (RuntimeError, EXIT_FAIL, "builder failed: {}"),
     ((MemoryError, OverflowError), EXIT_INCONCLUSIVE, "inconclusive: out of memory"),
 )
@@ -235,21 +242,16 @@ def _build_two(args):
 
 
 def _build_product(args):
-    pair = products.build_three_factor(args.m, args.n, args.l, args.budget)
+    pair = products.build_three_factor(args.m, args.n, args.l)
     return {"m": args.m, "n": args.n, "l": args.l}, pair
 
 
 def _build_search(args):
     digraph = cayley(args.orders, args.gen_a, args.gen_b)
-    outcome = oracle.find_arc_disjoint_pair(digraph, args.budget)
-    if outcome.status is oracle.Status.INCONCLUSIVE:
-        raise oracle.BudgetExhausted("node budget exhausted")
-    if not outcome.found:
-        raise RuntimeError("no arc-disjoint Hamiltonian path pair exists")
-    reason = pair_failure(digraph, *outcome.pair)
-    if reason:
-        raise RuntimeError(f"search pair failed verification: {reason}")
-    return {f"order_{i}": o for i, o in enumerate(args.orders)}, outcome.pair
+    if digraph.group.size > SEARCH_MAX_ORDER:
+        raise MemoryError
+    pair = cosets.find_pair(digraph)
+    return {f"order_{i}": o for i, o in enumerate(args.orders)}, pair
 
 
 def cmd_build(args) -> int:
@@ -284,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     option_kwargs = {
         "format": {"choices": FORMATS, "default": "table"},
         "out": {"help": "write the data to this file instead of stdout"},
-        "budget": {"type": int, "default": oracle.DEFAULT_BUDGET, "help": "oracle node budget"},
         "jobs": {"type": int, "default": 1, "help": "worker processes"},
     }
 
@@ -320,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     for family, help_text, names, arg_type, options, build in (
         ("one", "Cay(Z_k; a, a+1)", "k a", int, "out", _build_one),
         ("two", "Cay(Z_{(2a+1)L}; -a, a+1)", "a L", int, "out", _build_two),
-        ("product", "C_m x C_n x C_l", "m n l", int, "out budget", _build_product),
-        ("search", "exhaustive search on any small digraph", "orders gen_a gen_b",
-         _intlist, "out budget", _build_search),
+        ("product", "C_m x C_n x C_l", "m n l", int, "out", _build_product),
+        ("search", "any two-generated Cay(G; a, b), by its cosets", "orders gen_a gen_b",
+         _intlist, "out", _build_search),
     ):
         b = bsub.add_parser(family, help=help_text)
         for name in names.split():

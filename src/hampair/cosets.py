@@ -1,0 +1,277 @@
+"""Arc-disjoint Hamiltonian path pairs in any two-generated abelian
+Cayley digraph, built from the coset structure of its Hamiltonian paths.
+
+Notation.  In D = Cay(G; a, b) put delta = a - b and H = <delta>, of
+order n and index m.  As a = b + delta, both labels map the coset
+C_i = i*a + H onto C_(i+1), so G/H is cyclic of order m, generated by
+a's coset, and m*a = sigma*delta for one sigma in Z_n.  n >= 2, as
+a != b.  Z(n, r), for r in Z_n, is the set of cut values j whose cut
+permutation of Z_n, w -> w + r + 1 for w < j, j -> r, w -> w + r for
+w > j, is one n-cycle: for 0 < r < n - 1 the cut set of
+Cay(Z_n; r, r + 1), read from lattice.ray_system; Z(n, 0) = {n - 1}
+(for j < n - 1 the cut permutation fixes n - 1) and Z(n, -1) = {0}
+(for j > 0 it fixes 0).  This covers n <= 2, where r is 0 or -1.
+
+Path lemma.  Let P be a Hamiltonian path of D from s to t, and let c be
+the number of cosets other than t's on which P uses B.
+
+1. Every vertex but t is a tail of P.  Tails v and v + delta labelled
+   A and B would share the head v + a, so on a coset whose every vertex
+   is a tail, A at v forces A at v + delta: P uses one label on each
+   coset other than t's.
+2. On t's coset, read as t + delta, ..., t + (n-1)*delta, the same step
+   shows that A is never followed by B: the labels are B^j A^(n-1-j)
+   for one j in [0, n-1].  Their heads are t + a + i*delta for every i
+   but j, and a vertex of C_(i+1) can only be entered from C_i, so
+   s = t + a + j*delta.
+3. Close P by the arc t -> s.  The result phi is a permutation of G
+   that maps each coset onto the next, so every cycle of phi meets t's
+   coset, and P is Hamiltonian iff the first-return map psi of phi on
+   t's coset is one n-cycle.  From t + i*delta a round adds the first
+   step (a, b = a - delta, or s - t) and then (m-1)*a - c*delta for the
+   other cosets, so with r = c - sigma, psi sends i to i - r - 1 for
+   1 <= i <= j, to i - r for j < i < n, and 0 to j - r.  Under
+   w = j - i this is the cut permutation at j with step r.  So P is
+   Hamiltonian iff j is in Z(n, c - sigma): only the number of
+   B-cosets matters, not which ones.  Every such choice of t, labels
+   and j does give a Hamiltonian path, as phi is then one cycle.
+4. P visits the cosets in cyclic order from s's, so its labels are the
+   m - 1 labels of the cosets after t's (the pattern) once per round,
+   each round followed by the label of the vertex of t's coset it
+   reaches; those vertices are w = r, psi(r), ..., j, the cut walk of
+   cut_labels.
+
+Pair rule.  Let Q be a second Hamiltonian path, with end t_Q, cut value
+j_Q and c_Q B-cosets.  Two walks share an arc iff some tail carries the
+same label in both, so on a coset that holds neither end Q is
+arc-disjoint from P iff it uses the other label there.
+
+- Ends in one coset, t_Q = t + i*delta.  Then c_Q = m - 1 - c.  On that
+  coset the B-tails of Q, {i + 1, ..., i + j_Q}, must lie in the A-tails
+  of P or at t, {j + 1, ..., n}, and its A-tails, the next n - 1 - j_Q
+  in cyclic order, in {0, ..., j}.  If 0 < j < n - 1, Q's B-tails must
+  hold {j + 1, ..., n - 1} but i, and its A-tails {1, ..., j} but i,
+  so i is j or j + 1: i = j needs j + j_Q in {n - 1, n}, and
+  i = j + 1 needs j + j_Q in {n - 2, n - 1}.  If j = 0 every tail but
+  i may be B in Q: j_Q = n - 1 with any i, or j_Q = n - 2 with i = 1,
+  as 0 must be Q's one A-tail.  j = n - 1 is the mirror case: j_Q = 0
+  with any i, or j_Q = 1 with i = n - 1.  In all: j_P + j_Q is in
+  {n - 2, n - 1, n}, i is j_P if the sum is n - 1 or n and j_P + 1 if
+  it is n - 2 or n - 1, and any i works when {j_P, j_Q} = {0, n - 1}.
+- Ends in two cosets.  P's end coset then holds n - 1 tails of P and n
+  tails of Q, so P uses one label on it, j_P is 0 (all A, Q uses B) or
+  n - 1 (all B, Q uses A), and likewise j_Q on Q's end coset.  Q's end
+  may be any vertex of its coset, and of the m - 2 other cosets any may
+  be P's B-cosets; the B-counts follow.
+
+For m = 1 this is family one's count pair: D = Cay(Z_k; a, a+1) with
+A = a has delta = -1, n = k, sigma = -a, so r = a, and the
+cut-reflection theorem guarantees a pair (j_P, j_Q) of Z(k, a) with
+j_P + j_Q in {k - 2, k - 1, k}.
+
+Every path P built here starts at a, as family one's cut path does:
+its end is -j_P*delta.  Every pair is checked once, by
+core.pair_failure, before it is yielded.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations, product
+from math import gcd, lcm
+from typing import Iterable, Iterator
+
+from . import lattice
+from .core import CayleyDigraph, InputError, LabeledWalk, Vertex, pair_failure
+
+_SWAP = str.maketrans("AB", "BA")
+
+
+@dataclass(frozen=True)
+class CosetSplit:
+    """The cosets of <delta> in a two-generated Cay(G; a, b)."""
+
+    digraph: CayleyDigraph
+    delta: Vertex  # a - b
+    n: int  # order of delta
+    m: int  # index of <delta>
+    sigma: int  # m*a = sigma*delta, 0 <= sigma < n
+
+    def vertex(self, i: int, h: int) -> Vertex:
+        """The vertex i*a + h*delta."""
+        a, orders = self.digraph.gens[0], self.digraph.group.orders
+        return tuple((i * x + h * y) % o for x, y, o in zip(a, self.delta, orders))
+
+
+def coset_split(d: CayleyDigraph) -> CosetSplit:
+    """delta, n, m and sigma of a two-generated digraph d."""
+    if len(d.gens) != 2:
+        raise InputError(f"need two generators, got {len(d.gens)}")
+    g = d.group
+    a, b = d.gens
+    delta = g.add(a, g.neg(b))
+    n = lcm(*(o // gcd(x, o) for x, o in zip(delta, g.orders)))
+    m = g.size // n
+    ma = tuple(m * x % o for x, o in zip(a, g.orders))
+    return CosetSplit(d, delta, n, m, _multiple(ma, delta, g.orders))
+
+
+def _multiple(target: Vertex, delta: Vertex, orders: tuple[int, ...]) -> int:
+    """The s, reduced mod the order of delta, with s*delta = target, for
+    target in <delta>: one congruence per coordinate, merged by the
+    Chinese remainder theorem for moduli that need not be coprime."""
+    s, mod = 0, 1
+    for t, x, o in zip(target, delta, orders):
+        g = gcd(x, o)
+        step = o // g  # the order of x in Z_o; s = r (mod step) solves s*x = t
+        r = t // g * pow(x // g, -1, step) % step
+        h = gcd(mod, step)
+        assert (r - s) % h == 0 and t % g == 0, (target, delta)
+        s += mod * ((r - s) // h * pow(mod // h, -1, step // h) % (step // h))
+        mod = mod // h * step
+    return s % mod
+
+
+def hamiltonian_cuts(n: int, r: int) -> list[int]:
+    """Z(n, r), sorted: the cut values j of a Hamiltonian path whose end
+    coset has first-return step r (path lemma, item 3)."""
+    r %= n
+    if r == 0:
+        return [n - 1]
+    if r == n - 1:
+        return [0]
+    return lattice.ray_system(n, r).cut_values()
+
+
+def count_pairs(n: int, zp: Iterable[int], zq: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (j_P, j_Q) in zp x zq with j_P + j_Q in {n-2, n-1, n},
+    sum n-1 first, then n-2, then n, and least j_P first within a sum;
+    zp must be sorted.  When zp = zq the first has j_P <= j_Q, as its
+    mirror comes later."""
+    members = set(zq)
+    for target in (n - 1, n - 2, n):
+        for j in zp:
+            if target - j in members:
+                yield j, target - j
+
+
+def cut_labels(n: int, r: int, j: int) -> list[str]:
+    """The labels of the end coset's vertices in the order a path visits
+    them, w = r, psi(r), ..., up to j: B below j, A above (path lemma,
+    item 4)."""
+    r %= n
+    out = []
+    w = r
+    for _ in range(n - 1):
+        if w < j:
+            out.append("B")
+            w = (w + r + 1) % n
+        else:
+            out.append("A")
+            w = (w + r) % n
+    assert w == j, (n, r, j)
+    return out
+
+
+def _path(split: CosetSplit, start: Vertex, pattern: str, r: int, j: int) -> LabeledWalk:
+    cut = cut_labels(split.n, r, j)
+    return LabeledWalk(split.digraph, start, pattern + pattern.join(cut) + pattern)
+
+
+def _pattern(size: int, b_positions: Iterable[int]) -> str:
+    """size labels, B at b_positions and A elsewhere."""
+    labels = bytearray(b"A" * size)
+    for i in b_positions:
+        labels[i] = ord("B")
+    return labels.decode()
+
+
+def _end_choices(n: int, jp: int, jq: int) -> Iterator[int]:
+    """The offsets i of Q's end t + i*delta from P's end t in one coset,
+    for cut values jp and jq (pair rule)."""
+    if jp + jq in (n - 1, n):
+        yield jp
+    if jp + jq in (n - 2, n - 1):
+        yield (jp + 1) % n
+    if {jp, jq} == {0, n - 1}:
+        yield from (i for i in range(n) if i not in (jp, (jp + 1) % n))
+
+
+def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
+    n, m, sigma = split.n, split.m, split.sigma
+    cuts: dict[int, list[int]] = {}
+
+    def Z(r: int) -> list[int]:
+        r %= n
+        if r not in cuts:
+            cuts[r] = hamiltonian_cuts(n, r)
+        return cuts[r]
+
+    # Both ends in one coset.  Which counts c admit a pair depends on
+    # c mod n alone, so a first n counts without one prove there is none.
+    found = False
+    for c in range(m):
+        if c == n and not found:
+            break
+        zp, zq = Z(c - sigma), Z(m - 1 - c - sigma)
+        if next(count_pairs(n, zp, zq), None) is None:
+            continue
+        found = True
+        for bs in combinations(range(m - 1), c):
+            sp = _pattern(m - 1, bs)
+            sq = sp.translate(_SWAP)
+            for jp, jq in count_pairs(n, zp, zq):
+                p = _path(split, split.vertex(1, 0), sp, c - sigma, jp)
+                for i in _end_choices(n, jp, jq):
+                    start = split.vertex(1, i - jp + jq)
+                    yield p, _path(split, start, sq, m - 1 - c - sigma, jq)
+    # Ends in two cosets: P's in C_0 and Q's in C_kappa.  P uses B on C_0
+    # iff j_P = n - 1 and on C_kappa iff j_Q = 0, and Q the other label.
+    for jp, jq in product((0, n - 1), repeat=2):
+        for kappa in range(1, m):
+            others = [i for i in range(1, m) if i != kappa]
+            forced = [i for i, b in ((0, jp == n - 1), (kappa, jq == 0)) if b]
+            for b in range(m - 1):
+                cp, cq = b + (jq == 0), m - 2 - b + (jp == 0)
+                if jp not in Z(cp - sigma) or jq not in Z(cq - sigma):
+                    continue
+                for bs in combinations(others, b):
+                    full = _pattern(m, [*forced, *bs])  # P's labels on C_0, ..., C_(m-1)
+                    p = _path(split, split.vertex(1, 0), full[1:], cp - sigma, jp)
+                    sq = full.translate(_SWAP)
+                    pattern_q = sq[kappa + 1 :] + sq[:kappa]
+                    for h in range(n):
+                        start = split.vertex(kappa + 1, h)
+                        yield p, _path(split, start, pattern_q, cq - sigma, jq)
+
+
+def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
+    """Every ordered pair (P, Q) of arc-disjoint Hamiltonian paths of the
+    two-generated digraph d whose P starts at a, each checked by
+    core.pair_failure: by the pair rule, one pair of each orbit under
+    translation.  Both ends in one coset come first, by the number c of
+    P's B-cosets, the B-cosets in combinations order, count_pairs'
+    order and the offset of Q's end; then ends in two cosets.
+
+    Raises RuntimeError if a pair fails its check, which would refute
+    the pair rule.
+    """
+    for p, q in _structured_pairs(coset_split(d)):
+        reason = pair_failure(d, p, q)
+        if reason:
+            raise RuntimeError(f"coset pair for {_name(d)} failed verification: {reason}")
+        yield p, q
+
+
+def find_pair(d: CayleyDigraph) -> tuple[LabeledWalk, LabeledWalk]:
+    """The first pair of iter_pairs(d).  Raises RuntimeError, naming d,
+    if there is none, which would refute the paper's theorem."""
+    for pair in iter_pairs(d):
+        return pair
+    raise RuntimeError(f"{_name(d)} has no arc-disjoint Hamiltonian path pair")
+
+
+def _name(d: CayleyDigraph) -> str:
+    group = " x ".join(f"Z_{o}" for o in d.group.orders)
+    a, b = (str(g[0]) if len(g) == 1 else str(g) for g in d.gens)
+    return f"Cay({group}; {a}, {b})"

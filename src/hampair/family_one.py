@@ -12,15 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import lattice
-from .core import (
-    CayleyDigraph,
-    InputError,
-    LabeledWalk,
-    cayley,
-    check_family_one_params,
-    pair_failure,
-)
+from . import cosets, lattice
+from .core import InputError, LabeledWalk, cayley, check_family_one_params
 
 
 def cut_permutation(k: int, a: int, d: int) -> list[int]:
@@ -79,31 +72,20 @@ def cut_set(k: int, a: int) -> CutProfile:
     rs = lattice.ray_system(k, a)
     Z = rs.cut_values()
     delta, u, v = lattice.reflection_distance(Z, k - 1)
-    return CutProfile(k, a, tuple(Z), delta, (u, v), _count_pair(k, a, Z), rs)
-
-
-def _cut_walk(digraph: CayleyDigraph, k: int, a: int, d: int) -> LabeledWalk:
-    """The standard cut candidate at d: from vertex a, step B (by a+1)
-    from each vertex below d and A (by a) from the others."""
-    labels = []
-    x = a
-    for _ in range(k - 1):
-        if x < d:
-            labels.append("B")
-            x = (x + a + 1) % k
-        else:
-            labels.append("A")
-            x = (x + a) % k
-    return LabeledWalk(digraph, (a,), "".join(labels))
+    pair = next(cosets.count_pairs(k, Z, Z), None)
+    if pair is None:
+        raise AssertionError(f"no cut-value pair with sum in {{k-2, k-1, k}} for {(k, a)}: Z={Z}")
+    return CutProfile(k, a, tuple(Z), delta, (u, v), pair, rs)
 
 
 def cut_path(k: int, a: int, d: int) -> LabeledWalk:
     """The Hamiltonian cut path at d: from vertex a to vertex d, using
-    exactly d arcs labeled B."""
+    exactly d arcs labeled B, B from each vertex below d and A from the
+    others (cosets.cut_labels with n = k and step r = a)."""
     a = check_family_one_params(k, a)
     if d not in cut_set_values(k, a):
         raise InputError(f"d={d} is not a Hamiltonian cut value for {(k, a)}")
-    walk = _cut_walk(cayley([k], a, a + 1), k, a, d)
+    walk = LabeledWalk(cayley([k], a, a + 1), (a,), "".join(cosets.cut_labels(k, a, d)))
     assert walk.end == (d % k,)
     return walk
 
@@ -118,18 +100,6 @@ def count_pair(k: int, a: int) -> tuple[int, int]:
     return cut_set(k, a).count_pair
 
 
-def _count_pair(k: int, a: int, Z: list[int]) -> tuple[int, int]:
-    members = set(Z)
-    for target in (k - 1, k - 2, k):
-        for d in Z:
-            e = target - d
-            if e >= d and e in members:
-                return d, e
-    raise AssertionError(
-        f"no cut-value pair with sum in {{k-2, k-1, k}} for {(k, a)}: Z={Z}"
-    )
-
-
 @dataclass(frozen=True)
 class RealizedPair:
     path1: LabeledWalk
@@ -141,34 +111,20 @@ class RealizedPair:
 
 
 def realize_disjoint_pair(k: int, a: int) -> RealizedPair:
-    """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; a, a+1).
+    """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; a, a+1):
+    the first pair of cosets.iter_pairs, the index-one case of the coset
+    construction.
 
-    Take the count pair (d, e), so d <= e and k-2 <= d+e <= k.  The cut
-    path P at d starts at a and ends at d, so every vertex except d is a
-    tail: its B-tails are exactly [0, d) and its A-tails exactly
-    (d, k-1].  Likewise the cut path at e translated by h has B-tails
-    exactly [h, h+e) and A-tails exactly the complement of [h, h+e]
-    (intervals mod k).  Put h = d+1 if d+e < k and h = d if d+e = k.
-
-    - B-arcs are disjoint: [h, h+e) lies in [d, k) because d <= h and
-      h+e <= k, so it misses [0, d).
-    - A-arcs are disjoint: the A-tails are the complements of [0, d]
-      and [h, h+e], so they meet iff those closed intervals leave some
-      vertex uncovered.  They cover Z_k because [h, h+e] starts at or
-      before d+1 and ends at h+e >= k-1.
-
-    Both paths and their arc-disjointness are re-verified before
-    returning.
+    With A = a the digraph is the one coset of <-1>, with n = k and
+    first-return step r = a, so the first pair is built from the count
+    pair (d, e) of cut_set.  P is the cut path at d, from a to d.  Q's
+    end lies i = d (sums k - 1 and k) or i = d + 1 (sum k - 2) steps of
+    -1 from d, at 0 or at k - 1, so Q is the cut path at e translated by
+    h = d + 1 if d + e < k and by h = d if d + e = k.  cosets.iter_pairs
+    checks the pair before it is returned.
     """
     a = check_family_one_params(k, a)
-    d, e = count_pair(k, a)
-    h = d + 1 if d + e < k else d
-    digraph = cayley([k], a, a + 1)
-    p = _cut_walk(digraph, k, a, d)
-    q = _cut_walk(digraph, k, a, e).translate(h)
-    reason = pair_failure(digraph, p, q)
-    if reason:
-        raise RuntimeError(f"realized pair for {(k, a)} failed verification: {reason}")
+    p, q = cosets.find_pair(cayley([k], a, a + 1))
     return RealizedPair(p, q, "translate-count-pair")
 
 

@@ -1,7 +1,7 @@
 """Exhaustive depth-first search for Hamiltonian paths, cycles, and pairs.
 
 This is the independent ground truth used to validate the structured
-constructions.  Search results are three-valued: a witness, a proof of
+constructions; no build path runs it.  Search results are three-valued: a witness, a proof of
 absence (the search space was exhausted), or an explicit "inconclusive"
 when the node budget ran out.  One function, `first_outcome`, gives
 every search that result from a generator of candidates: the path,
@@ -74,8 +74,7 @@ class Status(enum.Enum):
 class BudgetExhausted(Exception):
     """A search ran out of node budget, so its outcome is inconclusive.
 
-    first_outcome turns it into Status.INCONCLUSIVE;
-    products.build_three_factor raises it to its caller.
+    first_outcome turns it into Status.INCONCLUSIVE.
     """
 
 

@@ -1,23 +1,23 @@
 """Arc-disjoint Hamiltonian path pairs in products of directed cycles.
 
-The three-factor product C_m x C_n x C_l is handled by finding a
+The three-factor product C_m x C_n x C_l is handled by taking a
 "strongly switchable" ordered pair of arc-disjoint Hamiltonian paths in
 the two-factor base and lifting it layer by layer through the third
-cycle.  A walk is its start and its labels, and translation keeps the
-labels, so a lifted path is one base path's start and the two base
-label strings, alternated l times and joined by the third generator.
-That is the only construction: when the base search proves that no
-strongly switchable pair exists, or runs out of budget, the build
-fails with that outcome.
+cycle.  The base pair is the first pair of the coset enumeration
+(cosets.iter_pairs) that is strongly switchable in either order, on
+C_m x C_n as given.  A walk is its start and its labels, and
+translation keeps the labels, so a lifted path is one base path's start
+and the two base label strings, alternated l times and joined by the
+third generator.  find_strongly_switchable_pair searches the base with
+the DFS oracle instead; it is the tests' reference, not a build path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
-from . import oracle
+from . import cosets, oracle
 from .core import (
     CayleyDigraph,
     FiniteAbelianGroup,
@@ -52,14 +52,6 @@ class SwitchabilityData:
     gamma: Vertex  # alpha - beta
 
 
-def _switch_data(p: LabeledWalk, q: LabeledWalk) -> SwitchabilityData:
-    g = p.digraph.group
-    alpha = g.add(p.end, g.neg(q.start))
-    beta = g.add(q.end, g.neg(p.start))
-    gamma = g.add(alpha, g.neg(beta))
-    return SwitchabilityData(alpha, beta, gamma)
-
-
 def is_strongly_switchable(
     d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk
 ) -> tuple[bool, SwitchabilityData, list[str]]:
@@ -71,8 +63,17 @@ def is_strongly_switchable(
     reason = pair_failure(d, p, q)
     if reason:
         raise InputError(f"input is not an arc-disjoint Hamiltonian path pair: {reason}")
-    data = _switch_data(p, q)
-    g = d.group
+    return _switchability(p, q)
+
+
+def _switchability(
+    p: LabeledWalk, q: LabeledWalk
+) -> tuple[bool, SwitchabilityData, list[str]]:
+    """is_strongly_switchable for a pair already checked by pair_failure."""
+    g = p.digraph.group
+    alpha = g.add(p.end, g.neg(q.start))
+    beta = g.add(q.end, g.neg(p.start))
+    data = SwitchabilityData(alpha, beta, g.add(alpha, g.neg(beta)))
     violations = []
     if not arc_disjoint(p, q.translate(data.gamma)):
         violations.append("translated arc overlap")
@@ -144,50 +145,24 @@ def product_like_extension(d: CayleyDigraph, ell: int) -> CayleyDigraph:
     return CayleyDigraph(group, gens)
 
 
-@lru_cache(maxsize=None)
-def _base_analysis(m: int, n: int, node_budget: int):
-    """Cached per-base work: the strongly switchable pair search in
-    C_m x C_n.  A pair found carries its digraph."""
-    return find_strongly_switchable_pair(product_digraph((m, n)), node_budget)
-
-
-_SWAP_AB = str.maketrans("AB", "BA")
-
-
-def build_three_factor(
-    m: int, n: int, ell: int, node_budget: int = oracle.DEFAULT_BUDGET
-) -> tuple[LabeledWalk, LabeledWalk]:
+def build_three_factor(m: int, n: int, ell: int) -> tuple[LabeledWalk, LabeledWalk]:
     """Two verified arc-disjoint Hamiltonian paths in C_m x C_n x C_ell,
-    lifted from a strongly switchable pair of the base C_m x C_n.
+    lifted from the first pair of the base C_m x C_n, in the order of
+    cosets.iter_pairs, that is strongly switchable in either order.
 
-    Swapping the two coordinates and the labels A and B maps C_n x C_m
-    onto C_m x C_n, so the pair is searched on the base with the shorter
-    first factor and, when m > n, the base pair is mapped to C_m x C_n
-    before the lift: the search finishes there (C_8 x C_10 in 2,470
-    nodes, where C_10 x C_8 is inconclusive at 10^7), and a base and its
-    transpose share one cached search.  The map is a group isomorphism
-    that carries arcs to arcs, so the mapped pair is strongly switchable
-    too; lift_through_cycle checks it, and checks the lifted pair once.
-
-    Raises oracle.BudgetExhausted when the base search is inconclusive,
-    and RuntimeError when it proves that the base has no such pair.
+    iter_pairs yields one pair of every translation class, and the
+    condition is invariant under translating both paths, so when no pair
+    is found the base has no strongly switchable pair: the build raises
+    RuntimeError, a proof and not an inconclusive search.
+    lift_through_cycle checks the lifted pair once.
     """
     if min(m, n, ell) < 2:
         raise InputError(f"need m, n, ell >= 2, got {(m, n, ell)}")
-    lo, hi = sorted((m, n))
-    switchable = _base_analysis(lo, hi, node_budget)
-    if switchable.status is oracle.Status.INCONCLUSIVE:
-        raise oracle.BudgetExhausted(
-            f"strongly switchable pair search in C_{lo} x C_{hi} "
-            f"exhausted its budget of {node_budget} nodes"
-        )
-    if not switchable.found:
-        raise RuntimeError(
-            f"C_{lo} x C_{hi} has no strongly switchable pair to lift "
-            f"to C_{m} x C_{n} x C_{ell}"
-        )
-    p, q = switchable.pair
-    if m > n:
-        d = product_digraph((m, n))
-        p, q = (LabeledWalk(d, w.start[::-1], w.labels.translate(_SWAP_AB)) for w in (p, q))
-    return lift_through_cycle(p.digraph, p, q, ell)
+    base = product_digraph((m, n))
+    for pair in cosets.iter_pairs(base):  # each pair checked there
+        for p, q in (pair, pair[::-1]):
+            if _switchability(p, q)[0]:
+                return lift_through_cycle(base, p, q, ell)
+    raise RuntimeError(
+        f"C_{m} x C_{n} has no strongly switchable pair to lift to C_{m} x C_{n} x C_{ell}"
+    )

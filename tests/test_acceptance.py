@@ -11,7 +11,8 @@ import time
 from math import gcd
 
 from hampair.cli import main
-from hampair.core import CayleyDigraph, FiniteAbelianGroup, InputError
+from hampair.core import CayleyDigraph, FiniteAbelianGroup, InputError, pair_failure
+from hampair.cosets import find_pair
 from hampair.family_one import cut_set_values, realize_disjoint_pair, valid_a_values
 from hampair.family_two import QuotientFiberConfig, build_family_two, skew_cover
 from hampair.lattice import (
@@ -51,6 +52,16 @@ def test_01_reference_table(capsys):
         _report("reference-table", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
+def _reflected_distance(Z, N: int) -> int:
+    """min |u + v - N| over u, v in Z, exactly: 0 if N - u is in Z for
+    some u, else 1 if N - u +- 1 is, else the pairwise minimum."""
+    members = set(Z)
+    for excess in (0, 1):
+        if any(N - u + s in members for u in Z for s in {excess, -excess}):
+            return excess
+    return min(abs(u + v - N) for u in Z for v in Z)
+
+
 def test_02_parity_sharp():
     bad = []
     t0 = time.perf_counter()
@@ -58,8 +69,7 @@ def test_02_parity_sharp():
         N = k - 1
         expected = 0 if k % 2 else 1
         for a in valid_a_values(k):
-            Z = cut_set_values(k, a)
-            delta = min(abs(int(u) + int(v) - N) for u in Z for v in Z)
+            delta = _reflected_distance(cut_set_values(k, a), N)
             if delta != expected:
                 bad.append((k, a, delta))
     _report(
@@ -186,7 +196,7 @@ def test_10_three_factor_products():
     bad = []
     for m, n, ell in itertools.product((2, 3, 4, 5), (2, 3, 4, 5), range(2, 7)):
         try:
-            build_three_factor(m, n, ell, node_budget=10**7)
+            build_three_factor(m, n, ell)
         except Exception as exc:
             bad.append((m, n, ell, exc))
         if m * n * ell <= 24:
@@ -223,10 +233,30 @@ def test_11_theorem_main_smoke():
                 except InputError:
                     continue  # pair does not generate the group
                 digraphs += 1
-                if not find_arc_disjoint_pair(d).found:
+                if pair_failure(d, *find_pair(d)) or not find_arc_disjoint_pair(d).found:
                     bad.append((orders, a, b))
     _report(
         "theorem-main order<=16",
         digraphs > 0 and not bad,
         f"{digraphs} digraphs, {len(bad)} failures",
+    )
+
+
+def test_12_every_product_base_to_40():
+    # Every base C_m x C_n with 2 <= m <= n <= 40 has a strongly
+    # switchable pair in the coset enumeration; each is lifted to l = 3
+    # and checked.  About 5 s on one core of a 2-core Xeon.
+    t0 = time.perf_counter()
+    bad = []
+    bases = [(m, n) for m in range(2, 41) for n in range(m, 41)]
+    for m, n in bases:
+        try:
+            build_three_factor(m, n, 3)
+        except Exception as exc:
+            bad.append((m, n, exc))
+    elapsed = time.perf_counter() - t0
+    _report(
+        "product bases m<=n<=40",
+        not bad and elapsed < 120,
+        f"{len(bases)} bases, {elapsed:.1f}s, {len(bad)} failures",
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hampair
-from hampair import cli, core, family_one, family_two, oracle, products, witness
+from hampair import cli, core, cosets, family_one, family_two, products, witness
 from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from hampair.core import LabeledWalk, cayley
 from hampair.witness import witness_from_json
@@ -157,34 +157,48 @@ def test_build_search_witness(capsys):
 
 
 def test_build_search_deep(capsys):
-    # A 1,200-vertex search: deeper than Python's recursion limit.
+    # A 1,200-vertex digraph, built from its cosets.
     code, out, _ = run(capsys, "build", "search", "1200", "1", "2")
     assert code == EXIT_OK
     assert witness_from_json(out).verify() == (True, "ok")
 
 
-def test_build_search_budget_exhausted(capsys):
-    code, _, err = run(
-        capsys, "build", "search", "12", "1", "5", "--budget", "3"
-    )
-    assert code == EXIT_INCONCLUSIVE
-    assert "inconclusive" in err
+@pytest.mark.parametrize(
+    "argv",
+    [("100000", "1", "4"), ("52", "1", "39"), ("2,24", "0,1", "1,14"), ("2,2", "1,0", "0,1")],
+    ids=["Z_100000", "Z_52", "Z_2xZ_24", "n=2"],
+)
+def test_build_search_formerly_inconclusive(capsys, argv):
+    # The DFS oracle ran out of its 10^7 nodes on Z_100000 (exit 3 after
+    # 8.4 s), and Z_52 and Z_2 x Z_24 were the first classes it left
+    # inconclusive at 10^5 nodes.  Z_2 x Z_2 with (1,0), (0,1) has
+    # delta = (1, 1) of order n = 2, where every cut value is degenerate.
+    code, out, _ = run(capsys, "build", "search", *argv)
+    assert code == EXIT_OK
+    assert witness_from_json(out).verify() == (True, "ok")
 
 
-def test_build_product_budget_exhausted(capsys):
-    code, out, err = run(capsys, "build", "product", "2", "3", "4", "--budget", "3")
-    assert code == EXIT_INCONCLUSIVE
-    assert out == "" and "inconclusive" in err
+@pytest.mark.parametrize("order", ["10000001", "1000000000"])
+def test_build_search_refuses_oversized_order_at_once(capsys, order):
+    # Above 10^7 vertices, the bound the oracle's default node budget set,
+    # the search builds nothing and is inconclusive in one line.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "build", "search", order, "1", "2")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out, err) == (EXIT_INCONCLUSIVE, "", "inconclusive: out of memory\n")
 
 
 @pytest.mark.parametrize(
-    "m, n", [(5, 11), (4, 12), (10, 8), (11, 8), (11, 9), (12, 8), (12, 9), (12, 10)]
+    "m, n",
+    [(5, 11), (4, 12), (10, 8), (11, 8), (11, 9), (12, 8), (12, 9), (12, 10), (5, 22), (6, 16),
+     (38, 40)],
 )
 def test_build_product_on_formerly_stuck_base(capsys, m, n):
-    # The unpruned base search in C_m x C_n ran out of its 10^7 nodes
-    # (exit 3 after 11-13 s); dead-end pruning finishes it.  The pruned
-    # search still ran out in C_10 x C_8 and the other bases with m > n
-    # here, which are now built on their transposes.
+    # The unpruned DFS base search in C_m x C_n ran out of its 10^7
+    # nodes (exit 3 after 11-13 s).  The pruned one still ran out in
+    # C_10 x C_8 and the other bases with m > n here, and in C_5 x C_22
+    # and C_6 x C_16 (exit 3 after 7-8 s).  The coset enumeration builds
+    # every base.
     code, out, _ = run(capsys, "build", "product", str(m), str(n), "3")
     assert code == EXIT_OK
     wf = witness_from_json(out)
@@ -192,25 +206,25 @@ def test_build_product_on_formerly_stuck_base(capsys, m, n):
     assert wf.verify() == (True, "ok")
 
 
-def test_build_product_absent_base_fails(capsys, monkeypatch):
-    absent = products.oracle.PairOutcome(products.oracle.Status.ABSENT)
-    monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
-    products._base_analysis.cache_clear()
-    try:
-        code, out, err = run(capsys, "build", "product", "2", "3", "3")
-    finally:
-        products._base_analysis.cache_clear()
+def test_build_product_absent_base_fails(capsys, monkeypatch, tmp_path):
+    # A base whose coset enumeration holds no strongly switchable pair
+    # has none, so the build fails, and writes nothing.
+    monkeypatch.setattr(cosets, "iter_pairs", lambda d: iter(()))
+    target = tmp_path / "w.json"
+    code, out, err = run(capsys, "build", "product", "2", "3", "3", "--out", str(target))
     assert code == EXIT_FAIL
-    assert out == "" and err.startswith("builder failed: ")
+    assert out == "" and err == (
+        "builder failed: C_2 x C_3 has no strongly switchable pair to lift to C_2 x C_3 x C_3\n"
+    )
+    assert not target.exists()
 
 
 def test_build_search_rejects_overlapping_pair(capsys, monkeypatch, tmp_path):
-    # The oracle's pair is checked once, by the builder, before anything
+    # The coset pair is checked once, by the builder, before anything
     # is written.
     d = cayley([3], 1, 2)
-    p = LabeledWalk(d, (0,), "AA")
-    found = oracle.PairOutcome(oracle.Status.FOUND, (p, p), 1)
-    monkeypatch.setattr(oracle, "find_arc_disjoint_pair", lambda d, budget: found)
+    p = LabeledWalk(d, (1,), "AA")
+    monkeypatch.setattr(cosets, "_structured_pairs", lambda split: iter([(p, p)]))
     target = tmp_path / "w.json"
     code, out, err = run(capsys, "build", "search", "3", "1", "2", "--out", str(target))
     assert code == EXIT_FAIL
@@ -235,7 +249,7 @@ def test_each_witness_is_checked_once(capsys, monkeypatch, tmp_path, argv):
         checked.append(d)
         return core.pair_failure(d, p, q)
 
-    for module in (cli, family_one, family_two, products, witness):
+    for module in (cli, cosets, family_one, family_two, products, witness):
         if getattr(module, "pair_failure", None) is core.pair_failure:
             monkeypatch.setattr(module, "pair_failure", counting)
     target = tmp_path / "w.json"
@@ -413,15 +427,15 @@ def test_build_help_names_parameters(capsys, family, names):
     assert usage.split()[-len(names):] == names
 
 
-# Each subcommand's options: the ones its code reads, 13 in all.
+# Each subcommand's options: the ones its code reads, 11 in all.
 OPTIONS = {
     "cuts": {"--format", "--out"},
     "rays": {"--format", "--out"},
     "scan": {"--format", "--out", "--jobs"},
     "build one": {"--out"},
     "build two": {"--out"},
-    "build product": {"--out", "--budget"},
-    "build search": {"--out", "--budget"},
+    "build product": {"--out"},
+    "build search": {"--out"},
     "verify": set(),
 }
 
@@ -484,12 +498,11 @@ def test_out_of_memory_is_inconclusive(argv):
     [
         (core.InputError("bad"), EXIT_USAGE, "error: bad"),
         (witness.MalformedWitness("bad"), EXIT_USAGE, "malformed witness file: bad"),
-        (oracle.BudgetExhausted("bad"), EXIT_INCONCLUSIVE, "search inconclusive: bad"),
         (RuntimeError("bad"), EXIT_FAIL, "builder failed: bad"),
         (MemoryError("bad"), EXIT_INCONCLUSIVE, "inconclusive: out of memory"),
         (OverflowError("bad"), EXIT_INCONCLUSIVE, "inconclusive: out of memory"),
     ],
-    ids=["InputError", "MalformedWitness", "BudgetExhausted", "RuntimeError", "MemoryError",
+    ids=["InputError", "MalformedWitness", "RuntimeError", "MemoryError",
          "OverflowError"],
 )
 def test_failure_table(capsys, monkeypatch, failure, code, line):

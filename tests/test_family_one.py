@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hampair.cli import main
 from hampair.core import InputError, arc_disjoint, cayley, verify_hamiltonian
 from hampair.family_one import (
     count_pair,
@@ -165,3 +168,21 @@ def test_cut_profile_keeps_its_ray_system():
     assert list(p.Z) == p.ray_system.cut_values()
     assert p.ray_system.params.k == 10
     assert "ray_system" not in repr(p)
+
+
+# SHA-256 of the stdout of `hampair build one k a`, concatenated over
+# every k = 3..30 with every valid a, in order, then over k = 402 and
+# k = 1000 with a few a each: a change to either path of any of these
+# witnesses shows here.
+BUILD_ONE_SHA256 = "84e17b6e28fd0a709f1276776b92484020a8d71ac72cfa5ed898594fc7c67bbc"
+BUILD_ONE_LARGE = ((402, (1, 2, 133, 200, 201, 400)), (1000, (1, 3, 499, 500, 777, 998)))
+
+
+def test_build_one_witnesses_unchanged(capsys):
+    cells = [(k, a) for k in range(3, 31) for a in valid_a_values(k)]
+    cells += [(k, a) for k, some in BUILD_ONE_LARGE for a in some]
+    digest = hashlib.sha256()
+    for k, a in cells:
+        assert main(["build", "one", str(k), str(a)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BUILD_ONE_SHA256

@@ -100,6 +100,14 @@ def test_pair_z3():
     assert out.found
 
 
+def test_pair_search_deeper_than_the_recursion_limit():
+    # 1,200 vertices: the DFS holds its path in arrays indexed by depth.
+    d = cayley([1200], 1, 2)
+    out = find_arc_disjoint_pair(d)
+    assert out.found
+    assert verify_hamiltonian(d, out.pair[0]).ok and arc_disjoint(*out.pair)
+
+
 def test_oracle_cut_set_reference_rows():
     assert oracle_cut_set(5, 2) == {0, 4}
     assert oracle_cut_set(10, 4) == {1, 3, 5}

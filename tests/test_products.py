@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from hampair import products
+from hampair import cosets, products
 from hampair.cli import main
 from hampair.core import (
     FiniteAbelianGroup,
@@ -11,7 +11,7 @@ from hampair.core import (
     arc_disjoint,
     verify_hamiltonian,
 )
-from hampair.oracle import BudgetExhausted, find_arc_disjoint_pair
+from hampair.oracle import find_arc_disjoint_pair
 from hampair.products import (
     SwitchabilityData,
     build_three_factor,
@@ -111,8 +111,7 @@ def test_lift_plan_differences():
 def test_lifted_layers_start_where_the_plan_puts_them(m, n, ell):
     # The lift is built from labels alone; each layer must still start at
     # the translate that lift_plan computes, one level up per layer.  The
-    # base pair is read off the first layer of each lifted path, so the
-    # m > n case covers the pair mapped from C_n x C_m.
+    # base pair is read off the first layer of each lifted path.
     w1, w2 = build_three_factor(m, n, ell)
     d = product_digraph((m, n))
     size = m * n
@@ -169,39 +168,39 @@ def test_build_three_factor_rejects_degenerate():
         build_three_factor(1, 2, 2)
 
 
-@pytest.fixture
-def fresh_base_cache():
-    products._base_analysis.cache_clear()
-    yield
-    products._base_analysis.cache_clear()
+def test_product_build_runs_no_cycle_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a product build ran a DFS search")
 
-
-def test_product_build_runs_no_cycle_search(fresh_base_cache, monkeypatch):
-    def no_cycle_search(*args):
-        raise AssertionError("a product build ran a Hamiltonian cycle search")
-
-    monkeypatch.setattr(products.oracle, "find_hamiltonian_cycle", no_cycle_search)
+    for name in ("find_hamiltonian_cycle", "find_arc_disjoint_pair", "iter_arc_disjoint_pairs"):
+        monkeypatch.setattr(products.oracle, name, no_search)
+    monkeypatch.setattr(products, "find_strongly_switchable_pair", no_search)
     w1, w2 = build_three_factor(2, 3, 3)
     assert verify_hamiltonian(w1.digraph, w1).ok and arc_disjoint(w1, w2)
 
 
-def test_base_search_outcomes_raise_distinct_errors(fresh_base_cache, monkeypatch):
-    # A proof that the base has no strongly switchable pair fails the build.
-    absent = products.oracle.PairOutcome(products.oracle.Status.ABSENT)
-    monkeypatch.setattr(products, "find_strongly_switchable_pair", lambda d, budget: absent)
+def test_base_search_outcomes_raise_distinct_errors(monkeypatch):
+    # The coset enumeration holds a pair of every translation class, so
+    # when none of its pairs is strongly switchable the base has none,
+    # and the build fails.
+    monkeypatch.setattr(cosets, "iter_pairs", lambda d: iter(()))
     with pytest.raises(RuntimeError) as exc:
         build_three_factor(2, 3, 3)
     assert str(exc.value) == (
         "C_2 x C_3 has no strongly switchable pair to lift to C_2 x C_3 x C_3"
     )
-    monkeypatch.undo()
-    products._base_analysis.cache_clear()
-    # A search that runs out of budget is inconclusive, not a failure.
-    with pytest.raises(BudgetExhausted) as exc:
-        build_three_factor(2, 3, 4, 3)
-    assert str(exc.value) == (
-        "strongly switchable pair search in C_2 x C_3 exhausted its budget of 3 nodes"
-    )
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 6), (6, 4)])
+def test_base_pair_agrees_with_the_oracle_reference(m, n):
+    # The base pair, read off the first layer of each lifted path, is
+    # strongly switchable, and the oracle's search agrees that the base
+    # has such a pair.
+    w1, w2 = build_three_factor(m, n, 2)
+    base = product_digraph((m, n))
+    p, q = (LabeledWalk(base, w.start[:2], w.labels[: m * n - 1]) for w in (w1, w2))
+    assert is_strongly_switchable(base, p, q)[0]
+    assert find_strongly_switchable_pair(base).found
 
 
 def test_three_factor_agrees_with_oracle_small():
@@ -215,7 +214,7 @@ def test_three_factor_agrees_with_oracle_small():
 # SHA-256 of the stdout of `hampair build product m n l`, concatenated
 # over m = 2..7, n = 2..7 and l = 2, 3 in that order: a change to either
 # path of any of these witnesses, those with m > n included, shows here.
-PRODUCT_SHA256 = "41fb3526bbca9f8211a80631e84ff6b05cf3ad6d00d856c63d03be58be938780"
+PRODUCT_SHA256 = "cbc0fcf455f32b653d7ecd1aeaa449328e5ca2faaf2847bab4257fb6c972c3f5"
 
 
 def test_build_product_witnesses_unchanged(capsys):
