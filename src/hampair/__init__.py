@@ -9,7 +9,6 @@ from .core import (
     FiniteAbelianGroup,
     InputError,
     LabeledWalk,
-    VerificationReport,
     arc_disjoint,
     cayley,
     verify_hamiltonian,
@@ -42,7 +41,6 @@ __all__ = [
     "LabeledWalk",
     "QuotientFiberConfig",
     "Status",
-    "VerificationReport",
     "arc_disjoint",
     "build_family_two",
     "build_three_factor",

@@ -2,16 +2,16 @@
 witness construction, and witness verification.
 
 Data goes to stdout (or --out); progress and diagnostics go to stderr.
-`build` writes a witness only after its builder's one core.pair_failure
-check has passed, and `verify` runs that same check on a witness file,
-which must be UTF-8 JSON with integer coordinates.
+`build` writes a witness only after its builder's one core.check_pair
+has passed, and `verify` runs that same check, core.pair_failure, on a
+witness file, which must be UTF-8 JSON with integer coordinates.
 `build search` and the base pair of `build product` come from the coset
 construction (hampair.cosets); no command runs the DFS oracle.
 Each subcommand takes only the options it reads, and each option is set
 by its flag alone.  Exit codes: 0 success, 1 check or verification
-failure, 2 usage, malformed input or an --out that cannot be written,
-3 inconclusive (memory ran out, a size is past the address space, or
-`build search` was given more than SEARCH_MAX_ORDER vertices).  A
+failure, 2 usage, malformed input (a `build search` of more than
+SEARCH_MAX_ORDER vertices included) or an --out that cannot be written,
+3 inconclusive (memory ran out, or a size is past the address space).  A
 failure that a command raises is reported by `main` alone, from one
 table that gives each failure class its exit code and the prefix of its
 one stderr line.
@@ -36,16 +36,15 @@ EXIT_INCONCLUSIVE = 3
 
 FORMATS = ("table", "json", "csv")
 
-# `build search` refuses a digraph of more vertices than this before it
-# builds anything, as if memory had run out: at about 150 B a vertex its
+# `build search` refuses a digraph of more vertices than this as input
+# out of range, before it builds anything: at about 150 B a vertex its
 # tables and walks would take gigabytes.
 SEARCH_MAX_ORDER = 10**7
 
 # What main reports for each failure a command raises, matched in order:
 # the exit code and the one stderr line, which "{}" fills with the
-# failure's text.  Memory that runs out, a size past the address space
-# (an OverflowError), which would run it out, and a `build search` past
-# SEARCH_MAX_ORDER are inconclusive.
+# failure's text.  Memory that runs out and a size past the address space
+# (an OverflowError), which would run it out, are inconclusive.
 _FAILURES = (
     (InputError, EXIT_USAGE, "error: {}"),
     (MalformedWitness, EXIT_USAGE, "malformed witness file: {}"),
@@ -249,13 +248,15 @@ def _build_product(args):
 def _build_search(args):
     digraph = cayley(args.orders, args.gen_a, args.gen_b)
     if digraph.group.size > SEARCH_MAX_ORDER:
-        raise MemoryError
+        raise InputError(
+            f"build search takes at most {SEARCH_MAX_ORDER} vertices, got {digraph.group.size}"
+        )
     pair = cosets.find_pair(digraph)
     return {f"order_{i}": o for i, o in enumerate(args.orders)}, pair
 
 
 def cmd_build(args) -> int:
-    # Every builder returns only a pair that its own core.pair_failure
+    # Every builder returns only a pair that its own core.check_pair
     # call accepted, so the pair is checked once, there, and not here.
     params, pair = args.build(args)
     wf = WitnessFile(args.family, params, pair[0].digraph, pair[0], pair[1])
@@ -271,8 +272,8 @@ def cmd_verify(args) -> int:
         raise InputError(f"cannot read {args.file}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise MalformedWitness(f"not UTF-8 text: {exc}") from None
-    ok, reason = witness_from_json(text).verify()
-    if not ok:
+    reason = witness_from_json(text).verify()
+    if reason:
         print(f"verification failed: {reason}", file=sys.stderr)
         return EXIT_FAIL
     print("ok", file=sys.stderr)

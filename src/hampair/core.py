@@ -15,6 +15,11 @@ and `arc_disjoint` run on these integers only; `verify_hamiltonian`
 checks a walk's length before any table is built, so a walk whose size
 does not match its group costs nothing in the group's order.
 
+A check returns the reason it failed, or None when it passes:
+`verify_hamiltonian` for one walk, `pair_failure` for a pair.  The
+builders call `check_pair`, which turns a failed pair check into a
+RuntimeError.
+
 Two walks share an arc iff some tail carries the same label in both.
 `arc_disjoint` therefore keeps one set per label: the first walk's
 tails that carry it, picked out by a byte mask over the encoded labels,
@@ -307,21 +312,10 @@ class LabeledWalk:
         return self.labels.count("B")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    reason: str | None = None
+def verify_hamiltonian(d: CayleyDigraph, w: LabeledWalk, mode: str = "path") -> str | None:
+    """Why w is not a Hamiltonian path or cycle of d, or None if it is.
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_hamiltonian(
-    d: CayleyDigraph, w: LabeledWalk, mode: str = "path"
-) -> VerificationReport:
-    """Check that w is a Hamiltonian path or cycle of d.
-
-    Failures are reported, not raised; only malformed inputs raise.
+    Failures are returned, not raised; only malformed inputs raise.
     """
     if mode not in ("path", "cycle"):
         raise InputError(f"mode must be 'path' or 'cycle', got {mode!r}")
@@ -330,35 +324,40 @@ def verify_hamiltonian(
     n = d.group.size
     want = n - 1 if mode == "path" else n
     if len(w.labels) != want:
-        return VerificationReport(
-            False, f"wrong length: {len(w.labels)} labels, expected {want}"
-        )
+        return f"wrong length: {len(w.labels)} labels, expected {want}"
     vs = w.index_list
     head = vs[:n]
     if len(set(head)) != n:
         seen: set[int] = set()
         for v in head:
             if v in seen:
-                return VerificationReport(False, f"repeated vertex {d.group.decode(v)}")
+                return f"repeated vertex {d.group.decode(v)}"
             seen.add(v)
     if mode == "cycle" and vs[-1] != vs[0]:
         end, start = d.group.decode(vs[-1]), d.group.decode(vs[0])
-        return VerificationReport(
-            False, f"cycle does not close: ends at {end}, started at {start}"
-        )
-    return VerificationReport(True)
+        return f"cycle does not close: ends at {end}, started at {start}"
+    return None
 
 
 def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:
     """Why (p, q) is not a pair of arc-disjoint Hamiltonian paths of d,
     or None if it is.  Paths are checked first, in order."""
     for name, w in (("path1", p), ("path2", q)):
-        rep = verify_hamiltonian(d, w)
-        if not rep.ok:
-            return f"{name}: {rep.reason}"
+        reason = verify_hamiltonian(d, w)
+        if reason:
+            return f"{name}: {reason}"
     if not arc_disjoint(p, q):
         return "arc overlap between path1 and path2"
     return None
+
+
+def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> None:
+    """Raise RuntimeError, "<what> failed verification: <reason>", if
+    pair_failure rejects (p, q): a builder whose pair fails its check
+    has a bug, not bad input."""
+    reason = pair_failure(d, p, q)
+    if reason:
+        raise RuntimeError(f"{what} failed verification: {reason}")
 
 
 def arc_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:

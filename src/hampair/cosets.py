@@ -70,8 +70,8 @@ cut-reflection theorem guarantees a pair (j_P, j_Q) of Z(k, a) with
 j_P + j_Q in {k - 2, k - 1, k}.
 
 Every path P built here starts at a, as family one's cut path does:
-its end is -j_P*delta.  Every pair is checked once, by
-core.pair_failure, before it is yielded.
+its end is -j_P*delta.  Every pair is checked once, by core.check_pair,
+before it is yielded.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from . import lattice
-from .core import CayleyDigraph, InputError, LabeledWalk, Vertex, pair_failure
+from .core import CayleyDigraph, InputError, LabeledWalk, Vertex, check_pair
 
 _SWAP = str.maketrans("AB", "BA")
 
@@ -207,16 +207,11 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
             cuts[r] = hamiltonian_cuts(n, r)
         return cuts[r]
 
-    # Both ends in one coset.  Which counts c admit a pair depends on
-    # c mod n alone, so a first n counts without one prove there is none.
-    found = False
+    # Both ends in one coset.
     for c in range(m):
-        if c == n and not found:
-            break
         zp, zq = Z(c - sigma), Z(m - 1 - c - sigma)
         if next(count_pairs(n, zp, zq), None) is None:
             continue
-        found = True
         for bs in combinations(range(m - 1), c):
             sp = _pattern(m - 1, bs)
             sq = sp.translate(_SWAP)
@@ -248,7 +243,7 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
 def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     """Every ordered pair (P, Q) of arc-disjoint Hamiltonian paths of the
     two-generated digraph d whose P starts at a, each checked by
-    core.pair_failure: by the pair rule, one pair of each orbit under
+    core.check_pair: by the pair rule, one pair of each orbit under
     translation.  Both ends in one coset come first, by the number c of
     P's B-cosets, the B-cosets in combinations order, count_pairs'
     order and the offset of Q's end; then ends in two cosets.
@@ -257,9 +252,7 @@ def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     the pair rule.
     """
     for p, q in _structured_pairs(coset_split(d)):
-        reason = pair_failure(d, p, q)
-        if reason:
-            raise RuntimeError(f"coset pair for {_name(d)} failed verification: {reason}")
+        check_pair(d, p, q, f"coset pair for {_name(d)}")
         yield p, q
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
-from .core import CayleyDigraph, InputError, LabeledWalk, cayley, pair_failure
+from .core import CayleyDigraph, InputError, LabeledWalk, cayley, check_pair
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def build_family_two(a: int, L: int) -> tuple[LabeledWalk, LabeledWalk]:
     other complement cycle from -a: still Q from position 1, since
     t(-a) = 1.  Path one omits that arc, and every other arc of path
     two is a complement arc, which no canonical arc equals.  The pair
-    is checked by core.pair_failure before it is returned.
+    is checked by core.check_pair before it is returned.
     """
     cfg = QuotientFiberConfig(a, L)
     d = cfg.digraph()
@@ -149,7 +149,5 @@ def build_family_two(a: int, L: int) -> tuple[LabeledWalk, LabeledWalk]:
         labels2 = labels2[:i] + "A" + labels2[i + 1 :]
     path1 = LabeledWalk(d, (cfg.gen_a,), labels1)
     path2 = LabeledWalk(d, (cfg.gen_b,), labels2)
-    reason = pair_failure(d, path1, path2)
-    if reason:
-        raise RuntimeError(f"family-two pair for {(a, L)} failed verification: {reason}")
+    check_pair(d, path1, path2, f"family-two pair for {(a, L)}")
     return path1, path2

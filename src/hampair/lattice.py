@@ -268,26 +268,18 @@ def reflected_gap_graph(Z: list[int] | tuple[int, ...], N: int) -> ReflectedGapG
     return ReflectedGapGraph(N, delta, tuple(zs), edges(N - delta), edges(N + delta))
 
 
-@dataclass(frozen=True)
-class Cap2Check:
-    side: str  # "L" or "R"
-    ray: Ray
-    alpha: int
-    mass: int
-    required: int
-    ok: bool
-
-
-def cap2_bound_report(rs: RaySystem) -> list[Cap2Check]:
-    """Boundary-cap mass bounds for an endpoint cap of multiplicity two.
+def cap2_violations(rs: RaySystem) -> list[tuple[str, Ray, int, int]]:
+    """(side, ray, mass, required) for each boundary-cap mass bound
+    that fails, for an endpoint cap of multiplicity two.
 
     For each internal ray of multiplicity alpha on the side of a cap of
     multiplicity 2, the mass between the cap and the ray must be at
     least alpha - 2, strengthened to alpha - 1 when N = 4*alpha - 2.
-    Empty unless one of the caps equals 2.
+    Side "L" is the first ray's cap and "R" the last's; no bound applies
+    unless one of the caps equals 2.
     """
     N = rs.params.N
-    report: list[Cap2Check] = []
+    out = []
     for side, cap in (("L", 0), ("R", rs.f - 1)):
         if rs.mults[cap] != 2:
             continue
@@ -295,5 +287,6 @@ def cap2_bound_report(rs: RaySystem) -> list[Cap2Check]:
             alpha = rs.mults[r]
             mass = sector_mass(rs, min(cap, r), max(cap, r))
             required = alpha - 1 if N == 4 * alpha - 2 else alpha - 2
-            report.append(Cap2Check(side, rs.rays[r], alpha, mass, required, mass >= required))
-    return report
+            if mass < required:
+                out.append((side, rs.rays[r], mass, required))
+    return out

@@ -241,7 +241,7 @@ def find_hamiltonian_cycle(
             for lab, table in zip(d.labels, d.successor_tables):
                 if table[last] == 0:
                     cyc = LabeledWalk(d, d.group.zero, walk.labels + lab)
-                    assert verify_hamiltonian(d, cyc, "cycle").ok
+                    assert verify_hamiltonian(d, cyc, "cycle") is None
                     yield cyc
 
     return first_outcome(SearchOutcome, node_budget, cycles)

@@ -25,6 +25,7 @@ from .core import (
     LabeledWalk,
     Vertex,
     arc_disjoint,
+    check_pair,
     pair_failure,
 )
 
@@ -130,9 +131,7 @@ def lift_through_cycle(
         return LabeledWalk(lifted, first.start + (0,), unit * ((ell - 1) // 2) + last)
 
     w1, w2 = build(p, q), build(q, p)
-    reason = pair_failure(lifted, w1, w2)
-    if reason:
-        raise RuntimeError(f"lifted pair failed verification: {reason}")
+    check_pair(lifted, w1, w2, "lifted pair")
     return w1, w2
 
 

@@ -84,12 +84,8 @@ def scan_cell(cell: tuple[int, int], oracle_Z: tuple[int, ...]) -> ScanRow:
     for h1, h2 in zip(rs.mults, rs.mults[1:]):
         if h1 >= 2 and h2 >= 2:
             failures.append(f"adjacent-large: consecutive blocks {h1}, {h2}")
-    for check in lattice.cap2_bound_report(rs):
-        if not check.ok:
-            failures.append(
-                f"cap2: side {check.side} ray {check.ray}: "
-                f"mass {check.mass} < {check.required}"
-            )
+    for side, ray, mass, required in lattice.cap2_violations(rs):
+        failures.append(f"cap2: side {side} ray {ray}: mass {mass} < {required}")
 
     return ScanRow(
         k=k,

@@ -2,7 +2,9 @@
 
 A witness file is a single JSON document carrying the digraph and two
 labeled walks.  Field order is fixed so regression tests can compare
-bytes.  Round-tripping and re-verification are part of the contract.
+bytes.  Round-tripping and re-verification are part of the contract:
+`WitnessFile.verify` returns core.pair_failure's reason, None when the
+pair passes.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ class WitnessFile:
         doc["path2"] = walk_to_dict(self.path2)
         return json.dumps(doc, indent=2) + "\n"
 
-    def verify(self) -> tuple[bool, str]:
-        """Re-run the Hamiltonicity and disjointness checks."""
-        reason = pair_failure(self.digraph, self.path1, self.path2)
-        return (False, reason) if reason else (True, "ok")
+    def verify(self) -> str | None:
+        """Why the file's paths are not an arc-disjoint Hamiltonian pair
+        of its digraph, or None if they are: core.pair_failure, re-run."""
+        return pair_failure(self.digraph, self.path1, self.path2)
 
 
 def witness_from_json(text: str) -> WitnessFile:

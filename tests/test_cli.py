@@ -119,7 +119,7 @@ def test_build_one_witness(capsys, tmp_path):
     assert "realization stage" in err
     wf = witness_from_json(target.read_text())
     assert wf.family == "one" and wf.params == {"k": 10, "a": 4}
-    assert wf.verify() == (True, "ok")
+    assert wf.verify() is None
 
 
 @pytest.mark.parametrize("a", ["14", "-6"])
@@ -138,7 +138,7 @@ def test_build_two_witness(capsys):
     wf = witness_from_json(out)
     assert wf.family == "two"
     assert wf.digraph.group.orders == (15,)
-    assert wf.verify() == (True, "ok")
+    assert wf.verify() is None
 
 
 def test_build_product_witness(capsys):
@@ -147,20 +147,20 @@ def test_build_product_witness(capsys):
     wf = witness_from_json(out)
     assert wf.digraph.group.orders == (2, 3, 4)
     assert len(wf.digraph.gens) == 3
-    assert wf.verify() == (True, "ok")
+    assert wf.verify() is None
 
 
 def test_build_search_witness(capsys):
     code, out, _ = run(capsys, "build", "search", "2,3", "1,0", "0,1")
     assert code == EXIT_OK
-    assert witness_from_json(out).verify() == (True, "ok")
+    assert witness_from_json(out).verify() is None
 
 
 def test_build_search_deep(capsys):
     # A 1,200-vertex digraph, built from its cosets.
     code, out, _ = run(capsys, "build", "search", "1200", "1", "2")
     assert code == EXIT_OK
-    assert witness_from_json(out).verify() == (True, "ok")
+    assert witness_from_json(out).verify() is None
 
 
 @pytest.mark.parametrize(
@@ -175,17 +175,19 @@ def test_build_search_formerly_inconclusive(capsys, argv):
     # delta = (1, 1) of order n = 2, where every cut value is degenerate.
     code, out, _ = run(capsys, "build", "search", *argv)
     assert code == EXIT_OK
-    assert witness_from_json(out).verify() == (True, "ok")
+    assert witness_from_json(out).verify() is None
 
 
 @pytest.mark.parametrize("order", ["10000001", "1000000000"])
 def test_build_search_refuses_oversized_order_at_once(capsys, order):
     # Above 10^7 vertices, the bound the oracle's default node budget set,
-    # the search builds nothing and is inconclusive in one line.
+    # the search builds nothing: the order is refused as input, in one line.
     t0 = time.perf_counter()
     code, out, err = run(capsys, "build", "search", order, "1", "2")
     assert time.perf_counter() - t0 < 1
-    assert (code, out, err) == (EXIT_INCONCLUSIVE, "", "inconclusive: out of memory\n")
+    assert (code, out, err) == (
+        EXIT_USAGE, "", f"error: build search takes at most 10000000 vertices, got {order}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -203,7 +205,7 @@ def test_build_product_on_formerly_stuck_base(capsys, m, n):
     assert code == EXIT_OK
     wf = witness_from_json(out)
     assert wf.digraph.group.orders == (m, n, 3)
-    assert wf.verify() == (True, "ok")
+    assert wf.verify() is None
 
 
 def test_build_product_absent_base_fails(capsys, monkeypatch, tmp_path):
@@ -241,16 +243,18 @@ def test_build_search_rejects_overlapping_pair(capsys, monkeypatch, tmp_path):
 )
 def test_each_witness_is_checked_once(capsys, monkeypatch, tmp_path, argv):
     # pair_failure is imported by name, so count the calls at every module
-    # that holds it, and only those on the written pair's digraph (the
-    # product build also checks its base pair).
+    # that holds it, core's own (which check_pair calls) included, and
+    # only those on the written pair's digraph (the product build also
+    # checks its base pair).
     checked = []
+    pair_failure = core.pair_failure
 
     def counting(d, p, q):
         checked.append(d)
-        return core.pair_failure(d, p, q)
+        return pair_failure(d, p, q)
 
-    for module in (cli, cosets, family_one, family_two, products, witness):
-        if getattr(module, "pair_failure", None) is core.pair_failure:
+    for module in (core, cli, cosets, family_one, family_two, products, witness):
+        if getattr(module, "pair_failure", None) is pair_failure:
             monkeypatch.setattr(module, "pair_failure", counting)
     target = tmp_path / "w.json"
     code, _, _ = run(capsys, "build", *argv, "--out", str(target))

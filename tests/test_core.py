@@ -21,6 +21,7 @@ from hampair.core import (
     arc_disjoint,
     arc_ids,
     cayley,
+    check_pair,
     pair_failure,
     verify_hamiltonian,
 )
@@ -88,29 +89,27 @@ def test_verify_hamiltonian_z6_example():
     # and closes to a Hamiltonian cycle with one more A step.
     d = cayley([6], 5, 2)
     path = LabeledWalk(d, (0,), "AAAAA")
-    assert verify_hamiltonian(d, path, "path").ok
+    assert verify_hamiltonian(d, path, "path") is None
     cycle = LabeledWalk(d, (0,), "AAAAAA")
-    assert verify_hamiltonian(d, cycle, "cycle").ok
+    assert verify_hamiltonian(d, cycle, "cycle") is None
 
 
 def test_verify_wrong_length():
     d = cayley([5], 2, 3)
-    rep = verify_hamiltonian(d, LabeledWalk(d, (0,), "AA"), "path")
-    assert not rep.ok
-    assert "length" in rep.reason
+    reason = verify_hamiltonian(d, LabeledWalk(d, (0,), "AA"), "path")
+    assert reason == "wrong length: 2 labels, expected 4"
 
 
 def test_verify_repeated_vertex():
     d = cayley([4], 2, 1)
-    rep = verify_hamiltonian(d, LabeledWalk(d, (0,), "AAA"), "path")
-    assert not rep.ok
-    assert "repeated" in rep.reason
+    reason = verify_hamiltonian(d, LabeledWalk(d, (0,), "AAA"), "path")
+    assert reason == "repeated vertex (0,)"
 
 
 def test_verify_cycle_must_close():
     d = cayley([5], 2, 3)
-    rep = verify_hamiltonian(d, LabeledWalk(d, (0,), "AAAAB"), "cycle")
-    assert not rep.ok
+    reason = verify_hamiltonian(d, LabeledWalk(d, (0,), "AAAAB"), "cycle")
+    assert reason == "cycle does not close: ends at (1,), started at (0,)"
 
 
 def test_arc_disjoint_self_false():
@@ -128,6 +127,11 @@ def test_pair_failure_reasons():
     assert pair_failure(d, short, loop) == "path1: wrong length: 1 labels, expected 2"
     assert pair_failure(d, p, loop) == "path2: repeated vertex (0,)"
     assert pair_failure(d, p, p) == "arc overlap between path1 and path2"
+    # check_pair, the builders' check, raises the same reason.
+    check_pair(d, p, q, "test pair")
+    with pytest.raises(RuntimeError) as err:
+        check_pair(d, p, p, "test pair")
+    assert str(err.value) == "test pair failed verification: arc overlap between path1 and path2"
 
 
 def test_arc_disjoint_same_tail_different_labels():
@@ -161,9 +165,9 @@ def test_translate_identity_and_arcs():
 def test_translation_preserves_verification():
     d = cayley([10], 1, 3)
     w = LabeledWalk(d, (0,), "A" * 9)
-    assert verify_hamiltonian(d, w).ok
+    assert verify_hamiltonian(d, w) is None
     for g in range(10):
-        assert verify_hamiltonian(d, w.translate(g)).ok
+        assert verify_hamiltonian(d, w.translate(g)) is None
 
 
 def test_translation_preserves_arc_disjointness():
@@ -210,7 +214,7 @@ def test_path_arcs_distinct():
     # arcs of a verified path are pairwise distinct (tail, label) pairs
     d = cayley([7], 2, 3)
     w = LabeledWalk(d, (0,), "ABABAB")
-    if verify_hamiltonian(d, w).ok:
+    if verify_hamiltonian(d, w) is None:
         assert len(arc_set(w)) == len(arcs(w))
 
 

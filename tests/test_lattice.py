@@ -13,7 +13,7 @@ from hampair.core import InputError
 from hampair.family_one import cut_set_values, valid_a_values
 from hampair.lattice import (
     RaySystem,
-    cap2_bound_report,
+    cap2_violations,
     endpoint_caps,
     gap_profile,
     lattice_params,
@@ -368,20 +368,34 @@ def test_reflected_gap_graph_nonempty():
 
 
 def test_cap2_report_15_3():
-    report = cap2_bound_report(ray_system(15, 3))
-    assert report  # c_L = 2 here
-    assert all(c.ok for c in report)
+    # c_L = 2 here, so the bounds apply, and each holds.
+    assert endpoint_caps(15, 3)[0] == 2
+    assert cap2_violations(ray_system(15, 3)) == []
 
 
 def test_cap2_report_empty_when_caps_differ():
-    assert cap2_bound_report(ray_system(10, 4)) == []
+    # Neither cap is 2, so no bound applies, even to masses that would
+    # fail one.
+    assert 2 not in endpoint_caps(10, 4)
+    assert cap2_violations(ray_system(10, 4)) == []
+    assert cap2_violations(_fake_rays([1, 5, 0, 4])) == []
+
+
+def test_cap2_violations_report_failing_bounds():
+    # N = 9: a ray of multiplicity 5 right after a left cap of 2 needs a
+    # mass of 3 between them and has 0; the ray of multiplicity 0 needs
+    # nothing.
+    assert cap2_violations(_fake_rays([2, 5, 0, 1])) == [("L", (1, 1), 0, 3)]
+    # N = 14 = 4*4 - 2 strengthens the bound for alpha = 4 to 3, on the
+    # side of the right cap.
+    rs = RaySystem(lattice_params(15, 3), ((1, 0), (1, 1), (1, 2), (1, 3)), (1, 4, 0, 2))
+    assert cap2_violations(rs) == [("R", (1, 1), 0, 3)]
 
 
 def test_cap2_sweep():
     for k in range(3, 60):
         for a in valid_a_values(k):
-            for c in cap2_bound_report(ray_system(k, a)):
-                assert c.ok, (k, a, c)
+            assert cap2_violations(ray_system(k, a)) == [], (k, a)
 
 
 def test_caps_gcd_formula_sweep():

@@ -132,8 +132,8 @@ def test_lift_through_cycle_sound():
         w1, w2 = lift_through_cycle(d, *out.pair, ell)
         lifted = w1.digraph
         assert lifted.group.orders == (2, 3, ell)
-        assert verify_hamiltonian(lifted, w1).ok
-        assert verify_hamiltonian(lifted, w2).ok
+        assert verify_hamiltonian(lifted, w1) is None
+        assert verify_hamiltonian(lifted, w2) is None
         assert arc_disjoint(w1, w2)
 
 
@@ -142,15 +142,13 @@ def test_lift_rejects_bad_ell_and_bad_pair():
     out = find_strongly_switchable_pair(d)
     with pytest.raises(InputError):
         lift_through_cycle(d, *out.pair, 1)
-    # an arc-disjoint pair that violates a clause cannot be lifted
-    pair = next(
-        (p, q)
-        for p, q in [find_arc_disjoint_pair(d).pair]
-    )
-    p, q = pair
-    if not is_strongly_switchable(d, p, q)[0]:
-        with pytest.raises(InputError):
-            lift_through_cycle(d, p, q, 3)
+    # An arc-disjoint pair that violates a clause cannot be lifted: the
+    # first coset pair of C_2 x C_2 ends P where Q's end lands after the
+    # translation by gamma.
+    base = product_digraph((2, 2))
+    p, q = next(cosets.iter_pairs(base))
+    with pytest.raises(InputError, match="not strongly switchable.*translated terminal equality"):
+        lift_through_cycle(base, p, q, 3)
 
 
 def test_build_three_factor_examples():
@@ -158,8 +156,8 @@ def test_build_three_factor_examples():
         w1, w2 = build_three_factor(m, n, ell)
         d = w1.digraph
         assert d.group.orders == (m, n, ell)
-        assert verify_hamiltonian(d, w1).ok
-        assert verify_hamiltonian(d, w2).ok
+        assert verify_hamiltonian(d, w1) is None
+        assert verify_hamiltonian(d, w2) is None
         assert arc_disjoint(w1, w2)
 
 
@@ -176,7 +174,7 @@ def test_product_build_runs_no_cycle_search(monkeypatch):
         monkeypatch.setattr(products.oracle, name, no_search)
     monkeypatch.setattr(products, "find_strongly_switchable_pair", no_search)
     w1, w2 = build_three_factor(2, 3, 3)
-    assert verify_hamiltonian(w1.digraph, w1).ok and arc_disjoint(w1, w2)
+    assert verify_hamiltonian(w1.digraph, w1) is None and arc_disjoint(w1, w2)
 
 
 def test_base_search_outcomes_raise_distinct_errors(monkeypatch):

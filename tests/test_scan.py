@@ -72,6 +72,59 @@ def test_sector_filling_failure_is_reported(monkeypatch):
     assert row.failures == ("sector-filling: M(A_0,A_4)=1 < theta(2, 3)=7",)
 
 
+def test_parity_sharp_failure_is_reported(monkeypatch):
+    cut_set = family_one.cut_set
+    monkeypatch.setattr(
+        family_one, "cut_set", lambda k, a: dataclasses.replace(cut_set(k, a), delta=2)
+    )
+    row = scan_cell((15, 3), (2, 4, 6, 8, 14))
+    assert row.failures == ("parity-sharp: delta=2, expected 0",)
+
+
+def test_adjacent_large_failure_is_reported(monkeypatch):
+    # Blocks 2 and 3 side by side, where (15, 3) has (2, 1, 1, 1, 3, 0).
+    # They fail sector filling too, which is silenced here.
+    cut_set = family_one.cut_set
+
+    def adjacent(k, a):
+        profile = cut_set(k, a)
+        rs = dataclasses.replace(profile.ray_system, mults=(2, 1, 1, 2, 3, 0))
+        return dataclasses.replace(profile, ray_system=rs)
+
+    monkeypatch.setattr(family_one, "cut_set", adjacent)
+    monkeypatch.setattr(lattice, "sector_filling_violations", lambda rs: [])
+    row = scan_cell((15, 3), (2, 4, 6, 8, 14))
+    assert row.failures == ("adjacent-large: consecutive blocks 2, 3",)
+
+
+def test_cap2_failure_is_reported(monkeypatch):
+    monkeypatch.setattr(lattice, "cap2_violations", lambda rs: [("L", (1, 1), 0, 3)])
+    row = scan_cell((15, 3), (2, 4, 6, 8, 14))
+    assert row.failures == ("cap2: side L ray (1, 1): mass 0 < 3",)
+
+
+def test_scan_command_reports_its_first_failure(capsys, monkeypatch):
+    # One failing cell of row 15: its table row is flagged, the summary
+    # counts it, and the command exits 1 with one stderr line naming it.
+    violations = lattice.sector_filling_violations
+
+    def failing(rs):
+        return [(0, 4, 1, 7)] if (rs.params.k, rs.params.a) == (15, 3) else violations(rs)
+
+    monkeypatch.setattr(lattice, "sector_filling_violations", failing)
+    assert main(["scan", "15", "15"]) == 1
+    out, err = capsys.readouterr()
+    assert err == (
+        "FAILED: 1 check failures; first at k=15 a=3: "
+        "sector-filling: M(A_0,A_4)=1 < theta(2, 3)=7\n"
+    )
+    lines = out.splitlines()
+    flagged = [line for line in lines if "FAIL" in line]
+    assert len(flagged) == 1 and flagged[0].split()[:2] == ["15", "3"]
+    assert flagged[0].endswith("  FAIL: sector-filling: M(A_0,A_4)=1 < theta(2, 3)=7")
+    assert lines[-1].startswith("cells=13 failures=1 ")
+
+
 # SHA-256 of the stdout of `hampair scan 3 45 --format csv`: the scan's
 # output must stay byte-identical when its internals change.
 SCAN_3_45_CSV_SHA256 = "8af1086b93fc5ac796a02a9b347d946a1654cab621b2156932fbc693b9a588cc"

@@ -31,23 +31,20 @@ def test_round_trip_bit_exact():
 
 def test_verify_ok():
     wf = _family_two_witness()
-    ok, reason = wf.verify()
-    assert ok and reason == "ok"
+    assert wf.verify() is None
 
 
 def test_verify_catches_broken_path():
     wf = _family_two_witness()
     bad = LabeledWalk(wf.digraph, wf.path1.start, wf.path1.labels[:-1])
     broken = WitnessFile(wf.family, wf.params, wf.digraph, bad, wf.path2)
-    ok, reason = broken.verify()
-    assert not ok and "path1" in reason
+    assert broken.verify() == "path1: wrong length: 7 labels, expected 8"
 
 
 def test_verify_catches_arc_overlap():
     wf = _family_two_witness()
     clash = WitnessFile(wf.family, wf.params, wf.digraph, wf.path1, wf.path1)
-    ok, reason = clash.verify()
-    assert not ok and "overlap" in reason
+    assert clash.verify() == "arc overlap between path1 and path2"
 
 
 def test_three_generator_round_trip():
@@ -57,7 +54,7 @@ def test_three_generator_round_trip():
     assert "gen_c" in json.loads(text)
     again = witness_from_json(text)
     assert again.to_json() == text
-    assert again.verify() == (True, "ok")
+    assert again.verify() is None
 
 
 def test_field_order_is_stable():
@@ -117,15 +114,14 @@ def test_swapped_generators_fail_verification():
     wf = WitnessFile("one", {"k": 10, "a": 4}, d, r.path1, r.path2)
     doc = json.loads(wf.to_json())
     doc["gen_a"], doc["gen_b"] = doc["gen_b"], doc["gen_a"]
-    ok, _ = witness_from_json(json.dumps(doc)).verify()
-    assert not ok
+    assert witness_from_json(json.dumps(doc)).verify() is not None
 
 
 def test_family_one_realization_round_trip():
     r = realize_disjoint_pair(10, 4)
     d = cayley([10], 4, 5)
     wf = WitnessFile("one", {"k": 10, "a": 4}, d, r.path1, r.path2)
-    assert witness_from_json(wf.to_json()).verify() == (True, "ok")
+    assert witness_from_json(wf.to_json()).verify() is None
 
 
 @pytest.mark.parametrize(
