@@ -11,9 +11,8 @@ theta), the reflection distance, and the reflected gap graph diagnostic.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .core import InputError, check_family_one_params
@@ -60,20 +59,20 @@ class RaySystem:
     params: LatticeParams
     rays: tuple[Ray, ...]  # slope-ordered, boundary rays first and last
     mults: tuple[int, ...]
+    # prefix[i] = mults[0] + ... + mults[i-1], for 0 <= i <= f
+    prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cuts: tuple[int, ...] = field(init=False, repr=False, compare=False)  # see cut_values
+
+    def __post_init__(self) -> None:
+        h = self.mults
+        object.__setattr__(self, "prefix", tuple(itertools.accumulate(h, initial=0)))
+        object.__setattr__(
+            self, "_cuts", tuple(itertools.accumulate((2 * x for x in h[1:-1]), initial=h[0]))
+        )
 
     @property
     def f(self) -> int:
         return len(self.rays)
-
-    @functools.cached_property
-    def prefix(self) -> tuple[int, ...]:
-        """prefix[i] = mults[0] + ... + mults[i-1], for 0 <= i <= f."""
-        return tuple(itertools.accumulate(self.mults, initial=0))
-
-    @functools.cached_property
-    def _cuts(self) -> tuple[int, ...]:
-        h = self.mults
-        return tuple(itertools.accumulate((2 * x for x in h[1:-1]), initial=h[0]))
 
     def cut_values(self) -> list[int]:
         """Prefix-sum cut values U_1, ..., U_{f-1}: U_1 = mults[0] and
@@ -81,9 +80,10 @@ class RaySystem:
         return list(self._cuts)
 
 
-def _internal_rays(p: LatticeParams, last: Ray) -> list[Ray]:
+def _internal_rays(p: LatticeParams, last: Ray) -> tuple[list[Ray], list[int]]:
     """Primitive rays strictly between (1, 0) and `last` with L <= N, in
-    slope order, read off an in-order walk of the Stern-Brocot tree.
+    slope order, and their multiplicities N // L, read off an in-order
+    walk of the Stern-Brocot tree.
 
     The node of the subtree between l and r is the mediant l + r, and its
     descendants are the primitive p*l + q*r with p, q >= 1, so an in-order
@@ -107,39 +107,45 @@ def _internal_rays(p: LatticeParams, last: Ray) -> list[Ray]:
     """
     N, m, c = p.N, p.m, p.n - p.e
     lx, ly = last
-    out: list[Ray] = []
-    # (mediant, right end) of each subtree whose left part is being
-    # walked: the mediant is emitted, and its right part walked, next.
-    pending: list[tuple[int, int, int, int]] = []
+    rays: list[Ray] = []
+    mults: list[int] = []
+    # (mediant, its L, right end) of each subtree whose left part is
+    # being walked: the mediant is emitted, and its right part walked, next.
+    pending: list[tuple[int, int, int, int, int]] = []
     ax, ay, bx, by = 1, 0, 0, 1  # the subtree between (ax, ay) and (bx, by)
     while True:
         x, y = ax + bx, ay + by
         if y * lx >= x * ly:
             bx, by = x, y
-        elif m * x + c * y <= N:
-            pending.append((x, y, bx, by))
+            continue
+        L = m * x + c * y
+        if L <= N:
+            pending.append((x, y, L, bx, by))
             bx, by = x, y
         else:
             assert m * bx + c * by >= 0, (p, (x, y))
             if not pending:
-                return out
-            ax, ay, bx, by = pending.pop()
-            out.append((ax, ay))
+                return rays, mults
+            ax, ay, L, bx, by = pending.pop()
+            rays.append((ax, ay))
+            mults.append(N // L)
 
 
 def ray_system(k: int, a: int) -> RaySystem:
     """Slope-ordered primitive rays of the (k, a) triangle with their
     multiplicities H = floor(N / L)."""
     p = lattice_params(k, a)
-    N = p.N
-    first: Ray = (1, 0)
-    last: Ray = _primitive((p.e, p.m)) if p.e != 0 else (0, 1)
-    rays = [first] + _internal_rays(p, last) + [last]
-    m, c = p.m, p.n - p.e  # L(x, y) = m*x + c*y, inlined
-    mults = tuple(N // (m * x + c * y) for x, y in rays)
-    rs = RaySystem(p, tuple(rays), mults)
+    N, m = p.N, p.m
+    last: Ray = _primitive((p.e, m)) if p.e != 0 else (0, 1)
+    rays, mults = _internal_rays(p, last)
+    # the boundary rays (1, 0), with L = m, and last
+    rs = RaySystem(
+        p,
+        ((1, 0), *rays, last),
+        (N // m, *mults, N // p.L(*last)),
+    )
     # endpoint identity of the parametrization
-    assert rs._cuts[-1] + mults[-1] == N, rs
+    assert rs._cuts[-1] + rs.mults[-1] == N, rs
     return rs
 
 

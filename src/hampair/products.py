@@ -120,6 +120,14 @@ def lift_through_cycle(
     ok, _, violations = is_strongly_switchable(d, p, q)
     if not ok:
         raise InputError(f"pair is not strongly switchable: {violations}")
+    return _lift(d, p, q, ell)
+
+
+def _lift(
+    d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, ell: int
+) -> tuple[LabeledWalk, LabeledWalk]:
+    """lift_through_cycle for a pair already checked by pair_failure and
+    found strongly switchable, with ell >= 2."""
     lifted = product_like_extension(d, ell)
     vertical = lifted.labels[-1]
 
@@ -152,8 +160,9 @@ def build_three_factor(m: int, n: int, ell: int) -> tuple[LabeledWalk, LabeledWa
     iter_pairs yields one pair of every translation class, and the
     condition is invariant under translating both paths, so when no pair
     is found the base has no strongly switchable pair: the build raises
-    RuntimeError, a proof and not an inconclusive search.
-    lift_through_cycle checks the lifted pair once.
+    RuntimeError, a proof and not an inconclusive search.  The base pair
+    is checked once, by iter_pairs, and the lifted pair once, by the
+    lift.
     """
     if min(m, n, ell) < 2:
         raise InputError(f"need m, n, ell >= 2, got {(m, n, ell)}")
@@ -161,7 +170,7 @@ def build_three_factor(m: int, n: int, ell: int) -> tuple[LabeledWalk, LabeledWa
     for pair in cosets.iter_pairs(base):  # each pair checked there
         for p, q in (pair, pair[::-1]):
             if _switchability(p, q)[0]:
-                return lift_through_cycle(base, p, q, ell)
+                return _lift(base, p, q, ell)
     raise RuntimeError(
         f"C_{m} x C_{n} has no strongly switchable pair to lift to C_{m} x C_{n} x C_{ell}"
     )

@@ -21,9 +21,9 @@ cell's cut set by the conjugation lemma in oracle_cut_set's docstring.
 The reference is computed from permutations alone, and each cell
 compares its own ray-system cut set with it.  A self-mirrored
 cell (odd k, a = N/2) is a unit of one.  Rows k = 24..87 (3,424 cells)
-take about 0.4 s on one core of a 2-core Xeon (Python 3.11), 0.5-0.6 s
-with one reference pass per cell, and `hampair scan 100 130` about
-0.9 s, 1.1-1.4 s with one pass per cell.
+take about 0.3 s on one core of a 2-core Xeon (Python 3.11), 0.4 s with
+cycle ids in the reference and 0.5-0.6 s with one pass per cell, and
+`hampair scan 100 130` about 0.8 s, 0.9 s and 1.1-1.4 s.
 
 Units are independent, so scans parallelize; results are always
 reported in (k, a) order.
@@ -91,7 +91,7 @@ def scan_cell(cell: tuple[int, int], oracle_Z: tuple[int, ...]) -> ScanRow:
         k=k,
         a=a,
         Z=Z,
-        reflected=tuple(N - z for z in reversed(Z)),
+        reflected=tuple(map(N.__sub__, reversed(Z))),
         delta=profile.delta,
         count_pair=profile.count_pair,
         c_L=caps[0],
@@ -110,7 +110,7 @@ def scan_mirror_pair(unit: tuple[int, int]) -> tuple[ScanRow, ...]:
     oracle_Z = tuple(sorted(oracle.oracle_cut_set(k, a)))
     rows = (scan_cell((k, a), oracle_Z),)
     if a != N - a:
-        rows += (scan_cell((k, N - a), tuple(N - z for z in reversed(oracle_Z))),)
+        rows += (scan_cell((k, N - a), tuple(map(N.__sub__, reversed(oracle_Z)))),)
     return rows
 
 

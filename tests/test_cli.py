@@ -243,9 +243,9 @@ def test_build_search_rejects_overlapping_pair(capsys, monkeypatch, tmp_path):
 )
 def test_each_witness_is_checked_once(capsys, monkeypatch, tmp_path, argv):
     # pair_failure is imported by name, so count the calls at every module
-    # that holds it, core's own (which check_pair calls) included, and
-    # only those on the written pair's digraph (the product build also
-    # checks its base pair).
+    # that holds it, core's own (which check_pair calls) included.  Each
+    # digraph is counted apart: the product build checks its base pair
+    # once too, before the lift.
     checked = []
     pair_failure = core.pair_failure
 
@@ -261,6 +261,10 @@ def test_each_witness_is_checked_once(capsys, monkeypatch, tmp_path, argv):
     assert code == EXIT_OK
     digraph = witness_from_json(target.read_text()).digraph
     assert checked.count(digraph) == 1
+    if argv[0] == "product":
+        base = products.product_digraph(tuple(map(int, argv[1:3])))
+        assert checked.count(base) == 1
+        assert len(checked) == 2
     checked.clear()
     code, _, _ = run(capsys, "verify", str(target))
     assert code == EXIT_OK

@@ -22,6 +22,7 @@ from hampair.oracle import (
     find_hamiltonian_path,
     oracle_cut_set,
 )
+from hampair.family_one import cut_permutation
 from hampair.lattice import ray_system
 from hampair.products import find_strongly_switchable_pair, product_digraph
 
@@ -161,6 +162,20 @@ def test_oracle_cut_set_matches_direct_simulation():
             assert oracle_cut_set(k, a) == _direct_cut_set(k, a), (k, a)
 
 
+def _first_closed_cycle(k, a):
+    """The first d + 1 at which the cycle of the cut permutation at d + 1
+    through d lies inside [0, d], and k - 1 if there is none: where the
+    pass must stop."""
+    for d in range(k - 1):
+        phi = cut_permutation(k, a, d + 1)
+        x = phi[d]
+        while x < d:
+            x = phi[x]
+        if x == d:
+            return d + 1
+    return k - 1
+
+
 def test_oracle_cut_set_stops_early():
     # (6, 2): phi_4 has the cycle (0 3) inside [0, 3].  (8, 3): phi_5 has
     # the cycle (0 4) inside [0, 4].  No later transposition moves it, so
@@ -170,6 +185,10 @@ def test_oracle_cut_set_stops_early():
         assert steps < k - 1, (k, a)
         assert cuts == _direct_cut_set(k, a), (k, a)
     assert oracle._cut_set_steps(5, 2)[1] == 4  # runs to the end
+    # On every cell, the pass stops exactly at the first closed cycle.
+    for k in range(3, 61):
+        for a in range(1, k - 1):
+            assert oracle._cut_set_steps(k, a)[1] == _first_closed_cycle(k, a), (k, a)
 
 
 def test_oracle_cut_set_never_uses_the_lattice(monkeypatch):
