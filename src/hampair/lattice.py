@@ -3,7 +3,7 @@
 The cut values of Cay(Z_k; a, a+1) are prefix sums of multiplicities of
 slope-ordered primitive rays in a triangle attached to (k, a).  This
 module computes that ray system exactly (integer arithmetic only, the
-rays in slope order from a pruned Stern-Brocot walk), the
+rays in slope order by the Farey next-term rule, O(1) per ray), the
 derived gap profile with its endpoint caps, the sector-filling counts
 (O(1) per pair from the ray system's prefix sums and a closed form for
 theta), the reflection distance, and the reflected gap graph diagnostic.
@@ -82,53 +82,47 @@ class RaySystem:
 
 def _internal_rays(p: LatticeParams, last: Ray) -> tuple[list[Ray], list[int]]:
     """Primitive rays strictly between (1, 0) and `last` with L <= N, in
-    slope order, and their multiplicities N // L, read off an in-order
-    walk of the Stern-Brocot tree.
+    slope order, and their multiplicities N // L, each ray made from the
+    two before it by the Farey next-term rule.
 
-    The node of the subtree between l and r is the mediant l + r, and its
-    descendants are the primitive p*l + q*r with p, q >= 1, so an in-order
-    walk meets every primitive ray of the open quadrant once, by
-    increasing slope.  Two prunings keep the walk finite and exact:
+    From v[-1] = (0, -1) and v[0] = (1, 0), the next ray is v[i+1] =
+    t*v[i] - v[i-1] with t = (N + L(v[i-1])) // L(v[i]), the largest t
+    with L(v[i+1]) <= N, and the walk stops at the first v[i+1] whose
+    slope is >= slope(last).  It lists exactly the rays of the region:
 
-    - A mediant of slope >= slope(last) lies outside the open cone, and
-      so does everything right of it: walk only its left subtree.
-    - Otherwise the mediant lies in the cone, and if L(mediant) > N its
-      whole subtree goes.  The subtree's left end l is (1, 0), where
-      L = m <= mn = N + 1, or a ray already emitted, where L <= N; either
-      way L(l) > 0, as L is positive on the cone (L(1, 0) = m and
-      L(e, m) = mn).  So L(r) = L(mediant) - L(l) > N - (N + 1), that is
-      L(r) >= 0, and every descendant has L = p*L(l) + q*L(r) >=
-      L(l) + L(r) = L(mediant) > N.
-
-    L(0, 1) = n - e is negative when n < e, so a right end can have
-    L < 0; the bound above shows that the mediant below such an end has
-    L <= N and is emitted, never pruned, and the assert checks it.  A run
-    of left steps heads towards l, so L grows past N and the walk ends.
+    - L is positive on the closed cone: L(1, 0) = m and L(e, m) = mn.
+    - Let u be (1, 0) or a ray of the region, and w the region's next
+      ray after u.  A lattice point p of the triangle 0, u, w other than
+      its corners is p = alpha*u + beta*w with alpha < 1 and alpha +
+      beta <= 1, so L(p) <= alpha*(N + 1) + (1 - alpha)*N < N + 1, as
+      L(u) <= m <= mn = N + 1.  Its slope lies strictly between theirs
+      (u and w are primitive), so its primitive ray, with L no larger,
+      would lie in the region between u and w.  There is no such p, and
+      by Pick's theorem det(u, w) = 1.
+    - The seed has det(v[-1], v[0]) = 1, even when n = 1 and L(1, 0) =
+      m > N.  Inductively det(v[i], v[i+1]) = det(v[i-1], v[i]) = 1, so
+      v[i+1] + v[i-1] is parallel to v[i]: the next ray is t*v[i] -
+      v[i-1] for some t.  Along that line slope falls and L rises with
+      t, so it is the point of largest t with L <= N if that point's
+      slope is below slope(last), and there is no next ray otherwise.
+    - det(v[i], v) = 1 puts each candidate v in the half-plane left of
+      v[i], where the test det(last, v) >= 0 is exactly slope(v) >=
+      slope(last).  Slopes rise strictly, so the walk ends; t = 0 gives
+      v = -v[i-1], with x <= 0, which fails the test.
     """
     N, m, c = p.N, p.m, p.n - p.e
     lx, ly = last
     rays: list[Ray] = []
     mults: list[int] = []
-    # (mediant, its L, right end) of each subtree whose left part is
-    # being walked: the mediant is emitted, and its right part walked, next.
-    pending: list[tuple[int, int, int, int, int]] = []
-    ax, ay, bx, by = 1, 0, 0, 1  # the subtree between (ax, ay) and (bx, by)
+    ux, uy, uL = 0, -1, -c  # v[i-1] and its L
+    x, y, L = 1, 0, m  # v[i] and its L
     while True:
-        x, y = ax + bx, ay + by
+        t = (N + uL) // L
+        ux, uy, uL, x, y, L = x, y, L, t * x - ux, t * y - uy, t * L - uL
         if y * lx >= x * ly:
-            bx, by = x, y
-            continue
-        L = m * x + c * y
-        if L <= N:
-            pending.append((x, y, L, bx, by))
-            bx, by = x, y
-        else:
-            assert m * bx + c * by >= 0, (p, (x, y))
-            if not pending:
-                return rays, mults
-            ax, ay, L, bx, by = pending.pop()
-            rays.append((ax, ay))
-            mults.append(N // L)
+            return rays, mults
+        rays.append((x, y))
+        mults.append(N // L)
 
 
 def ray_system(k: int, a: int) -> RaySystem:

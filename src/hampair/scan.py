@@ -9,9 +9,9 @@ adjacent-large and cap2 (the sector-filling inequalities).
 A cell builds one ray system: family_one.cut_set reads Z, the
 reflection distance with its witness and the count pair from it and
 hands it on in the CutProfile, and the lattice checks read the same
-object.  The ray system comes from a pruned Stern-Brocot walk and each
-sector-filling pair costs O(1) by prefix sums and the closed form of
-theta.
+object.  The ray system comes from the Farey next-term recurrence, O(1)
+per ray, and each sector-filling pair costs O(1) by prefix sums and the
+closed form of theta.
 
 The unit of work is a mirror pair: cells (k, a) and (k, N-a) with
 a <= N-a.  The independent reference oracle_cut_set, one incremental
@@ -21,9 +21,9 @@ cell's cut set by the conjugation lemma in oracle_cut_set's docstring.
 The reference is computed from permutations alone, and each cell
 compares its own ray-system cut set with it.  A self-mirrored
 cell (odd k, a = N/2) is a unit of one.  Rows k = 24..87 (3,424 cells)
-take about 0.3 s on one core of a 2-core Xeon (Python 3.11), 0.4 s with
-cycle ids in the reference and 0.5-0.6 s with one pass per cell, and
-`hampair scan 100 130` about 0.8 s, 0.9 s and 1.1-1.4 s.
+take about 0.21-0.24 s in one process on one core of a 2-core Xeon
+(Python 3.11), and a fresh `hampair scan 100 130` about 0.54 s; with
+the Stern-Brocot ray walk, measured alongside, 0.23-0.28 s and 0.62 s.
 
 Units are independent, so scans parallelize; results are always
 reported in (k, a) order.

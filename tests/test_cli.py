@@ -62,6 +62,13 @@ def test_cuts_rejects_invalid_a(capsys):
     assert "error" in err
 
 
+def test_invalid_a_is_reported_as_given(capsys):
+    # -1 is k - 1 mod 5: the message names the a on the command line.
+    assert run(capsys, "rays", "5", "-1") == (
+        EXIT_USAGE, "", "error: need a not in {0, k-1} mod k, got a=-1 for k=5\n"
+    )
+
+
 def test_rays_formats(capsys):
     code, out, _ = run(capsys, "rays", "10", "4", "--format", "csv")
     assert code == EXIT_OK

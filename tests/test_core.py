@@ -290,6 +290,21 @@ def test_generation_check_matches_bfs_on_triples():
             )
 
 
+def test_predecessor_tables_invert_successor_tables():
+    digraphs = [cayley([3, 4, 5], (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for group in small_groups(12, 3):
+        nonzero = [v for v in group.elements() if v != group.zero]
+        for gens in itertools.permutations(nonzero, 2):
+            if bfs_generates(group, gens):
+                digraphs.append(CayleyDigraph(group, gens))
+    assert len(digraphs) > 1000
+    for d in digraphs:
+        assert len(d.predecessor_tables) == len(d.gens)
+        for succ, pred in zip(d.successor_tables, d.predecessor_tables):
+            assert [pred[w] for w in succ] == list(range(d.group.size)), d
+            assert [succ[v] for v in pred] == list(range(d.group.size)), d
+
+
 @st.composite
 def walks_in(draw, min_rank: int, max_rank: int, count: int):
     """A generating Cayley digraph of small rank and `count` random walks in it."""

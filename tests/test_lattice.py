@@ -61,8 +61,8 @@ def test_lattice_params_checks_its_congruence(monkeypatch):
 
 
 def _rays_by_height(k, a):
-    """Reference for ray_system, the per-height scan it used before the
-    Stern-Brocot walk: for each height y = 1..m, every primitive (x, y)
+    """Reference for ray_system, the per-height scan it used before its
+    ray walks: for each height y = 1..m, every primitive (x, y)
     strictly right of the last ray with L(x, y) <= N, then a sort by
     slope.  Returns the rays and their multiplicities."""
     p = lattice_params(k, a)
@@ -101,10 +101,22 @@ def test_ray_walk_matches_height_scan_large(k, seed):
     assert (rs.rays, rs.mults) == _rays_by_height(k, a)
 
 
+def test_consecutive_rays_are_unimodular():
+    # The lemma the ray walk rests on: (1, 0) and the internal rays, in
+    # slope order, have det 1 pairwise in a row.  The boundary ray `last`
+    # is left out, as it may lie beyond L = N.
+    for k in range(3, 151):
+        for a in valid_a_values(k):
+            rays = ray_system(k, a).rays[:-1]
+            for (x0, y0), (x1, y1) in zip(rays, rays[1:]):
+                assert x0 * y1 - y0 * x1 == 1, (k, a, (x0, y0), (x1, y1))
+
+
 def test_ray_walk_right_end_below_zero():
-    # n - e = -4 < 0, so the walk's first right end (0, 1) has L < 0.  The
-    # mediant (1, 1) below it is emitted, and so is (3, 4), reached on
-    # the left of (1, 2) and (2, 3), which lie beyond the last ray (5, 7).
+    # n - e = -4 < 0, so L(0, 1) < 0 and the seed (0, -1) has L = 4.
+    # From (1, 0) the walk steps to (1, 1) with t = 1 and to (3, 4) with
+    # t = 4; the next candidate, (2, 3) with t = 1, lies beyond the last
+    # ray (5, 7).
     p = lattice_params(7, 2)
     assert (p.m, p.n, p.e) == (7, 1, 5) and p.L(0, 1) == -4
     rs = ray_system(7, 2)
