@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import resource
@@ -116,6 +117,47 @@ def test_scan_summary_line(capsys):
     code, out, _ = run(capsys, "scan", "3", "10")
     assert code == EXIT_OK
     assert "failures=0" in out.strip().split("\n")[-1]
+
+
+# SHA-256 of the stdout of `hampair cuts|rays k a --format F`,
+# concatenated over these cells: e = 0 in (6, 2), (10, 4) and (402, 200),
+# n - e < 0 in seven of them, coprime a in six, the self-mirrored cells
+# (3, 1), (5, 2) and (11, 5), and k up to 1000.
+PIN_CELLS = (
+    (3, 1), (5, 2), (6, 2), (10, 4), (15, 3), (11, 5),
+    (40, 9), (100, 1), (100, 98), (402, 200), (1000, 333), (120, 45),
+)
+CELL_OUTPUT_SHA256 = {
+    ("cuts", "table"): "31a3495f48cb7b835deaa6cfb5cdac01345a3ab0b02a2328607a9edf123dea1f",
+    ("cuts", "json"): "ff3bc77027940495ba6cd4957524c70f84106f6909547916a78267a48256281a",
+    ("cuts", "csv"): "b062fe90db1eb8c28668377a6809921a9c2cadf409d30d610c55283e718713a7",
+    ("rays", "table"): "c22abc5adc7ab44f48879b6fbde6ad6f00a6b659ff03756c74c842e104276233",
+    ("rays", "json"): "ddf375700335fb1bb903ec3a95e225a5bd4c7495fe0d832fdca9d0a1d5d5ca0f",
+    ("rays", "csv"): "bf84c9fee6c7c06c8ac7f79e36ec142f9de66c01d30e4cbde049f87599565368",
+}
+# The same for `hampair scan 3 30 --format F`; the CSV is pinned in
+# test_scan.
+SCAN_3_30_SHA256 = {
+    "table": "724c157aa85c4035cbb15371f1106f3fd1804da4075435dbdc9f8364493e9281",
+    "json": "e9ae08296ba2bce182330772e1813c76eaff92fe1a863b14097d0fa461c8f5d9",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(CELL_OUTPUT_SHA256))
+def test_cell_output_is_pinned(capsys, command, fmt):
+    digest = hashlib.sha256()
+    for k, a in PIN_CELLS:
+        code, out, _ = run(capsys, command, str(k), str(a), "--format", fmt)
+        assert code == EXIT_OK
+        digest.update(out.encode())
+    assert digest.hexdigest() == CELL_OUTPUT_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(SCAN_3_30_SHA256))
+def test_scan_output_is_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "scan", "3", "30", "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_3_30_SHA256[fmt]
 
 
 def test_build_one_witness(capsys, tmp_path):
