@@ -1,16 +1,18 @@
 """Walk through the cut-set machinery for Cay(Z_k; a, a+1).
 
-For a few (k, a) cells we enumerate the Hamiltonian cut values three
-ways -- by cycle-testing the cut permutations, by brute-force search,
-and by the lattice ray parametrization -- then look at the reflection
-distance between Z and its mirror N - Z.
+For a few (k, a) cells we find the Hamiltonian cut values two ways --
+by the lattice ray parametrization and by oracle_cut_set, the
+independent reference that follows the cut permutations' first-return
+maps from one cut value to the next -- read the endpoint caps and the
+internal half-gaps off the ray multiplicities, then look at the
+reflection distance between Z and its mirror N - Z.
 
 Run:  python3 demos/cut_reflection_walkthrough.py
 """
 
-from hampair import cut_path, cut_set, oracle_cut_set, ray_system
+from hampair import cut_path, cut_set, oracle_cut_set
 from hampair.family_one import count_pair
-from hampair.lattice import gap_profile, reflected_gap_graph
+from hampair.lattice import reflected_gap_graph
 
 
 def show(k: int, a: int) -> None:
@@ -19,15 +21,17 @@ def show(k: int, a: int) -> None:
     print(f"== Cay(Z_{k}; {a}, {a + 1})  (N = {N})")
 
     print(f"   cut set Z          : {list(profile.Z)}")
-    print(f"   brute-force check  : {sorted(oracle_cut_set(k, a))}")
+    print(f"   reference check    : {sorted(oracle_cut_set(k, a))}")
 
-    rs = ray_system(k, a)
+    rs = profile.ray_system
     table = ", ".join(f"{r} x{h}" for r, h in zip(rs.rays, rs.mults))
     print(f"   lattice rays       : {table}")
     print(f"   ray prefix sums    : {rs.cut_values()}")
 
-    gp = gap_profile(profile.Z, N)
-    print(f"   caps / gaps        : c_L={gp.c_L}, c_R={gp.c_R}, internal {list(gp.lambdas)}")
+    # Z starts at the first multiplicity, steps by twice each internal
+    # one, and ends the last one short of N.
+    c_L, *half_gaps, c_R = rs.mults
+    print(f"   caps / gaps        : c_L={c_L}, c_R={c_R}, internal {half_gaps}")
 
     mirror = [N - z for z in reversed(profile.Z)]
     print(f"   mirror N - Z       : {mirror}")

@@ -15,7 +15,7 @@ from .core import (
 )
 from .family_one import CutProfile, count_pair, cut_path, cut_set, realize_disjoint_pair
 from .family_two import QuotientFiberConfig, build_family_two, skew_cover
-from .lattice import endpoint_caps, gap_profile, lattice_params, ray_system, theta
+from .lattice import endpoint_caps, lattice_params, ray_system, theta
 from .oracle import (
     Status,
     find_arc_disjoint_pair,
@@ -53,7 +53,6 @@ __all__ = [
     "find_hamiltonian_cycle",
     "find_hamiltonian_path",
     "find_strongly_switchable_pair",
-    "gap_profile",
     "is_strongly_switchable",
     "lattice_params",
     "lift_through_cycle",

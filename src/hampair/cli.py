@@ -20,7 +20,9 @@ one stderr line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -75,42 +77,75 @@ def _fmt_set(values) -> str:
     return "{" + ",".join(str(v) for v in values) + "}"
 
 
+def _cell_fields(cell, c_L: int, c_R: int) -> dict:
+    """The eight columns that `cuts` and `scan` rows share, from a
+    CutProfile or a ScanRow and the cell's endpoint caps."""
+    d, e = cell.count_pair
+    return {
+        "k": cell.k,
+        "a": cell.a,
+        "Z": cell.Z,
+        "delta": cell.delta,
+        "c_L": c_L,
+        "c_R": c_R,
+        "count_d": d,
+        "count_e": e,
+    }
+
+
+def _csv_field(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(str, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
+
+
+def _csv(rows: list[dict]) -> str:
+    """A header of the first row's keys, then one line per row: a list
+    joined by ';', a bool in lower case, None as an empty field."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(_csv_field, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_cuts(args) -> int:
     profile = family_one.cut_set(args.k, args.a)
     rs = profile.ray_system
-    gp = lattice.gap_profile(profile.Z, profile.N)
+    # Z starts at mults[0], steps by 2 * mults[q] and ends at N - mults[-1]
+    # (RaySystem.cut_values), so the ray system's boundary and internal
+    # multiplicities are Z's endpoint caps and internal half-gaps.
+    c_L, *lambdas, c_R = rs.mults
     graph = lattice.reflected_gap_graph(profile.Z, profile.N)
     pair = profile.count_pair
+    # json writes each tuple as a list
     record = {
         "k": args.k,
         "a": profile.a,
         "N": profile.N,
-        "Z": list(profile.Z),
+        "Z": profile.Z,
         "reflected": [profile.N - z for z in reversed(profile.Z)],
         "delta": profile.delta,
-        "witness": list(profile.witness),
-        "count_pair": list(pair),
-        "c_L": gp.c_L,
-        "c_R": gp.c_R,
-        "lambdas": list(gp.lambdas),
-        "rays": [{"ray": list(r), "mult": h} for r, h in zip(rs.rays, rs.mults)],
-        "negative_edges": [list(e) for e in graph.negative_edges],
-        "positive_edges": [list(e) for e in graph.positive_edges],
+        "witness": profile.witness,
+        "count_pair": pair,
+        "c_L": c_L,
+        "c_R": c_R,
+        "lambdas": lambdas,
+        "rays": [{"ray": r, "mult": h} for r, h in zip(rs.rays, rs.mults)],
+        "negative_edges": graph.negative_edges,
+        "positive_edges": graph.positive_edges,
     }
     if args.format == "json":
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        text = "k,a,Z,delta,c_L,c_R,count_d,count_e\n" + (
-            f"{args.k},{profile.a},{';'.join(map(str, profile.Z))},"
-            f"{profile.delta},{gp.c_L},{gp.c_R},{pair[0]},{pair[1]}\n"
-        )
+        text = _csv([_cell_fields(profile, c_L, c_R)])
     else:
         lines = [
             f"k={args.k} a={profile.a} N={profile.N}",
             f"Z        = {_fmt_set(profile.Z)}",
             f"N-Z      = {_fmt_set(record['reflected'])}",
             f"dist     = {profile.delta} (witness {profile.witness})",
-            f"caps     = c_L={gp.c_L}, c_R={gp.c_R}; internal gaps {list(gp.lambdas)}",
+            f"caps     = c_L={c_L}, c_R={c_R}; internal gaps {lambdas}",
             f"pair     = {pair} (sum {sum(pair)})",
             "rays     = "
             + ", ".join(f"{r}:{h}" for r, h in zip(rs.rays, rs.mults)),
@@ -124,94 +159,64 @@ def cmd_cuts(args) -> int:
 
 def cmd_rays(args) -> int:
     rs = lattice.ray_system(args.k, args.a)
+    p = rs.params
     U = rs.cut_values()
+    # the last ray has no cut value
+    rows = list(itertools.zip_longest(rs.rays, rs.mults, U))
     if args.format == "json":
         record = {
-            "k": args.k,
-            "a": rs.params.a,
-            "m": rs.params.m,
-            "n": rs.params.n,
-            "e": rs.params.e,
-            "N": rs.params.N,
-            "rays": [list(r) for r in rs.rays],
-            "mults": list(rs.mults),
+            **dataclasses.asdict(p),
+            "N": p.N,
+            "rays": rs.rays,
+            "mults": rs.mults,
             "cut_values": U,
         }
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["index,ray_x,ray_y,mult,cut_value"]
-        for i, ((x, y), h) in enumerate(zip(rs.rays, rs.mults)):
-            u = U[i] if i < len(U) else ""
-            lines.append(f"{i},{x},{y},{h},{u}")
-        text = "\n".join(lines) + "\n"
+        text = _csv([
+            {"index": i, "ray_x": x, "ray_y": y, "mult": h, "cut_value": u}
+            for i, ((x, y), h, u) in enumerate(rows)
+        ])
     else:
-        p = rs.params
         lines = [
             f"k={p.k} a={p.a} m={p.m} n={p.n} e={p.e} N={p.N} "
             f"L(x,y)={p.m}x{p.n - p.e:+}y",
             "ray        mult  cut",
         ]
-        for i, ((x, y), h) in enumerate(zip(rs.rays, rs.mults)):
-            u = U[i] if i < len(U) else "-"
-            lines.append(f"({x:>2},{y:>2})  {h:>5}  {u:>4}")
+        for (x, y), h, u in rows:
+            lines.append(f"({x:>2},{y:>2})  {h:>5}  {'-' if u is None else u:>4}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
 
 def _scan_text(rows, summary, fmt: str) -> str:
-    if fmt == "json":
-        lines = []
+    if fmt == "table":
+        lines = ["   k   a  delta  c_L  c_R  pair        Z"]
         for r in rows:
+            flag = "" if r.ok else "  FAIL: " + "; ".join(r.failures)
             lines.append(
-                json.dumps(
-                    {
-                        "k": r.k,
-                        "a": r.a,
-                        "Z": list(r.Z),
-                        "delta": r.delta,
-                        "c_L": r.c_L,
-                        "c_R": r.c_R,
-                        "count_d": r.count_pair[0],
-                        "count_e": r.count_pair[1],
-                        "lattice_agrees": r.lattice_agrees,
-                        "failures": list(r.failures),
-                    }
-                )
+                f"{r.k:>4} {r.a:>3} {r.delta:>6} {r.c_L:>4} {r.c_R:>4}  "
+                f"{str(r.count_pair):<10}  {_fmt_set(r.Z)}{flag}"
             )
         lines.append(
-            json.dumps(
-                {
-                    "summary": {
-                        "cells": summary.cells,
-                        "failures": summary.failures,
-                        "even_k_sum_k_minus_2": summary.sum_k_minus_2,
-                        "even_k_sum_k": summary.sum_k,
-                    }
-                }
-            )
+            f"cells={summary.cells} failures={summary.failures} "
+            f"even-k sums: k-2 x{summary.sum_k_minus_2}, k x{summary.sum_k}"
         )
         return "\n".join(lines) + "\n"
+    records = [
+        {**_cell_fields(r, r.c_L, r.c_R), "lattice_agrees": r.lattice_agrees} for r in rows
+    ]
     if fmt == "csv":
-        lines = ["k,a,Z,delta,c_L,c_R,count_d,count_e,lattice_agrees"]
-        for r in rows:
-            lines.append(
-                f"{r.k},{r.a},{';'.join(map(str, r.Z))},{r.delta},"
-                f"{r.c_L},{r.c_R},{r.count_pair[0]},{r.count_pair[1]},"
-                f"{str(r.lattice_agrees).lower()}"
-            )
-        return "\n".join(lines) + "\n"
-    lines = ["   k   a  delta  c_L  c_R  pair        Z"]
-    for r in rows:
-        flag = "" if r.ok else "  FAIL: " + "; ".join(r.failures)
-        lines.append(
-            f"{r.k:>4} {r.a:>3} {r.delta:>6} {r.c_L:>4} {r.c_R:>4}  "
-            f"{str(r.count_pair):<10}  {_fmt_set(r.Z)}{flag}"
-        )
-    lines.append(
-        f"cells={summary.cells} failures={summary.failures} "
-        f"even-k sums: k-2 x{summary.sum_k_minus_2}, k x{summary.sum_k}"
-    )
+        return _csv(records)
+    lines = [json.dumps({**rec, "failures": r.failures}) for rec, r in zip(records, rows)]
+    summary_record = {
+        "cells": summary.cells,
+        "failures": summary.failures,
+        "even_k_sum_k_minus_2": summary.sum_k_minus_2,
+        "even_k_sum_k": summary.sum_k,
+    }
+    lines.append(json.dumps({"summary": summary_record}))
     return "\n".join(lines) + "\n"
 
 

@@ -3,10 +3,12 @@
 The cut values of Cay(Z_k; a, a+1) are prefix sums of multiplicities of
 slope-ordered primitive rays in a triangle attached to (k, a).  This
 module computes that ray system exactly (integer arithmetic only, the
-rays in slope order by the Farey next-term rule, O(1) per ray), the
-derived gap profile with its endpoint caps, the sector-filling counts
-(O(1) per pair from the ray system's prefix sums and a closed form for
-theta), the reflection distance, and the reflected gap graph diagnostic.
+rays in slope order by the Farey next-term rule, O(1) per ray), whose
+boundary and internal multiplicities are the cut set's endpoint caps and
+internal half-gaps; the gcd formula for the caps, which the scan checks
+against the rays; the sector-filling counts (O(1) per pair from the ray
+system's prefix sums and a closed form for theta); the reflection
+distance; and the reflected gap graph diagnostic.
 """
 
 from __future__ import annotations
@@ -144,30 +146,10 @@ def ray_system(k: int, a: int) -> RaySystem:
 
 
 def endpoint_caps(k: int, a: int) -> tuple[int, int]:
-    """The boundary multiplicities flanking the cut set."""
+    """The boundary multiplicities flanking the cut set, by their gcd
+    formula; the scan checks them against the ray system's."""
     a = check_family_one_params(k, a)
     return gcd(k, a) - 1, gcd(k, a + 1) - 1
-
-
-@dataclass(frozen=True)
-class GapProfile:
-    values: tuple[int, ...]  # ordered cut values
-    N: int
-    c_L: int
-    c_R: int
-    lambdas: tuple[int, ...]  # half-widths of the internal gaps
-
-
-def gap_profile(Z: list[int] | tuple[int, ...], N: int) -> GapProfile:
-    zs = sorted(Z)
-    if not zs:
-        raise InputError("cut set must be nonempty")
-    lambdas = []
-    for lo, hi in zip(zs, zs[1:]):
-        if (hi - lo) % 2:
-            raise AssertionError(f"odd gap {hi - lo} in cut set {zs}")
-        lambdas.append((hi - lo) // 2)
-    return GapProfile(tuple(zs), N, zs[0], N - zs[-1], tuple(lambdas))
 
 
 def theta(p: int, q: int) -> int:

@@ -11,7 +11,7 @@ import time
 from math import gcd
 
 from hampair.cli import main
-from hampair.core import CayleyDigraph, FiniteAbelianGroup, InputError, pair_failure
+from hampair.core import pair_failure
 from hampair.cosets import find_pair
 from hampair.family_one import cut_set_values, realize_disjoint_pair, valid_a_values
 from hampair.family_two import QuotientFiberConfig, build_family_two, skew_cover
@@ -24,6 +24,7 @@ from hampair.lattice import (
 )
 from hampair.oracle import find_arc_disjoint_pair, oracle_cut_set
 from hampair.products import build_three_factor, product_digraph
+from small_digraphs import two_generated
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:
@@ -209,31 +210,13 @@ def test_10_three_factor_products():
     )
 
 
-def _cyclic_factorizations(order: int, minimum: int = 2):
-    if order == 1:
-        yield ()
-        return
-    for first in range(minimum, order + 1):
-        if order % first == 0:
-            for rest in _cyclic_factorizations(order // first, first):
-                yield (first,) + rest
-
-
 def test_11_theorem_main_smoke():
     bad = []
     digraphs = 0
-    for order in range(3, 17):
-        for orders in _cyclic_factorizations(order):
-            group = FiniteAbelianGroup(orders)
-            nonzero = [v for v in group.elements() if v != group.zero]
-            for a, b in itertools.combinations(nonzero, 2):
-                try:
-                    d = CayleyDigraph(group, (a, b))
-                except InputError:
-                    continue  # pair does not generate the group
-                digraphs += 1
-                if pair_failure(d, *find_pair(d)) or not find_arc_disjoint_pair(d).found:
-                    bad.append((orders, a, b))
+    for d in two_generated(16, ordered=False):
+        digraphs += 1
+        if pair_failure(d, *find_pair(d)) or not find_arc_disjoint_pair(d).found:
+            bad.append((d.group.orders, *d.gens))
     _report(
         "theorem-main order<=16",
         digraphs > 0 and not bad,

@@ -1,16 +1,9 @@
-import itertools
 from math import comb
 
 import pytest
 
 from hampair import cosets, oracle
-from hampair.core import (
-    CayleyDigraph,
-    FiniteAbelianGroup,
-    InputError,
-    arc_ids,
-    cayley,
-)
+from hampair.core import InputError, arc_ids, cayley
 from hampair.cosets import (
     coset_split,
     count_pairs,
@@ -21,30 +14,7 @@ from hampair.cosets import (
 from hampair.family_one import count_pair, cut_path, valid_a_values
 from hampair.family_two import QuotientFiberConfig, build_family_two
 from hampair.products import product_digraph
-
-
-def _factorizations(order: int, minimum: int = 2):
-    if order == 1:
-        yield ()
-        return
-    for first in range(minimum, order + 1):
-        if order % first == 0:
-            for rest in _factorizations(order // first, first):
-                yield (first,) + rest
-
-
-def two_generated(max_order: int):
-    """Every Cay(G; a, b) with a != b generating G, 3 <= |G| <= max_order,
-    both orders of the generators included."""
-    for order in range(3, max_order + 1):
-        for orders in _factorizations(order):
-            group = FiniteAbelianGroup(orders)
-            nonzero = [v for v in group.elements() if v != group.zero]
-            for a, b in itertools.permutations(nonzero, 2):
-                try:
-                    yield CayleyDigraph(group, (a, b))
-                except InputError:
-                    continue
+from small_digraphs import two_generated
 
 
 SMALL = list(two_generated(12))

@@ -15,7 +15,6 @@ from hampair.lattice import (
     RaySystem,
     cap2_violations,
     endpoint_caps,
-    gap_profile,
     lattice_params,
     ray_system,
     reflected_gap_graph,
@@ -182,34 +181,31 @@ def test_endpoint_caps():
     assert endpoint_caps(7, 3) == (0, 0)  # both gcds are 1
 
 
-def test_gap_profile_examples():
-    gp = gap_profile([1, 3, 5], 9)
-    assert (gp.c_L, gp.c_R) == (1, 4)
-    assert gp.lambdas == (1, 1)
-
-    gp = gap_profile([2, 4, 6, 8, 14], 14)
-    assert gp.lambdas == (1, 1, 1, 3)
-    assert gp.c_R == 0
-
-    gp = gap_profile([4], 9)
-    assert gp.lambdas == ()
+def test_caps_and_half_gaps_examples():
+    # Z(10, 4) = {1, 3, 5} with N = 9: caps 1 and 4, internal gaps 2, 2.
+    assert ray_system(10, 4).mults == (1, 1, 1, 4)
+    # Z(15, 3) = {2, 4, 6, 8, 14} with N = 14: caps 2 and 0, internal
+    # gaps 2, 2, 2, 6.
+    assert ray_system(15, 3).mults == (2, 1, 1, 1, 3, 0)
 
 
-def test_gap_profile_rejects_odd_gap():
-    with pytest.raises(AssertionError):
-        gap_profile([1, 4], 9)
-
-
-def test_gap_profile_matches_dictionary():
-    # caps and internal gaps equal the boundary/internal ray multiplicities
-    for k in range(3, 40):
+def test_cut_set_dictionary():
+    # The reference cut set, which never reads the rays, has even gaps;
+    # its caps and internal half-gaps are the boundary and internal ray
+    # multiplicities, and the caps are gcd(k, a) - 1 and gcd(k, a+1) - 1.
+    cells = 0
+    for k in range(3, 60):
         for a in valid_a_values(k):
-            rs = ray_system(k, a)
-            gp = gap_profile(rs.cut_values(), k - 1)
-            assert gp.c_L == rs.mults[0]
-            assert gp.c_R == rs.mults[-1]
-            assert gp.lambdas == rs.mults[1:-1]
-            assert (gp.c_L, gp.c_R) == endpoint_caps(k, a)
+            Z = sorted(oracle_cut_set(k, a))
+            gaps = [hi - lo for lo, hi in zip(Z, Z[1:])]
+            mults = ray_system(k, a).mults
+            assert all(g % 2 == 0 for g in gaps), (k, a)
+            assert [g // 2 for g in gaps] == list(mults[1:-1]), (k, a)
+            assert (Z[0], k - 1 - Z[-1]) == (mults[0], mults[-1]), (k, a)
+            assert (mults[0], mults[-1]) == (math.gcd(k, a) - 1, math.gcd(k, a + 1) - 1), (k, a)
+            assert endpoint_caps(k, a) == (mults[0], mults[-1]), (k, a)
+            cells += 1
+    assert cells == 1653
 
 
 def _theta_brute(p, q):
@@ -408,12 +404,3 @@ def test_cap2_sweep():
     for k in range(3, 60):
         for a in valid_a_values(k):
             assert cap2_violations(ray_system(k, a)) == [], (k, a)
-
-
-def test_caps_gcd_formula_sweep():
-    for k in range(3, 60):
-        for a in valid_a_values(k):
-            assert endpoint_caps(k, a) == (
-                math.gcd(k, a) - 1,
-                math.gcd(k, a + 1) - 1,
-            )

@@ -25,6 +25,7 @@ from hampair.oracle import (
 from hampair.family_one import cut_permutation
 from hampair.lattice import ray_system
 from hampair.products import find_strongly_switchable_pair, product_digraph
+from small_digraphs import two_generated
 
 
 def test_trivial_group_not_representable():
@@ -379,31 +380,6 @@ def _unpruned_iter_paths(
             todo.append(-1)
 
 
-def _two_generated_digraphs(max_order: int):
-    """Every Cay(G; a, b) with G = Z_{n1} x ... (n1 <= n2 <= ..., each
-    factorization of each order <= max_order) and (a, b) an ordered pair
-    of distinct nonzero elements that generates G."""
-
-    def factorizations(order: int, minimum: int = 2):
-        if order == 1:
-            yield ()
-            return
-        for first in range(minimum, order + 1):
-            if order % first == 0:
-                for rest in factorizations(order // first, first):
-                    yield (first,) + rest
-
-    for order in range(2, max_order + 1):
-        for orders in factorizations(order):
-            group = FiniteAbelianGroup(orders)
-            nonzero = [v for v in group.elements() if v != group.zero]
-            for a, b in itertools.permutations(nonzero, 2):
-                try:
-                    yield CayleyDigraph(group, (a, b))
-                except InputError:
-                    continue  # the pair does not generate the group
-
-
 SEARCHES = (
     find_hamiltonian_path,
     find_hamiltonian_cycle,
@@ -415,7 +391,7 @@ SEARCHES = (
 def test_pruning_keeps_every_outcome(monkeypatch):
     # Dead-end pruning cuts only subtrees without a Hamiltonian leaf, so
     # every search returns what the unpruned DFS returns, in no more nodes.
-    digraphs = list(_two_generated_digraphs(12))
+    digraphs = list(two_generated(12))
     pruned = [[_outcome(search(d)) for search in SEARCHES] for d in digraphs]
     monkeypatch.setattr(oracle, "_iter_paths", _unpruned_iter_paths)
     fewer = 0
