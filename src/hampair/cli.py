@@ -25,7 +25,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import cosets, family_one, family_two, lattice, products, scan
 from .core import InputError, cayley
@@ -94,18 +94,26 @@ def _cell_fields(cell, c_L: int, c_R: int) -> dict:
 
 
 def _csv_field(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return ";".join(map(str, value))
-    if isinstance(value, bool):
+    # An int first: nearly every field of a long ray table is one.  A
+    # bool is not of type int.
+    if type(value) is int:
+        return str(value)
+    if type(value) is bool:
         return str(value).lower()
-    return "" if value is None else str(value)
+    if value is None:
+        return ""
+    return ";".join(map(str, value))
 
 
-def _csv(rows: list[dict]) -> str:
-    """A header of the first row's keys, then one line per row: a list
-    joined by ';', a bool in lower case, None as an empty field."""
-    lines = [",".join(rows[0])]
-    lines += [",".join(map(_csv_field, row.values())) for row in rows]
+def _csv(rows: Iterable[dict]) -> str:
+    """A header of the rows' keys, which every row shares, then one line
+    per row: a list joined by ';', a bool in lower case, None as an empty
+    field.  Rows may come from a generator, so a long table never holds
+    them all."""
+    rows = iter(rows)
+    first = next(rows)
+    lines = [",".join(first)]
+    lines += [",".join(map(_csv_field, row.values())) for row in itertools.chain([first], rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -161,8 +169,8 @@ def cmd_rays(args) -> int:
     rs = lattice.ray_system(args.k, args.a)
     p = rs.params
     U = rs.cut_values()
-    # the last ray has no cut value
-    rows = list(itertools.zip_longest(rs.rays, rs.mults, U))
+    # the last ray has no cut value; one format reads the rows, once
+    rows = itertools.zip_longest(rs.rays, rs.mults, U)
     if args.format == "json":
         record = {
             **dataclasses.asdict(p),
@@ -173,10 +181,10 @@ def cmd_rays(args) -> int:
         }
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv([
+        text = _csv(
             {"index": i, "ray_x": x, "ray_y": y, "mult": h, "cut_value": u}
             for i, ((x, y), h, u) in enumerate(rows)
-        ])
+        )
     else:
         lines = [
             f"k={p.k} a={p.a} m={p.m} n={p.n} e={p.e} N={p.N} "
