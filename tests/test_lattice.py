@@ -208,6 +208,19 @@ def test_cut_set_dictionary():
     assert cells == 1653
 
 
+def test_gap_profile_matches_dictionary():
+    # caps and internal half-gaps of the ray system's own cut values equal
+    # the boundary/internal ray multiplicities
+    for k in range(3, 40):
+        for a in valid_a_values(k):
+            rs = ray_system(k, a)
+            Z = rs.cut_values()
+            assert Z[0] == rs.mults[0], (k, a)
+            assert k - 1 - Z[-1] == rs.mults[-1], (k, a)
+            assert [(hi - lo) // 2 for lo, hi in zip(Z, Z[1:])] == list(rs.mults[1:-1]), (k, a)
+            assert (rs.mults[0], rs.mults[-1]) == endpoint_caps(k, a), (k, a)
+
+
 def _theta_brute(p, q):
     return sum(
         1
@@ -404,3 +417,12 @@ def test_cap2_sweep():
     for k in range(3, 60):
         for a in valid_a_values(k):
             assert cap2_violations(ray_system(k, a)) == [], (k, a)
+
+
+def test_caps_gcd_formula_sweep():
+    for k in range(3, 60):
+        for a in valid_a_values(k):
+            assert endpoint_caps(k, a) == (
+                math.gcd(k, a) - 1,
+                math.gcd(k, a + 1) - 1,
+            )
