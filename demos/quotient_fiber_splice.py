@@ -4,12 +4,15 @@ Both generators advance the quotient coordinate t = x/(a+1) mod 2a+1 by
 one, so a choice of quotient positions S (step by -a there, by a+1
 elsewhere) defines a skew cover of the quotient cycle.  The canonical
 |S| = a+2 gives one Hamiltonian cycle; its complement gives one cycle
-for odd L and a spliced pair of cycles for even L.
+for odd L and a spliced pair of cycles for even L.  build_family_two
+builds this pair as a coset pair (hampair.cosets); the demo reads its
+coset parameters off the two paths.
 
 Run:  python3 demos/quotient_fiber_splice.py
 """
 
 from hampair import build_family_two
+from hampair.cosets import coset_split
 from hampair.family_two import QuotientFiberConfig, skew_cover
 
 
@@ -37,6 +40,16 @@ def demo(a: int, L: int) -> None:
     v2 = " -> ".join(str(v[0]) for v in p2.vertex_list)
     print(f"   path 1 ({p1.labels}): {v1}")
     print(f"   path 2 ({p2.labels}): {v2}")
+    # P uses one label per coset after its end's (the first m - 1 labels)
+    # and B^j A^(n-1-j) on its end's coset, one label per round; Q's end
+    # is P's end plus i*delta, delta = -M.
+    split = coset_split(cfg.digraph())
+    m = split.m
+    c = p1.labels[: m - 1].count("B")
+    j_p, j_q = (p.labels[m - 1 :: m].count("B") for p in (p1, p2))
+    i = (p1.end[0] - p2.end[0]) % cfg.k // cfg.M
+    print(f"   coset pair: n={split.n}, m={m}, sigma={split.sigma}, c={c}, "
+          f"j_P={j_p}, j_Q={j_q}, i={i}")
     if L % 2 == 0:
         print("   (even L: the complement splits in two; path 2 borrows one")
         print("    crossing arc from the canonical cycle to splice them.)")

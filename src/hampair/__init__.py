@@ -1,8 +1,8 @@
 """Arc-disjoint Hamiltonian path pairs in two-generated abelian Cayley
-digraphs: cut-value enumeration, lattice-ray parametrization, quotient-
-fiber construction, the coset construction for any two-generated
-digraph, directed-cycle-product lifting, and an exhaustive search
-oracle for small cases."""
+digraphs: cut-value enumeration, lattice-ray parametrization, the coset
+construction for any two-generated digraph (family one and the
+quotient-fiber family two are parameter choices of it), directed-cycle-
+product lifting, and an exhaustive search oracle for small cases."""
 
 from .core import (
     CayleyDigraph,

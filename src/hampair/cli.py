@@ -25,7 +25,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import cosets, family_one, family_two, lattice, products, scan
 from .core import InputError, cayley
@@ -94,26 +94,18 @@ def _cell_fields(cell, c_L: int, c_R: int) -> dict:
 
 
 def _csv_field(value) -> str:
-    # An int first: nearly every field of a long ray table is one.  A
-    # bool is not of type int.
-    if type(value) is int:
-        return str(value)
     if type(value) is bool:
         return str(value).lower()
-    if value is None:
-        return ""
+    if type(value) is int:
+        return str(value)
     return ";".join(map(str, value))
 
 
-def _csv(rows: Iterable[dict]) -> str:
+def _csv(rows: Sequence[dict]) -> str:
     """A header of the rows' keys, which every row shares, then one line
-    per row: a list joined by ';', a bool in lower case, None as an empty
-    field.  Rows may come from a generator, so a long table never holds
-    them all."""
-    rows = iter(rows)
-    first = next(rows)
-    lines = [",".join(first)]
-    lines += [",".join(map(_csv_field, row.values())) for row in itertools.chain([first], rows)]
+    per row: a list joined by ';', a bool in lower case."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(_csv_field, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -170,7 +162,7 @@ def cmd_rays(args) -> int:
     p = rs.params
     U = rs.cut_values()
     # the last ray has no cut value; one format reads the rows, once
-    rows = itertools.zip_longest(rs.rays, rs.mults, U)
+    rows = itertools.zip_longest(rs.rays, rs.mults, U, fillvalue="")
     if args.format == "json":
         record = {
             **dataclasses.asdict(p),
@@ -181,10 +173,9 @@ def cmd_rays(args) -> int:
         }
         text = json.dumps(record, indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv(
-            {"index": i, "ray_x": x, "ray_y": y, "mult": h, "cut_value": u}
-            for i, ((x, y), h, u) in enumerate(rows)
-        )
+        lines = ["index,ray_x,ray_y,mult,cut_value"]
+        lines += [f"{i},{x},{y},{h},{u}" for i, ((x, y), h, u) in enumerate(rows)]
+        text = "\n".join(lines) + "\n"
     else:
         lines = [
             f"k={p.k} a={p.a} m={p.m} n={p.n} e={p.e} N={p.N} "
@@ -192,7 +183,7 @@ def cmd_rays(args) -> int:
             "ray        mult  cut",
         ]
         for (x, y), h, u in rows:
-            lines.append(f"({x:>2},{y:>2})  {h:>5}  {'-' if u is None else u:>4}")
+            lines.append(f"({x:>2},{y:>2})  {h:>5}  {'-' if u == '' else u:>4}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK

@@ -70,16 +70,18 @@ cut-reflection theorem guarantees a pair (j_P, j_Q) of Z(k, a) with
 j_P + j_Q in {k - 2, k - 1, k}.
 
 Every path P built here starts at a, as family one's cut path does:
-its end is -j_P*delta.  Every pair is checked once, by core.check_pair,
-before it is yielded.
+its end is -j_P*delta.  same_coset_pairs builds the pairs with both ends
+in one coset, for iter_pairs and for family two's parameter choice;
+each caller checks every pair it yields or returns once, by
+core.check_pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from . import lattice
 from .core import CayleyDigraph, InputError, LabeledWalk, Vertex, check_pair
@@ -160,22 +162,23 @@ def cut_labels(n: int, r: int, j: int) -> list[str]:
     them, w = r, psi(r), ..., up to j: B below j, A above (path lemma,
     item 4)."""
     r %= n
-    out = []
+    # Sized up front: an n too large to hold fails here at once.
+    out = ["A"] * (n - 1)
     w = r
-    for _ in range(n - 1):
+    for i in range(n - 1):
         if w < j:
-            out.append("B")
+            out[i] = "B"
             w = (w + r + 1) % n
         else:
-            out.append("A")
             w = (w + r) % n
     assert w == j, (n, r, j)
     return out
 
 
-def _path(split: CosetSplit, start: Vertex, pattern: str, r: int, j: int) -> LabeledWalk:
-    cut = cut_labels(split.n, r, j)
-    return LabeledWalk(split.digraph, start, pattern + pattern.join(cut) + pattern)
+def _labels(n: int, pattern: str, r: int, j: int) -> str:
+    """A path's labels: the pattern once per round, each round followed
+    by the label of the cut walk (path lemma, item 4)."""
+    return pattern + pattern.join(cut_labels(n, r, j)) + pattern
 
 
 def _pattern(size: int, b_positions: Iterable[int]) -> str:
@@ -186,15 +189,34 @@ def _pattern(size: int, b_positions: Iterable[int]) -> str:
     return labels.decode()
 
 
-def _end_choices(n: int, jp: int, jq: int) -> Iterator[int]:
-    """The offsets i of Q's end t + i*delta from P's end t in one coset,
-    for cut values jp and jq (pair rule)."""
+def same_coset_pairs(
+    split: CosetSplit, b_cosets: Collection[int], jp: int, jq: int
+) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
+    """The pairs (P, Q) with both ends in one coset (pair rule): P starts
+    at a, uses B on the cosets at b_cosets, of the m - 1 cosets after its
+    end's in the order P visits them, and has cut value jp; Q uses the
+    other label on each of them and has cut value jq.  jp must be in
+    Z(n, c - sigma) and jq in Z(n, m - 1 - c - sigma), c = len(b_cosets).
+    One pair for each offset i of Q's end t + i*delta from P's end t:
+    i = jp if jp + jq is n - 1 or n, then i = jp + 1 if it is n - 2 or
+    n - 1, then every other i if {jp, jq} = {0, n - 1}.  P and Q's labels
+    are built once."""
+    n, m, sigma = split.n, split.m, split.sigma
+    c = len(b_cosets)
+    pattern = _pattern(m - 1, b_cosets)
+    p = LabeledWalk(split.digraph, split.vertex(1, 0), _labels(n, pattern, c - sigma, jp))
+    q_labels = _labels(n, pattern.translate(_SWAP), m - 1 - c - sigma, jq)
+    ends = []
     if jp + jq in (n - 1, n):
-        yield jp
+        ends.append(jp)
     if jp + jq in (n - 2, n - 1):
-        yield (jp + 1) % n
+        ends.append((jp + 1) % n)
     if {jp, jq} == {0, n - 1}:
-        yield from (i for i in range(n) if i not in (jp, (jp + 1) % n))
+        ends = chain(ends, (i for i in range(n) if i not in (jp, (jp + 1) % n)))
+    for i in ends:
+        # P from a ends at t = -jp*delta, and Q from a + (i - jp + jq)*delta
+        # at t + i*delta.
+        yield p, LabeledWalk(split.digraph, split.vertex(1, i - jp + jq), q_labels)
 
 
 def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
@@ -213,13 +235,8 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
         if next(count_pairs(n, zp, zq), None) is None:
             continue
         for bs in combinations(range(m - 1), c):
-            sp = _pattern(m - 1, bs)
-            sq = sp.translate(_SWAP)
             for jp, jq in count_pairs(n, zp, zq):
-                p = _path(split, split.vertex(1, 0), sp, c - sigma, jp)
-                for i in _end_choices(n, jp, jq):
-                    start = split.vertex(1, i - jp + jq)
-                    yield p, _path(split, start, sq, m - 1 - c - sigma, jq)
+                yield from same_coset_pairs(split, bs, jp, jq)
     # Ends in two cosets: P's in C_0 and Q's in C_kappa.  P uses B on C_0
     # iff j_P = n - 1 and on C_kappa iff j_Q = 0, and Q the other label.
     for jp, jq in product((0, n - 1), repeat=2):
@@ -232,12 +249,12 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
                     continue
                 for bs in combinations(others, b):
                     full = _pattern(m, [*forced, *bs])  # P's labels on C_0, ..., C_(m-1)
-                    p = _path(split, split.vertex(1, 0), full[1:], cp - sigma, jp)
+                    p_labels = _labels(n, full[1:], cp - sigma, jp)
+                    p = LabeledWalk(split.digraph, split.vertex(1, 0), p_labels)
                     sq = full.translate(_SWAP)
-                    pattern_q = sq[kappa + 1 :] + sq[:kappa]
+                    q_labels = _labels(n, sq[kappa + 1 :] + sq[:kappa], cq - sigma, jq)
                     for h in range(n):
-                        start = split.vertex(kappa + 1, h)
-                        yield p, _path(split, start, pattern_q, cq - sigma, jq)
+                        yield p, LabeledWalk(split.digraph, split.vertex(kappa + 1, h), q_labels)
 
 
 def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:

@@ -1,17 +1,20 @@
 """The Cay(Z_k; -a, a+1) family with k = (2a+1) * L.
 
+QuotientFiberConfig checks (a, L) and builds the digraph.
+build_family_two takes its pair from the coset construction: the
+quotient-fiber pair is the same-coset pair (cosets.same_coset_pairs)
+with c = a-1 B-cosets, j_P = 0, j_Q the largest even number below L and
+Q's end offset i = 1 for even L, 0 for odd L.
+
 Modulo M = 2a+1 the two generators agree, so the digraph fibers over a
 single quotient M-cycle.  Assigning the generator -a to a chosen set S
 of quotient positions (and a+1 to the rest) defines a skew-product
 permutation whose cycles are the orbits of the fiber return shift
-a+1-|S|.  With |S| = a+2 the shift is -1 and the cover is one
-Hamiltonian cycle; the complementary cover has shift +2 and either is
-Hamiltonian too (L odd) or splits into two cycles joined by the
-canonical arc leaving 0 (L even).  A cover's labels depend only on the
-quotient position, so build_family_two reads both paths' labels off
-the two M-letter patterns; skew_cover computes the covers' cycles
-themselves, the reference the tests and the demo check the paths
-against.
+a+1-|S|.  skew_cover computes a cover's cycles: the reference the tests
+and the demo check the pair against.  Path one is the canonical cover
+(|S| = a+2, shift -1, one k-cycle) opened after 0; path two follows the
+complement (shift +2), one k-cycle for odd L and two cycles joined by
+one canonical arc for even L.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
+from . import cosets
 from .core import CayleyDigraph, InputError, LabeledWalk, cayley, check_pair
 
 
@@ -107,47 +111,31 @@ def skew_cover(cfg: QuotientFiberConfig, S: Iterable[int]) -> SkewCover:
 
 
 def build_family_two(a: int, L: int) -> tuple[LabeledWalk, LabeledWalk]:
-    """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; -a, a+1),
-    read off the quotient pattern.
+    """Two verified arc-disjoint Hamiltonian paths in Cay(Z_k; -a, a+1):
+    the first pair of cosets.same_coset_pairs for one parameter choice.
 
-    Both generators advance t by one and t(0) = 0, so t(-a) = t(a+1) = 1
-    and the step with index i of a walk from either vertex leaves
-    quotient position i+1 mod M.  Along a cover's walk the labels are
-    therefore that cover's pattern over Z_M ("A" on S, "B" elsewhere),
-    read cyclically.  P is the canonical pattern, "A"*(a+2) + "B"*(a-1),
-    and Q its complement.
+    In the notation of hampair.cosets, A = -a and B = a+1, so
+    delta = A - B = -(2a+1), of order n = L and index m = 2a+1, and
+    m*A = (2a+1)(-a) = a*delta: sigma = a mod L.  P uses B on c = a-1
+    cosets, so its first-return step is r_P = c - sigma = -1 and
+    Z(L, -1) = {0} gives j_P = 0.  Q uses B on the other a+1, with step
+    r_Q = m - 1 - c - sigma = 1.  Z(L, 1) is the set of even numbers
+    below L: from 0 the cut permutation at j with step 1 runs
+    0, 2, ..., j, 1, 3, ..., j-1, j+1, j+2, ..., L-1 for even j, one
+    L-cycle, and 0, 2, ..., j-1, j+1, ..., L-1 back to 0 for odd j,
+    missing j.  So j_Q = L-1 for odd L and L-2 for even L, the largest
+    even number below L; j_P + j_Q is n-1 or n-2, and the pair rule
+    gives Q's end offset i = j_P = 0 for odd L and i = j_P + 1 = 1 for
+    even L, the constructor's first.
 
-    M steps of a cover add M*(a+1-|S|), its return shift times M, so a
-    cover splits into gcd(L, a+1-|S|) cycles.  The canonical cover has
-    shift -1 and is one k-cycle: path one is that cycle opened after 0,
-    from -a to 0, the labels of P from position 1.  The complement has
-    shift +2: one k-cycle for odd L, whose opening after 0 is path two,
-    from a+1 to 0, the labels of Q from position 1.
-
-    For even L, write each vertex as c_t + M*j, where c_t is the vertex
-    t < M complement steps after 0.  A complement step keeps the fiber
-    index j (adding 2 after position M-1), so its two cycles are the
-    even and the odd j.  At every vertex the canonical arc and the
-    complement arc differ by -a - (a+1) = -M or by +M, so every
-    canonical arc flips the parity of j and joins the two cycles.  Path
-    two takes the complement cycle of 0 from a+1 to 0, the canonical
-    arc 0 -> -a (step k/2 - 1, at position 0, becomes "A"), then the
-    other complement cycle from -a: still Q from position 1, since
-    t(-a) = 1.  Path one omits that arc, and every other arc of path
-    two is a complement arc, which no canonical arc equals.  The pair
-    is checked by core.check_pair before it is returned.
+    Which a-1 of the 2a cosets after P's end carry B does not matter
+    (path lemma, item 3); positions a+1, ..., 2a-1 of the C(2a, a-1)
+    choices keep the quotient-fiber witnesses, which skew_cover
+    describes.  The pair is checked by core.check_pair before it is
+    returned.
     """
-    cfg = QuotientFiberConfig(a, L)
-    d = cfg.digraph()
-    S = cfg.canonical_S()
-    P = "".join("A" if t in S else "B" for t in range(cfg.M))
-    Q = P.translate(str.maketrans("AB", "BA"))
-    labels1 = P[1:] + P * (L - 1)
-    labels2 = Q[1:] + Q * (L - 1)
-    if L % 2 == 0:
-        i = cfg.k // 2 - 1
-        labels2 = labels2[:i] + "A" + labels2[i + 1 :]
-    path1 = LabeledWalk(d, (cfg.gen_a,), labels1)
-    path2 = LabeledWalk(d, (cfg.gen_b,), labels2)
+    d = QuotientFiberConfig(a, L).digraph()
+    jq = L - 2 + L % 2
+    path1, path2 = next(cosets.same_coset_pairs(cosets.coset_split(d), range(a + 1, 2 * a), 0, jq))
     check_pair(d, path1, path2, f"family-two pair for {(a, L)}")
     return path1, path2

@@ -75,6 +75,23 @@ def test_hamiltonian_cuts_are_the_one_cycle_cut_values():
             assert hamiltonian_cuts(n, r) == direct, (n, r)
 
 
+def test_hamiltonian_cuts_of_steps_minus_one_and_one():
+    # The two cut sets the family-two parameters rest on: Z(L, -1) = {0},
+    # and Z(L, 1) is the set of even numbers below L.
+    for L in range(2, 400):
+        assert hamiltonian_cuts(L, -1) == [0], L
+        assert hamiltonian_cuts(L, 1) == list(range(0, L, 2)), L
+
+
+def test_family_two_coset_split():
+    # Cay(Z_(2a+1)L; -a, a+1): delta = -(2a+1) has order L and index
+    # 2a+1, and (2a+1)*(-a) = a*delta, so sigma = a mod L.
+    for a in range(1, 30):
+        for L in range(2, 40):
+            split = coset_split(QuotientFiberConfig(a, L).digraph())
+            assert (split.n, split.m, split.sigma) == (L, 2 * a + 1, a % L), (a, L)
+
+
 def test_count_pairs_order():
     assert list(count_pairs(10, [1, 3, 5], [1, 3, 5])) == [(3, 5), (5, 3), (5, 5)]
     assert list(count_pairs(4, [0], [3])) == [(0, 3)]
@@ -150,9 +167,11 @@ def test_family_one_is_the_index_one_case():
 
 
 def test_family_two_pair_is_in_the_enumeration():
-    # Family two's closed form starts its first path at -a, the generator
-    # A, so its pair is one that the enumeration lists: a second,
-    # independent check of both.
+    # Family two's pair comes from same_coset_pairs, which iter_pairs also
+    # yields from, so this is no second construction: it checks that the
+    # parameters build_family_two picks are ones the enumeration reaches.
+    # The independent check is test_family_two's
+    # test_build_matches_skew_covers, against the skew covers.
     for a in range(1, 4):
         for L in range(2, 7):
             pair = build_family_two(a, L)

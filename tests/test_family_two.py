@@ -114,9 +114,10 @@ def test_build_sweep():
 @pytest.mark.parametrize("L", range(2, 13))
 @pytest.mark.parametrize("a", range(1, 9))
 def test_build_matches_skew_covers(a, L):
+    # The independent check of the coset pair build_family_two takes:
     # path one is the canonical cycle opened after 0; every arc of path
     # two is a complement arc, except, for even L, the canonical arc
-    # 0 -> -a, its one crossing between the complement's two cycles
+    # 0 -> -a, its one crossing between the complement's two cycles.
     p1, p2 = build_family_two(a, L)
     cfg = QuotientFiberConfig(a, L)
     P = skew_cover(cfg, cfg.canonical_S())
