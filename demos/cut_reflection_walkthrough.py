@@ -37,7 +37,7 @@ def show(k: int, a: int) -> None:
     print(f"   mirror N - Z       : {mirror}")
     print(f"   reflection distance: {profile.delta} "
           f"(witness pair {profile.witness}, sum {sum(profile.witness)})")
-    graph = reflected_gap_graph(profile.Z, N)
+    graph = reflected_gap_graph(profile.Z, N, profile.delta)
     print(f"   gap graph edges    : negative {list(graph.negative_edges)}, "
           f"positive {list(graph.positive_edges)}")
 

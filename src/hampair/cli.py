@@ -116,7 +116,7 @@ def cmd_cuts(args) -> int:
     # (RaySystem.cut_values), so the ray system's boundary and internal
     # multiplicities are Z's endpoint caps and internal half-gaps.
     c_L, *lambdas, c_R = rs.mults
-    graph = lattice.reflected_gap_graph(profile.Z, profile.N)
+    graph = lattice.reflected_gap_graph(profile.Z, profile.N, profile.delta)
     pair = profile.count_pair
     # json writes each tuple as a list
     record = {

@@ -27,6 +27,21 @@ probed with the second walk's tails that carry it.  This holds for any
 two walks, Hamiltonian or not.  The oracle encodes an arc as the
 integer tail*r + label position for r generators (`arc_ids`).
 
+`pair_failure` needs less on a two-generated digraph, since both walks
+have passed `verify_hamiltonian` when it asks.  Let P and Q be
+Hamiltonian paths with ends e_P, e_Q and A-tail sets A_P, A_Q.  Every
+vertex but e_P is a tail of P, so its B-tails are B_P = V - A_P - {e_P},
+and likewise for Q; hence B_P and B_Q are disjoint iff
+V = A_P | A_Q | {e_P, e_Q}.  Once A_P and A_Q are known disjoint, that
+is the count |A_P| + |A_Q| + |{e_P, e_Q} - (A_P | A_Q)| = n.  As e_P is
+not in A_P, nor e_Q in A_Q, the last term needs two facts only: is e_Q
+in A_P, and is e_P in A_Q.  So one set, A_P with e_P added, probed with
+Q's A-tails, decides the pair: a hit other than e_P is a shared A-arc, a
+hit at e_P puts e_P in A_Q, and |A_Q| is a count of Q's labels.  With
+three or more generators the tails outside A_P split among several
+labels, and no count tells a shared B-arc from B on one path and C on
+the other, so products keep `arc_disjoint`'s per-label sets.
+
 Generation is decided arithmetically, without visiting the group: the
 generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
 and n_i*e_i span Z^r, i.e. iff every pivot of the Hermite normal form
@@ -327,7 +342,7 @@ def verify_hamiltonian(d: CayleyDigraph, w: LabeledWalk, mode: str = "path") -> 
     if len(w.labels) != want:
         return f"wrong length: {len(w.labels)} labels, expected {want}"
     vs = w.index_list
-    head = vs[:n]
+    head = vs if mode == "path" else vs[:n]  # a closed cycle repeats its start
     if len(set(head)) != n:
         seen: set[int] = set()
         for v in head:
@@ -347,9 +362,32 @@ def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None
         reason = verify_hamiltonian(d, w)
         if reason:
             return f"{name}: {reason}"
-    if not arc_disjoint(p, q):
+    if len(d.gens) == 2:
+        disjoint = _hamiltonian_pair_disjoint(d.group.size, p, q)
+    else:
+        disjoint = arc_disjoint(p, q)
+    if not disjoint:
         return "arc overlap between path1 and path2"
     return None
+
+
+def _hamiltonian_pair_disjoint(n: int, p: LabeledWalk, q: LabeledWalk) -> bool:
+    """arc_disjoint(p, q) for two Hamiltonian paths of a two-generated
+    digraph of order n, from one probe set and a count (module docstring)."""
+    vs_p, vs_q = p.index_list, q.index_list
+    end_p, end_q = vs_p[-1], vs_q[-1]
+    mask = _LABEL_MASKS[0]
+    # P's A-tails and its end, probed with Q's A-tails: a hit other than
+    # end_p is a shared A-arc, and a hit at end_p puts end_p in A_Q.
+    probe = set(compress(vs_p, p.labels.encode().translate(mask)))
+    probe.add(end_p)
+    hits = probe.intersection(compress(vs_q, q.labels.encode().translate(mask)))
+    if len(hits) > (end_p in hits):
+        return False
+    # |A_P| + |A_Q| + |{end_p, end_q} \ (A_P | A_Q)|; end_q is outside
+    # A_P and distinct from end_p iff it is not in the probe set.
+    covered = len(probe) - 1 + q.labels.count("A") + (end_p not in hits) + (end_q not in probe)
+    return covered == n
 
 
 def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> None:

@@ -239,15 +239,19 @@ class ReflectedGapGraph:
     positive_edges: tuple[tuple[int, int], ...]
 
 
-def reflected_gap_graph(Z: list[int] | tuple[int, ...], N: int) -> ReflectedGapGraph:
-    zs = sorted(set(Z))
-    delta = reflection_distance(zs, N)[0]
-    members = set(zs)
+def reflected_gap_graph(
+    Z: list[int] | tuple[int, ...], N: int, delta: int
+) -> ReflectedGapGraph:
+    """The gap graph of a sorted, duplicate-free nonempty set Z, where
+    delta is its reflection distance, reflection_distance(Z, N)[0]."""
+    if not Z:
+        raise InputError("cut set must be nonempty")
+    members = set(Z)
 
     def edges(total: int) -> tuple[tuple[int, int], ...]:
-        return tuple((u, total - u) for u in zs if u <= total - u and total - u in members)
+        return tuple((u, total - u) for u in Z if u <= total - u and total - u in members)
 
-    return ReflectedGapGraph(N, delta, tuple(zs), edges(N - delta), edges(N + delta))
+    return ReflectedGapGraph(N, delta, tuple(Z), edges(N - delta), edges(N + delta))
 
 
 def cap2_violations(rs: RaySystem) -> list[tuple[str, Ray, int, int]]:
@@ -258,16 +262,17 @@ def cap2_violations(rs: RaySystem) -> list[tuple[str, Ray, int, int]]:
     multiplicity 2, the mass between the cap and the ray must be at
     least alpha - 2, strengthened to alpha - 1 when N = 4*alpha - 2.
     Side "L" is the first ray's cap and "R" the last's; no bound applies
-    unless one of the caps equals 2.
+    unless one of the caps equals 2.  The mass is sector_mass inlined, as
+    in sector_filling_violations.
     """
-    N = rs.params.N
+    N, h, prefix = rs.params.N, rs.mults, rs.prefix
     out = []
     for side, cap in (("L", 0), ("R", rs.f - 1)):
-        if rs.mults[cap] != 2:
+        if h[cap] != 2:
             continue
         for r in range(1, rs.f - 1):
-            alpha = rs.mults[r]
-            mass = sector_mass(rs, min(cap, r), max(cap, r))
+            alpha = h[r]
+            mass = prefix[r] - prefix[1] if cap == 0 else prefix[cap] - prefix[r + 1]
             required = alpha - 1 if N == 4 * alpha - 2 else alpha - 2
             if mass < required:
                 out.append((side, rs.rays[r], mass, required))

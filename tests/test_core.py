@@ -27,8 +27,9 @@ from hampair.core import (
 )
 from hampair.family_one import realize_disjoint_pair
 from hampair.family_two import build_family_two
-from hampair.oracle import find_arc_disjoint_pair
+from hampair.oracle import _Budget, _iter_paths, find_arc_disjoint_pair
 from hampair.products import build_three_factor
+from small_digraphs import two_generated
 
 # References on residue tuples, independent of the integer kernel: an
 # arc of a Cayley digraph is determined by (tail, label).
@@ -375,3 +376,54 @@ def test_arc_disjoint_matches_arc_id_sets_on_flipped_pairs(data):
     lab = data.draw(st.sampled_from([x for x in w.digraph.labels if x != w.labels[i]]))
     pair[which] = LabeledWalk(w.digraph, w.start, w.labels[:i] + lab + w.labels[i + 1 :])
     assert arc_disjoint(*pair) == arc_id_sets_disjoint(*pair)
+
+
+# pair_failure decides a two-generated pair of Hamiltonian paths from one
+# probe set and a count (the core module docstring); arc_disjoint, which
+# holds for any two walks, is its reference.
+OVERLAP = "arc overlap between path1 and path2"
+
+
+def test_pair_failure_matches_arc_disjoint_on_small_digraphs():
+    # Every ordered pair of the first 60 Hamiltonian paths (in the
+    # oracle's order) of every two-generated digraph of order <= 8.
+    pairs = disjoint = 0
+    for d in two_generated(8):
+        paths = list(itertools.islice(_iter_paths(d, _Budget(10**7)), 60))
+        for p, q in itertools.product(paths, repeat=2):
+            expected = None if arc_disjoint(p, q) else OVERLAP
+            assert pair_failure(d, p, q) == expected, (d, p.start, p.labels, q.start, q.labels)
+            pairs += 1
+            disjoint += expected is None
+    assert (pairs, disjoint) == (105380, 15144)
+
+
+def test_pair_failure_catches_a_shared_b_arc_alone():
+    # Cay(Z_6; 1, 2): the A-tails {2, 3, 4} and {5} are disjoint, so the
+    # probe set finds nothing; the shared arc 0 -B-> 2 shows only in the
+    # count, which falls one short of n.
+    d = cayley([6], 1, 2)
+    p, q = LabeledWalk(d, (0,), "BAAAB"), LabeledWalk(d, (1,), "BBABB")
+    assert arc_set(p) & arc_set(q) == {((0,), "B")}
+    assert pair_failure(d, p, q) == pair_failure(d, q, p) == OVERLAP
+
+
+def test_pair_failure_when_an_end_is_an_a_tail_of_the_other_path():
+    # Cay(Z_5; 1, 2): P ends at 1, where Q takes an A-arc, and Q's end 4
+    # is not an A-tail of P; the count must not add the end 1 twice.
+    d = cayley([5], 1, 2)
+    p, q = LabeledWalk(d, (0,), "BAAB"), LabeledWalk(d, (3,), "BAAB")
+    assert p.end == (1,) and ((1,), "A") in arc_set(q)
+    assert q.end == (4,) and ((4,), "A") not in arc_set(p)
+    assert not arc_set(p) & arc_set(q)
+    # Swapped, Q's end is an A-tail of P.
+    assert pair_failure(d, p, q) is None and pair_failure(d, q, p) is None
+
+
+def test_pair_failure_when_both_paths_end_at_one_vertex():
+    # Cay(Z_6; 1, 3): both paths end at 3, which the count must add once.
+    d = cayley([6], 1, 3)
+    p, q = LabeledWalk(d, (0,), "ABABA"), LabeledWalk(d, (4,), "BABAB")
+    assert p.end == q.end == (3,)
+    assert not arc_set(p) & arc_set(q)
+    assert pair_failure(d, p, q) is None and pair_failure(d, q, p) is None

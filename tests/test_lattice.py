@@ -339,14 +339,15 @@ def test_no_adjacent_large_multiplicities():
 
 
 def test_reflected_gap_graph_10_4():
-    g = reflected_gap_graph([1, 3, 5], 9)
+    g = reflected_gap_graph([1, 3, 5], 9, reflection_distance([1, 3, 5], 9)[0])
     assert g.delta == 1
     assert g.negative_edges == ((3, 5),)
     assert g.positive_edges == ((5, 5),)  # the loop at 5
 
 
 def test_reflected_gap_graph_15_3():
-    g = reflected_gap_graph([2, 4, 6, 8, 14], 14)
+    zs = [2, 4, 6, 8, 14]
+    g = reflected_gap_graph(zs, 14, reflection_distance(zs, 14)[0])
     assert g.delta == 0
     assert (6, 8) in g.negative_edges
     assert g.negative_edges == g.positive_edges
@@ -363,7 +364,7 @@ def test_reflection_distance_matches_all_pairs(zs, N):
 
 @given(zsets, st.integers(0, 120))
 def test_reflected_gap_graph_matches_all_pairs(zs, N):
-    g = reflected_gap_graph(zs, N)
+    g = reflected_gap_graph(zs, N, reflection_distance(zs, N)[0])
     delta = min(abs(u + v - N) for u in zs for v in zs)
     assert g.delta == delta
     assert g.negative_edges == tuple(
@@ -378,13 +379,14 @@ def test_reflection_distance_rejects_empty():
     with pytest.raises(InputError):
         reflection_distance([], 5)
     with pytest.raises(InputError):
-        reflected_gap_graph([], 5)
+        reflected_gap_graph([], 5, 0)
 
 
 def test_reflected_gap_graph_nonempty():
     for k in range(3, 40):
         for a in valid_a_values(k):
-            g = reflected_gap_graph(cut_set_values(k, a), k - 1)
+            zs = cut_set_values(k, a)
+            g = reflected_gap_graph(zs, k - 1, reflection_distance(zs, k - 1)[0])
             assert g.negative_edges or g.positive_edges, (k, a)
 
 
@@ -411,6 +413,23 @@ def test_cap2_violations_report_failing_bounds():
     # side of the right cap.
     rs = RaySystem(lattice_params(15, 3), ((1, 0), (1, 1), (1, 2), (1, 3)), (1, 4, 0, 2))
     assert cap2_violations(rs) == [("R", (1, 1), 0, 3)]
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=14).map(lambda m: [2, *m, 2]))
+def test_cap2_violations_match_sector_mass(mults):
+    # Both caps are 2, so every bound applies on both sides; the inlined
+    # masses against sector_mass, the public function.
+    rs = _fake_rays(mults)
+    N, f = rs.params.N, rs.f
+    expected = [
+        (side, rs.rays[r], mass, required)
+        for side, cap in (("L", 0), ("R", f - 1))
+        for r in range(1, f - 1)
+        for mass in [sector_mass(rs, min(cap, r), max(cap, r))]
+        for required in [mults[r] - 1 if N == 4 * mults[r] - 2 else mults[r] - 2]
+        if mass < required
+    ]
+    assert cap2_violations(rs) == expected
 
 
 def test_cap2_sweep():
