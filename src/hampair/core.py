@@ -10,37 +10,49 @@ the checks: in Z_{n1} x ... x Z_{nr} the vertex (x1, ..., xr) has index
 lexicographic order of `elements()`.  A digraph builds, on first use,
 one successor table per generator over these indices.  A walk
 translates its labels once into label-position bytes and follows the
-tables, one lookup per byte, to its `index_list`.  `verify_hamiltonian`
-and `arc_disjoint` run on these integers only; `verify_hamiltonian`
-checks a walk's length before any table is built, so a walk whose size
-does not match its group costs nothing in the group's order.
+tables, one lookup per byte, to its `index_list`, which the oracle,
+products and `arc_disjoint` read.
 
 A check returns the reason it failed, or None when it passes:
 `verify_hamiltonian` for one walk, `pair_failure` for a pair.  The
 builders call `check_pair`, which turns a failed pair check into a
 RuntimeError.
 
-Two walks share an arc iff some tail carries the same label in both.
-`arc_disjoint` therefore keeps one set per label: the first walk's
-tails that carry it, picked out by a byte mask over the encoded labels,
-probed with the second walk's tails that carry it.  This holds for any
-two walks, Hamiltonian or not.  The oracle encodes an arc as the
-integer tail*r + label position for r generators (`arc_ids`).
+Both checks mark vertices instead of listing them.  `_marks` follows a
+walk's labels through the tables and, at each vertex, writes into a
+bytearray of the group's order the code of the label the walk leaves it
+by: the label's position + 1, so a code is in 1..26.  A path's end, which
+no label leaves, gets a reserved mark: 254 for path1 and 255 for path2.
+A walk's length is checked before the bytearray is allocated, so a walk
+whose size does not match its group costs nothing in the group's order.
 
-`pair_failure` needs less on a two-generated digraph, since both walks
-have passed `verify_hamiltonian` when it asks.  Let P and Q be
-Hamiltonian paths with ends e_P, e_Q and A-tail sets A_P, A_Q.  Every
-vertex but e_P is a tail of P, so its B-tails are B_P = V - A_P - {e_P},
-and likewise for Q; hence B_P and B_Q are disjoint iff
-V = A_P | A_Q | {e_P, e_Q}.  Once A_P and A_Q are known disjoint, that
-is the count |A_P| + |A_Q| + |{e_P, e_Q} - (A_P | A_Q)| = n.  As e_P is
-not in A_P, nor e_Q in A_Q, the last term needs two facts only: is e_Q
-in A_P, and is e_P in A_Q.  So one set, A_P with e_P added, probed with
-Q's A-tails, decides the pair: a hit other than e_P is a shared A-arc, a
-hit at e_P puts e_P in A_Q, and |A_Q| is a count of Q's labels.  With
-three or more generators the tails outside A_P split among several
-labels, and no count tells a shared B-arc from B on one path and C on
-the other, so products keep `arc_disjoint`'s per-label sets.
+Hamiltonicity is a zero byte.  Once the length check has passed, a path
+of n - 1 labels writes n marks, at v_0..v_{n-1} (its end included), into
+n slots, and so does a cycle of n labels, which must also close at its
+start.  No mark is 0, so every slot is written iff no vertex repeats:
+the walk visits every vertex once iff `0 not in marks`.  Which vertex
+repeats first is found on the failure path only, by a scan of
+`index_list`.
+
+Arc disjointness is one XOR.  Two walks share an arc iff some tail
+carries the same label in both.  Each vertex of a Hamiltonian path holds
+exactly one mark, the code of the label that leaves it or the path's end
+mark, so two Hamiltonian paths share an arc iff some vertex holds the
+same label code in both mark arrays.  An end mark never equals a mark of
+the other path, as 254 != 255 and neither is in 1..26.  So the paths are
+arc-disjoint iff their marks differ at every vertex, i.e. iff
+(int.from_bytes(m1, "big") ^ int.from_bytes(m2, "big")).to_bytes(n, "big")
+has no zero byte; the zero bytes that to_bytes pads in front are the
+leading vertices where the marks agree.  This holds for any number of
+generators up to the 26 of GENERATOR_LABELS, so `pair_failure` has one
+rule for every digraph.
+
+`arc_disjoint` decides the same for any two walks, Hamiltonian or not,
+and serves the tests as a reference and products' switchability check.
+It keeps one set per label: the first walk's tails that carry it, picked
+out by a byte mask over the encoded labels, probed with the second
+walk's tails that carry it.  The oracle encodes an arc as the integer
+tail*r + label position for r generators (`arc_ids`).
 
 Generation is decided arithmetically, without visiting the group: the
 generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
@@ -65,11 +77,17 @@ Vertex = tuple[int, ...]
 GENERATOR_LABELS = string.ascii_uppercase
 
 # bytes.translate tables over a walk's encoded labels: _POSITIONS maps
-# each label to its position, and _LABEL_MASKS[i] maps the i-th label to
-# 1 and every other byte to 0.
+# each label to its position, _CODES to its position + 1 (the vertex
+# marks of the module docstring), and _LABEL_MASKS[i] maps the i-th label
+# to 1 and every other byte to 0.
 _POSITIONS = bytes.maketrans(
     GENERATOR_LABELS.encode(), bytes(range(len(GENERATOR_LABELS)))
 )
+_CODES = bytes.maketrans(
+    GENERATOR_LABELS.encode(), bytes(range(1, len(GENERATOR_LABELS) + 1))
+)
+# The end marks of path1 and path2: distinct, and no label's code.
+_END_MARKS = (254, 255)
 _LABEL_MASKS = tuple(
     bytes(c) + b"\x01" + bytes(255 - c) for c in GENERATOR_LABELS.encode()
 )
@@ -229,8 +247,17 @@ class CayleyDigraph:
         """successor_tables[i][v]: the index of the head of the arc
         labeled GENERATOR_LABELS[i] whose tail has index v."""
         if self._tables is None:
-            tables = tuple(self.group.translation_table(g) for g in self.gens)
-            object.__setattr__(self, "_tables", tables)
+            first = self.group.translation_table(self.gens[0])
+            if len(self.group.orders) == 1:
+                # On Z_n, translation by g is translation by g_0 after a
+                # shift by g - g_0: rotations of the first table, which
+                # share its ints.
+                n, (g0,) = self.group.size, self.gens[0]
+                shifts = ((g - g0) % n for (g,) in self.gens[1:])
+                rest = [first[s:] + first[:s] for s in shifts]
+            else:
+                rest = [self.group.translation_table(g) for g in self.gens[1:]]
+            object.__setattr__(self, "_tables", (first, *rest))
         return self._tables
 
     @property
@@ -295,7 +322,7 @@ class LabeledWalk:
         object.__setattr__(self, "start", self.digraph.group.check_vertex(self.start))
         if not isinstance(self.labels, str):
             raise InputError(f"labels must be a str, got {type(self.labels).__name__}")
-        if self.labels.strip(self.digraph.labels):
+        if sum(map(self.labels.count, self.digraph.labels)) != len(self.labels):
             for lab in self.labels:
                 self.digraph.gen(lab)  # raises on an unknown label
 
@@ -333,6 +360,15 @@ def verify_hamiltonian(d: CayleyDigraph, w: LabeledWalk, mode: str = "path") -> 
 
     Failures are returned, not raised; only malformed inputs raise.
     """
+    return _marks(d, w, mode, _END_MARKS[0])[0]
+
+
+def _marks(
+    d: CayleyDigraph, w: LabeledWalk, mode: str, end: int
+) -> tuple[str | None, bytearray | None]:
+    """(verify_hamiltonian's reason, and when it is None the vertex marks
+    of w): each vertex holds the code of the label w leaves it by, and in
+    path mode the end holds `end` (module docstring)."""
     if mode not in ("path", "cycle"):
         raise InputError(f"mode must be 'path' or 'cycle', got {mode!r}")
     if w.digraph != d:
@@ -340,54 +376,40 @@ def verify_hamiltonian(d: CayleyDigraph, w: LabeledWalk, mode: str = "path") -> 
     n = d.group.size
     want = n - 1 if mode == "path" else n
     if len(w.labels) != want:
-        return f"wrong length: {len(w.labels)} labels, expected {want}"
-    vs = w.index_list
-    head = vs if mode == "path" else vs[:n]  # a closed cycle repeats its start
-    if len(set(head)) != n:
+        return f"wrong length: {len(w.labels)} labels, expected {want}", None
+    marks = bytearray(n)
+    tables = (None, *d.successor_tables)  # indexed by code
+    v = start = d.group.encode(w.start)
+    for code in w.labels.encode().translate(_CODES):
+        marks[v] = code
+        v = tables[code][v]
+    if mode == "path":
+        marks[v] = end
+    if 0 in marks:
         seen: set[int] = set()
-        for v in head:
-            if v in seen:
-                return f"repeated vertex {d.group.decode(v)}"
-            seen.add(v)
-    if mode == "cycle" and vs[-1] != vs[0]:
-        end, start = d.group.decode(vs[-1]), d.group.decode(vs[0])
-        return f"cycle does not close: ends at {end}, started at {start}"
-    return None
+        for u in w.index_list[:n]:  # a closed cycle repeats its start
+            if u in seen:
+                return f"repeated vertex {d.group.decode(u)}", None
+            seen.add(u)
+    if mode == "cycle" and v != start:
+        end_v, start_v = d.group.decode(v), d.group.decode(start)
+        return f"cycle does not close: ends at {end_v}, started at {start_v}", None
+    return None, marks
 
 
 def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:
     """Why (p, q) is not a pair of arc-disjoint Hamiltonian paths of d,
-    or None if it is.  Paths are checked first, in order."""
-    for name, w in (("path1", p), ("path2", q)):
-        reason = verify_hamiltonian(d, w)
+    or None if it is.  Paths are checked first, in order; arc
+    disjointness is one XOR of their marks (module docstring)."""
+    marks = []  # each path's marks, read as one big-endian integer
+    for name, w, end in zip(("path1", "path2"), (p, q), _END_MARKS):
+        reason, m = _marks(d, w, "path", end)
         if reason:
             return f"{name}: {reason}"
-    if len(d.gens) == 2:
-        disjoint = _hamiltonian_pair_disjoint(d.group.size, p, q)
-    else:
-        disjoint = arc_disjoint(p, q)
-    if not disjoint:
+        marks.append(int.from_bytes(m, "big"))
+    if 0 in (marks[0] ^ marks[1]).to_bytes(d.group.size, "big"):
         return "arc overlap between path1 and path2"
     return None
-
-
-def _hamiltonian_pair_disjoint(n: int, p: LabeledWalk, q: LabeledWalk) -> bool:
-    """arc_disjoint(p, q) for two Hamiltonian paths of a two-generated
-    digraph of order n, from one probe set and a count (module docstring)."""
-    vs_p, vs_q = p.index_list, q.index_list
-    end_p, end_q = vs_p[-1], vs_q[-1]
-    mask = _LABEL_MASKS[0]
-    # P's A-tails and its end, probed with Q's A-tails: a hit other than
-    # end_p is a shared A-arc, and a hit at end_p puts end_p in A_Q.
-    probe = set(compress(vs_p, p.labels.encode().translate(mask)))
-    probe.add(end_p)
-    hits = probe.intersection(compress(vs_q, q.labels.encode().translate(mask)))
-    if len(hits) > (end_p in hits):
-        return False
-    # |A_P| + |A_Q| + |{end_p, end_q} \ (A_P | A_Q)|; end_q is outside
-    # A_P and distinct from end_p iff it is not in the probe set.
-    covered = len(probe) - 1 + q.labels.count("A") + (end_p not in hits) + (end_q not in probe)
-    return covered == n
 
 
 def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> None:

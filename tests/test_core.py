@@ -18,6 +18,7 @@ from hampair.core import (
     InputError,
     LabeledWalk,
     Vertex,
+    _marks,
     arc_disjoint,
     arc_ids,
     cayley,
@@ -28,7 +29,7 @@ from hampair.core import (
 from hampair.family_one import realize_disjoint_pair
 from hampair.family_two import build_family_two
 from hampair.oracle import _Budget, _iter_paths, find_arc_disjoint_pair
-from hampair.products import build_three_factor
+from hampair.products import build_three_factor, product_digraph
 from small_digraphs import two_generated
 
 # References on residue tuples, independent of the integer kernel: an
@@ -378,9 +379,9 @@ def test_arc_disjoint_matches_arc_id_sets_on_flipped_pairs(data):
     assert arc_disjoint(*pair) == arc_id_sets_disjoint(*pair)
 
 
-# pair_failure decides a two-generated pair of Hamiltonian paths from one
-# probe set and a count (the core module docstring); arc_disjoint, which
-# holds for any two walks, is its reference.
+# pair_failure decides a pair of Hamiltonian paths by one XOR of their
+# vertex marks (the core module docstring); arc_disjoint, which holds for
+# any two walks, is its reference.
 OVERLAP = "arc overlap between path1 and path2"
 
 
@@ -398,10 +399,39 @@ def test_pair_failure_matches_arc_disjoint_on_small_digraphs():
     assert (pairs, disjoint) == (105380, 15144)
 
 
+def test_pair_failure_matches_arc_disjoint_on_products():
+    # The marks rule is one rule for any number of generators: every
+    # ordered pair of the first 40 Hamiltonian paths of products of three
+    # and four directed cycles.
+    pairs = disjoint = 0
+    for orders in [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3), (2, 2, 4), (2, 3, 4), (2, 2, 2, 2)]:
+        d = product_digraph(orders)
+        paths = list(itertools.islice(_iter_paths(d, _Budget(10**7)), 40))
+        for p, q in itertools.product(paths, repeat=2):
+            expected = None if arc_disjoint(p, q) else OVERLAP
+            assert pair_failure(d, p, q) == expected, (orders, p.start, p.labels, q.start, q.labels)
+            pairs += 1
+            disjoint += expected is None
+    assert (pairs, disjoint) == (11200, 306)
+
+
+def test_marks_are_the_codes_of_the_labels_that_leave_each_vertex():
+    # Codes are label position + 1, so no Hamiltonian path's marks hold a
+    # zero byte and the repeated-vertex scan never runs on one.
+    for p, q in verified_pairs():
+        d = p.digraph
+        for w, end in ((p, 254), (q, 255)):
+            want = bytearray(d.group.size)
+            for v, lab in zip(w.index_list, w.labels):
+                want[v] = d.labels.index(lab) + 1
+            want[w.index_list[-1]] = end
+            assert _marks(d, w, "path", end) == (None, want)
+
+
 def test_pair_failure_catches_a_shared_b_arc_alone():
-    # Cay(Z_6; 1, 2): the A-tails {2, 3, 4} and {5} are disjoint, so the
-    # probe set finds nothing; the shared arc 0 -B-> 2 shows only in the
-    # count, which falls one short of n.
+    # Cay(Z_6; 1, 2): the A-tails {2, 3, 4} and {5} are disjoint, and
+    # the one shared arc is 0 -B-> 2: both paths mark vertex 0 with B's
+    # code.
     d = cayley([6], 1, 2)
     p, q = LabeledWalk(d, (0,), "BAAAB"), LabeledWalk(d, (1,), "BBABB")
     assert arc_set(p) & arc_set(q) == {((0,), "B")}
@@ -410,7 +440,7 @@ def test_pair_failure_catches_a_shared_b_arc_alone():
 
 def test_pair_failure_when_an_end_is_an_a_tail_of_the_other_path():
     # Cay(Z_5; 1, 2): P ends at 1, where Q takes an A-arc, and Q's end 4
-    # is not an A-tail of P; the count must not add the end 1 twice.
+    # is not an A-tail of P; an end mark is no label's code.
     d = cayley([5], 1, 2)
     p, q = LabeledWalk(d, (0,), "BAAB"), LabeledWalk(d, (3,), "BAAB")
     assert p.end == (1,) and ((1,), "A") in arc_set(q)
@@ -421,9 +451,80 @@ def test_pair_failure_when_an_end_is_an_a_tail_of_the_other_path():
 
 
 def test_pair_failure_when_both_paths_end_at_one_vertex():
-    # Cay(Z_6; 1, 3): both paths end at 3, which the count must add once.
+    # Cay(Z_6; 1, 3): both paths end at 3, so the two end marks must
+    # differ, or vertex 3 would read as a shared arc.
     d = cayley([6], 1, 3)
     p, q = LabeledWalk(d, (0,), "ABABA"), LabeledWalk(d, (4,), "BABAB")
     assert p.end == q.end == (3,)
     assert not arc_set(p) & arc_set(q)
     assert pair_failure(d, p, q) is None and pair_failure(d, q, p) is None
+
+
+# The checks before vertex marks, kept as the reference: the walk's index
+# list, a set of its first n vertices, and arc_disjoint for the pair.
+def verify_by_index_set(d: CayleyDigraph, w: LabeledWalk, mode: str = "path") -> str | None:
+    n = d.group.size
+    want = n - 1 if mode == "path" else n
+    if len(w.labels) != want:
+        return f"wrong length: {len(w.labels)} labels, expected {want}"
+    vs = w.index_list
+    seen: set[int] = set()
+    for v in vs[:n]:
+        if v in seen:
+            return f"repeated vertex {d.group.decode(v)}"
+        seen.add(v)
+    if mode == "cycle" and vs[-1] != vs[0]:
+        end, start = d.group.decode(vs[-1]), d.group.decode(vs[0])
+        return f"cycle does not close: ends at {end}, started at {start}"
+    return None
+
+
+def pair_failure_by_index_sets(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:
+    for name, w in (("path1", p), ("path2", q)):
+        reason = verify_by_index_set(d, w)
+        if reason:
+            return f"{name}: {reason}"
+    return None if arc_disjoint(p, q) else OVERLAP
+
+
+SMALL_DIGRAPHS = [
+    cayley([5], 1, 2),
+    cayley([6], 1, 3),
+    cayley([7], 2, 3),
+    cayley([12], 1, 5),
+    cayley([2, 3], (1, 0), (0, 1)),
+    cayley([3, 4], (1, 0), (0, 1)),
+    product_digraph((2, 2, 2)),
+    product_digraph((2, 3, 2)),
+]
+
+
+@functools.cache
+def dfs_paths(d: CayleyDigraph) -> list[LabeledWalk]:
+    return list(itertools.islice(_iter_paths(d, _Budget(10**7)), 30))
+
+
+@st.composite
+def near_hamiltonian_walks(draw, d: CayleyDigraph, mode: str):
+    """A walk of d whose length is that of a Hamiltonian path or cycle,
+    or one off: random labels, or a Hamiltonian path of d, translated,
+    with one label more for a cycle."""
+    start = draw(st.sampled_from(list(d.group.elements())))
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(dfs_paths(d))).translate(start)
+        if mode == "cycle":
+            w = LabeledWalk(d, w.start, w.labels + draw(st.sampled_from(d.labels)))
+        return w
+    n = d.group.size
+    size = (n - 1 if mode == "path" else n) + draw(st.integers(-1, 1))
+    return LabeledWalk(d, start, draw(st.text(alphabet=d.labels, min_size=size, max_size=size)))
+
+
+@given(st.data())
+def test_checks_match_the_index_list_and_set_reference(data):
+    d = data.draw(st.sampled_from(SMALL_DIGRAPHS))
+    mode = data.draw(st.sampled_from(["path", "cycle"]))
+    w = data.draw(near_hamiltonian_walks(d, mode))
+    assert verify_hamiltonian(d, w, mode) == verify_by_index_set(d, w, mode)
+    p, q = data.draw(near_hamiltonian_walks(d, "path")), data.draw(near_hamiltonian_walks(d, "path"))
+    assert pair_failure(d, p, q) == pair_failure_by_index_sets(d, p, q)
