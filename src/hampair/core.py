@@ -44,8 +44,48 @@ arc-disjoint iff their marks differ at every vertex, i.e. iff
 (int.from_bytes(m1, "big") ^ int.from_bytes(m2, "big")).to_bytes(n, "big")
 has no zero byte; the zero bytes that to_bytes pads in front are the
 leading vertices where the marks agree.  This holds for any number of
-generators up to the 26 of GENERATOR_LABELS, so `pair_failure` has one
+generators up to the 26 of GENERATOR_LABELS, so the marks walk is one
 rule for every digraph.
+
+The column rule proves most rank-one pairs without either walk.  On
+Z_N with two generators A, B, delta = A - B, m = gcd(delta, N) the index
+of H = <delta> and n = N/m its order (coset_split), the coset of v is
+v mod m and v's index within it is v // m.  Both labels map a coset
+C_i onto C_(i+1), and A is a unit mod m, so step i of a path from s
+leaves coset s + i*A: the path's column i mod m is one coset, column c
+being coset s + c*A, and column m - 1 holds its end.  For m >= 3,
+`_columns_prove` reads, for each path,
+
+- pattern = labels[:m-1] and x = labels[m-1::m].  One string comparison,
+  labels == pattern + pattern.join(x) + pattern, shows that every column
+  but the last uses one label, pattern[c] on column c.
+- Hamiltonicity from the last column alone.  If column c uses one label
+  g, its vertex after each round is the vertex before plus g, so each
+  constant column translates the previous column's visits onto the next
+  coset.  Along the chain of columns 0 -> 1 -> ... -> m - 1, the n
+  visits of column 0 are distinct iff those of column m - 1 are, and
+  then so are those of every column: each coset is one column, visited
+  n times, so the path is Hamiltonian iff its n end-coset visits are
+  distinct.  From v_(m-1) = s + (m-1-c_B)*A + c_B*B, with c_B the B's
+  of the pattern, each round adds x's label and the pattern:
+  m*A - (c_B + [x = B])*delta = (sigma - c_B - [x = B])*delta, with
+  m*A = sigma*delta.  In the index v // m that is a step of
+  (sigma - c_B - [x = B])*(delta/m) mod n, so the walk writes n marks,
+  x's codes and the end mark, into n bytes; no zero byte is left iff
+  the visits are distinct.
+
+Arc disjointness then goes coset by coset.  With shift =
+(s_P - s_Q)/A mod m, P's column c is Q's column c + shift.  On a coset
+that holds neither end both paths leave every vertex by their one
+label, so they must differ there.  On an end coset of P alone, Q leaves
+every vertex by one label, which must not be in P's x, and likewise for
+Q's.  A shared end coset (shift 0) holds both walks' marks in one
+index, so the XOR rule above decides it on n bytes.  Every Hamiltonian
+path has this shape (hampair.cosets, path lemma), so the rule proves
+every arc-disjoint Hamiltonian pair with m >= 3; it never rejects, and
+whatever it does not prove goes to the marks walk, which gives every
+reason text.  Family one has m = 1, and groups of rank two or more,
+m = 2 and three generators always take the marks walk.
 
 `arc_disjoint` decides the same for any two walks, Hamiltonian or not,
 and serves the tests as a reference and products' switchability check.
@@ -66,7 +106,7 @@ import string
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, product
-from math import prod
+from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -88,6 +128,8 @@ _CODES = bytes.maketrans(
 )
 # The end marks of path1 and path2: distinct, and no label's code.
 _END_MARKS = (254, 255)
+# Exchanges A and B: the other label of a two-generated digraph.
+_SWAP = str.maketrans("AB", "BA")
 _LABEL_MASKS = tuple(
     bytes(c) + b"\x01" + bytes(255 - c) for c in GENERATOR_LABELS.encode()
 )
@@ -306,6 +348,51 @@ def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
 
 
 @dataclass(frozen=True)
+class CosetSplit:
+    """The cosets of <delta> in a two-generated Cay(G; a, b)."""
+
+    digraph: CayleyDigraph
+    delta: Vertex  # a - b
+    n: int  # order of delta
+    m: int  # index of <delta>
+    sigma: int  # m*a = sigma*delta, 0 <= sigma < n
+
+    def vertex(self, i: int, h: int) -> Vertex:
+        """The vertex i*a + h*delta."""
+        a, orders = self.digraph.gens[0], self.digraph.group.orders
+        return tuple((i * x + h * y) % o for x, y, o in zip(a, self.delta, orders))
+
+
+def coset_split(d: CayleyDigraph) -> CosetSplit:
+    """delta, n, m and sigma of a two-generated digraph d."""
+    if len(d.gens) != 2:
+        raise InputError(f"need two generators, got {len(d.gens)}")
+    g = d.group
+    a, b = d.gens
+    delta = g.add(a, g.neg(b))
+    n = lcm(*(o // gcd(x, o) for x, o in zip(delta, g.orders)))
+    m = g.size // n
+    ma = tuple(m * x % o for x, o in zip(a, g.orders))
+    return CosetSplit(d, delta, n, m, _multiple(ma, delta, g.orders))
+
+
+def _multiple(target: Vertex, delta: Vertex, orders: tuple[int, ...]) -> int:
+    """The s, reduced mod the order of delta, with s*delta = target, for
+    target in <delta>: one congruence per coordinate, merged by the
+    Chinese remainder theorem for moduli that need not be coprime."""
+    s, mod = 0, 1
+    for t, x, o in zip(target, delta, orders):
+        g = gcd(x, o)
+        step = o // g  # the order of x in Z_o; s = r (mod step) solves s*x = t
+        r = t // g * pow(x // g, -1, step) % step
+        h = gcd(mod, step)
+        assert (r - s) % h == 0 and t % g == 0, (target, delta)
+        s += mod * ((r - s) // h * pow(mod // h, -1, step // h) % (step // h))
+        mod = mod // h * step
+    return s % mod
+
+
+@dataclass(frozen=True)
 class LabeledWalk:
     """A walk given by its start vertex and per-step generator labels.
 
@@ -399,8 +486,16 @@ def _marks(
 
 def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:
     """Why (p, q) is not a pair of arc-disjoint Hamiltonian paths of d,
-    or None if it is.  Paths are checked first, in order; arc
-    disjointness is one XOR of their marks (module docstring)."""
+    or None if it is.  The column rule proves the pair when it can;
+    otherwise paths are checked first, in order, and arc disjointness is
+    one XOR of their marks (module docstring)."""
+    if _columns_prove(d, p, q):
+        return None
+    return _marks_failure(d, p, q)
+
+
+def _marks_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None:
+    """pair_failure by the marks walk alone."""
     marks = []  # each path's marks, read as one big-endian integer
     for name, w, end in zip(("path1", "path2"), (p, q), _END_MARKS):
         reason, m = _marks(d, w, "path", end)
@@ -410,6 +505,76 @@ def pair_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | None
     if 0 in (marks[0] ^ marks[1]).to_bytes(d.group.size, "big"):
         return "arc overlap between path1 and path2"
     return None
+
+
+def _columns_prove(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> bool:
+    """True if the column rule proves (p, q) an arc-disjoint Hamiltonian
+    pair of d; False leaves the verdict to the marks walk (module
+    docstring).  Only two generators on Z_N with m >= 3 are tried."""
+    if len(d.group.orders) != 1 or len(d.gens) != 2:
+        return False
+    (a,), (b,) = d.gens
+    if gcd(a - b, d.group.size) < 3 or p.digraph != d or q.digraph != d:
+        return False  # m < 3, or the marks walk's InputError
+    split = coset_split(d)
+    m = split.m
+    cols = []
+    for w, end in zip((p, q), _END_MARKS):
+        col = _end_column(split, w, end)
+        if col is None:
+            return False
+        cols.append(col)
+    (pattern_p, x_p, marks_p), (pattern_q, x_q, marks_q) = cols
+    # P's column c is Q's column c + shift.  q_cols holds Q's label on
+    # each of P's columns ("E" on Q's end coset), and want the label Q
+    # must use there, P's other one ("E" on P's end coset, the last).
+    shift = (p.start[0] - q.start[0]) * pow(a, -1, m) % m
+    q_cols = pattern_q + "E"
+    q_cols = q_cols[shift:] + q_cols[:shift]
+    want = pattern_p.translate(_SWAP) + "E"
+    if shift == 0:
+        return want == q_cols and 0 not in (
+            int.from_bytes(marks_p, "big") ^ int.from_bytes(marks_q, "big")
+        ).to_bytes(split.n, "big")
+    e = m - 1 - shift  # Q's end column, in P's columns
+    return (
+        want[:e] == q_cols[:e]
+        and want[e + 1 : -1] == q_cols[e + 1 : -1]
+        and q_cols[-1] not in x_p
+        and pattern_p[e] not in x_q
+    )
+
+
+def _end_column(
+    split: CosetSplit, w: LabeledWalk, end: int
+) -> tuple[str, str, bytearray] | None:
+    """(pattern, x, marks) of w when it is a Hamiltonian path by the
+    column rule: every column but the last uses one label, and the n
+    visits of the last, at index v // m of their coset, are distinct;
+    marks holds x's codes there and `end` at w's end.  None otherwise."""
+    labels, m, n = w.labels, split.m, split.n
+    size = m * n
+    if len(labels) != size - 1:
+        return None
+    pattern, x = labels[: m - 1], labels[m - 1 :: m]
+    if labels != pattern + pattern.join(x) + pattern:
+        return None
+    c_b = pattern.count("B")
+    a, b = split.digraph.gens[0][0], split.digraph.gens[1][0]
+    unit = split.delta[0] // m  # delta in steps of the index v // m
+    step_a = (split.sigma - c_b) * unit % n
+    steps = (0, step_a, (step_a - unit) % n)  # by code: A is 1, B is 2
+    h = (w.start[0] + (m - 1 - c_b) * a + c_b * b) % size // m
+    marks = bytearray(n)
+    for code in x.encode().translate(_CODES):
+        marks[h] = code
+        h += steps[code]
+        if h >= n:  # cheaper than h % n
+            h -= n
+    marks[h] = end
+    if 0 in marks:
+        return None
+    return pattern, x, marks
 
 
 def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> None:

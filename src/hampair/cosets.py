@@ -73,65 +73,17 @@ Every path P built here starts at a, as family one's cut path does:
 its end is -j_P*delta.  same_coset_pairs builds the pairs with both ends
 in one coset, for iter_pairs and for family two's parameter choice;
 each caller checks every pair it yields or returns once, by
-core.check_pair.
+core.check_pair.  delta, n, m and sigma come from core.coset_split,
+which core's pair check reads as well (its column rule).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, product
-from math import gcd, lcm
 from typing import Collection, Iterable, Iterator
 
 from . import lattice
-from .core import CayleyDigraph, InputError, LabeledWalk, Vertex, check_pair
-
-_SWAP = str.maketrans("AB", "BA")
-
-
-@dataclass(frozen=True)
-class CosetSplit:
-    """The cosets of <delta> in a two-generated Cay(G; a, b)."""
-
-    digraph: CayleyDigraph
-    delta: Vertex  # a - b
-    n: int  # order of delta
-    m: int  # index of <delta>
-    sigma: int  # m*a = sigma*delta, 0 <= sigma < n
-
-    def vertex(self, i: int, h: int) -> Vertex:
-        """The vertex i*a + h*delta."""
-        a, orders = self.digraph.gens[0], self.digraph.group.orders
-        return tuple((i * x + h * y) % o for x, y, o in zip(a, self.delta, orders))
-
-
-def coset_split(d: CayleyDigraph) -> CosetSplit:
-    """delta, n, m and sigma of a two-generated digraph d."""
-    if len(d.gens) != 2:
-        raise InputError(f"need two generators, got {len(d.gens)}")
-    g = d.group
-    a, b = d.gens
-    delta = g.add(a, g.neg(b))
-    n = lcm(*(o // gcd(x, o) for x, o in zip(delta, g.orders)))
-    m = g.size // n
-    ma = tuple(m * x % o for x, o in zip(a, g.orders))
-    return CosetSplit(d, delta, n, m, _multiple(ma, delta, g.orders))
-
-
-def _multiple(target: Vertex, delta: Vertex, orders: tuple[int, ...]) -> int:
-    """The s, reduced mod the order of delta, with s*delta = target, for
-    target in <delta>: one congruence per coordinate, merged by the
-    Chinese remainder theorem for moduli that need not be coprime."""
-    s, mod = 0, 1
-    for t, x, o in zip(target, delta, orders):
-        g = gcd(x, o)
-        step = o // g  # the order of x in Z_o; s = r (mod step) solves s*x = t
-        r = t // g * pow(x // g, -1, step) % step
-        h = gcd(mod, step)
-        assert (r - s) % h == 0 and t % g == 0, (target, delta)
-        s += mod * ((r - s) // h * pow(mod // h, -1, step // h) % (step // h))
-        mod = mod // h * step
-    return s % mod
+from .core import _SWAP, CayleyDigraph, CosetSplit, LabeledWalk, check_pair, coset_split
 
 
 def hamiltonian_cuts(n: int, r: int) -> list[int]:
@@ -274,11 +226,17 @@ def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
 
 
 def find_pair(d: CayleyDigraph) -> tuple[LabeledWalk, LabeledWalk]:
-    """The first pair of iter_pairs(d).  Raises RuntimeError, naming d,
-    if there is none, which would refute the paper's theorem."""
-    for pair in iter_pairs(d):
-        return pair
-    raise RuntimeError(f"{_name(d)} has no arc-disjoint Hamiltonian path pair")
+    """The first pair of iter_pairs(d), checked as iter_pairs checks it.
+    Raises RuntimeError, naming d, if there is none, which would refute
+    the paper's theorem.
+
+    The search's generator is dropped before the check, so its cut sets
+    and count_pairs' member set are freed first."""
+    pair = next(_structured_pairs(coset_split(d)), None)
+    if pair is None:
+        raise RuntimeError(f"{_name(d)} has no arc-disjoint Hamiltonian path pair")
+    check_pair(d, *pair, f"coset pair for {_name(d)}")
+    return pair
 
 
 def _name(d: CayleyDigraph) -> str:

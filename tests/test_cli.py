@@ -528,11 +528,13 @@ def test_scan_empty_range_is_usage_error(capsys, k_min, k_max, first):
 
 
 @pytest.mark.parametrize(
-    "argv", [("build", "two", "1", "3000000"), ("scan", "3", "30000")], ids=["build", "scan"]
+    "argv", [("build", "two", "1", "100000000"), ("scan", "3", "30000")], ids=["build", "scan"]
 )
 def test_out_of_memory_is_inconclusive(argv):
-    # The child alone gets a ~390 MB address space; a witness of 9 * 10^6
-    # vertices or a scan of ~4.5 * 10^8 cells does not fit in it.
+    # The child alone gets a ~390 MB address space; a witness of 3 * 10^8
+    # vertices or a scan of ~4.5 * 10^8 cells does not fit in it.  (A
+    # family-two witness of 9 * 10^6 vertices fits, as its pair check
+    # builds no successor tables.)
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
 
