@@ -47,14 +47,15 @@ leading vertices where the marks agree.  This holds for any number of
 generators up to the 26 of GENERATOR_LABELS, so the marks walk is one
 rule for every digraph.
 
-The column rule proves most rank-one pairs without either walk.  On
-Z_N with two generators A, B, delta = A - B, m = gcd(delta, N) the index
-of H = <delta> and n = N/m its order (coset_split), the coset of v is
-v mod m and v's index within it is v // m.  Both labels map a coset
-C_i onto C_(i+1), and A is a unit mod m, so step i of a path from s
-leaves coset s + i*A: the path's column i mod m is one coset, column c
-being coset s + c*A, and column m - 1 holds its end.  For m >= 3,
-`_columns_prove` reads, for each path,
+The column rule proves rank-one pairs without either walk.  On Z_N
+with two generators A, B, delta = A - B, m = gcd(delta, N) the index of
+H = <delta> and n = N/m its order (coset_split), the coset of v is
+v mod m and v's index within it is h = v // m; unit = delta/m is a unit
+mod n.  Both labels map a coset C_i onto C_(i+1), and A is a unit mod
+m, so step i of a path from s leaves coset s + i*A: the path's column
+i mod m is one coset, column c being coset s + c*A, and column m - 1
+holds its end.  For every m >= 1 (family one has m = 1, where the one
+column is the whole group), `_columns_prove` reads, for each path,
 
 - pattern = labels[:m-1] and x = labels[m-1::m].  One string comparison,
   labels == pattern + pattern.join(x) + pattern, shows that every column
@@ -69,23 +70,52 @@ being coset s + c*A, and column m - 1 holds its end.  For m >= 3,
   distinct.  From v_(m-1) = s + (m-1-c_B)*A + c_B*B, with c_B the B's
   of the pattern, each round adds x's label and the pattern:
   m*A - (c_B + [x = B])*delta = (sigma - c_B - [x = B])*delta, with
-  m*A = sigma*delta.  In the index v // m that is a step of
-  (sigma - c_B - [x = B])*(delta/m) mod n, so the walk writes n marks,
-  x's codes and the end mark, into n bytes; no zero byte is left iff
-  the visits are distinct.
+  m*A = sigma*delta, a step of (sigma - c_B - [x = B])*unit in h.
+- The cut walk.  Put J = x.count("B"), r = c_B - sigma mod n and h_end
+  the end's index, and read the end coset in the index
+  w = J + (h_end - h)*unit^-1.  A visit's step in w is r + [x = B], so
+  the n - 1 steps from the first visit to the end, at w = J, sum to
+  (n - 1)*r + J, and the first visit is at w = r.  If x is the labels of
+  cut_walk(n, r, J), B at a visit iff its w < J, the visits are that
+  walk's vertices: r, psi(r), ... for the cut permutation psi of
+  hampair.cosets, which agrees with the walk's steps off J.  If the
+  walk closes, first reaching J at step n - 1, they are distinct: a
+  repeat w_a = w_b, a < b, would make the orbit periodic and put J at
+  step n - 1 - (b - a).  Conversely a Hamiltonian path's x is the
+  labels of a closing cut walk (cosets' path lemma, items 3 and 4).  So
+  the path is Hamiltonian iff x equals the labels of cut_walk(n, r, J)
+  and that walk closes; no vertex is walked one by one.
+
+cut_walk goes by runs.  With R = min(J, n - 1 - J) rare labels (B if
+J is near 0, A if J is near n - 1), it takes each rare label in one
+step and each run of the common label in one bisect: the run from w
+ends at the first t >= 1 with w + t*s in the zone, the rare label's
+vertices and J, where s is the common label's step, r for A and r + 1
+for B.  That t solves a congruence mod n/gcd(s, n) for each zone vertex
+of w's residue mod gcd(s, n), and sorted lists of the solutions' terms,
+one per residue, give the least in one bisect.  A walk costs
+O(R log R), and above a measured share of rare labels, where a bisect
+per run costs more than a step per vertex, it steps one vertex at a
+time.  The builders (hampair.cosets) read the same cut_walk, so the
+check is kept independent of them by tests that share no code with it:
+cut_walk against a reference step loop (tests/test_cut_walk.py), and
+the column rule against the marks walk (tests/test_column_rule.py).
 
 Arc disjointness then goes coset by coset.  With shift =
 (s_P - s_Q)/A mod m, P's column c is Q's column c + shift.  On a coset
 that holds neither end both paths leave every vertex by their one
 label, so they must differ there.  On an end coset of P alone, Q leaves
 every vertex by one label, which must not be in P's x, and likewise for
-Q's.  A shared end coset (shift 0) holds both walks' marks in one
-index, so the XOR rule above decides it on n bytes.  Every Hamiltonian
-path has this shape (hampair.cosets, path lemma), so the rule proves
-every arc-disjoint Hamiltonian pair with m >= 3; it never rejects, and
-whatever it does not prove goes to the marks walk, which gives every
-reason text.  Family one has m = 1, and groups of rank two or more,
-m = 2 and three generators always take the marks walk.
+Q's.  On a shared end coset (shift 0) each Hamiltonian path's marks, by
+its own w, are the interval B^J, its end mark, A^(n-1-J)
+(`_interval_marks`).  A vertex's w in Q is its w in P plus
+D = J_Q - J_P + (h_Q,end - h_P,end)*unit^-1, so Q's marks rotated by D
+line up with P's, and the XOR rule above decides the coset on n bytes.
+Every Hamiltonian path has this shape (hampair.cosets, path lemma), so
+the rule proves every arc-disjoint Hamiltonian pair on Z_N; it never
+rejects, and whatever it does not prove goes to the marks walk, which
+gives every reason text.  Groups of rank two or more and three
+generators always take the marks walk.
 
 `arc_disjoint` decides the same for any two walks, Hamiltonian or not,
 and serves the tests as a reference and products' switchability check.
@@ -103,6 +133,7 @@ of that integer matrix is 1.
 from __future__ import annotations
 
 import string
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, product
@@ -510,32 +541,37 @@ def _marks_failure(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> str | No
 def _columns_prove(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> bool:
     """True if the column rule proves (p, q) an arc-disjoint Hamiltonian
     pair of d; False leaves the verdict to the marks walk (module
-    docstring).  Only two generators on Z_N with m >= 3 are tried."""
+    docstring).  Only two generators on Z_N are tried."""
     if len(d.group.orders) != 1 or len(d.gens) != 2:
         return False
-    (a,), (b,) = d.gens
-    if gcd(a - b, d.group.size) < 3 or p.digraph != d or q.digraph != d:
-        return False  # m < 3, or the marks walk's InputError
+    if p.digraph != d or q.digraph != d:
+        return False  # the marks walk's InputError
     split = coset_split(d)
-    m = split.m
+    m, n = split.m, split.n
     cols = []
-    for w, end in zip((p, q), _END_MARKS):
-        col = _end_column(split, w, end)
+    for w in (p, q):
+        col = _end_column(split, w)
         if col is None:
             return False
         cols.append(col)
-    (pattern_p, x_p, marks_p), (pattern_q, x_q, marks_q) = cols
+    (pattern_p, x_p, j_p, end_p), (pattern_q, x_q, j_q, end_q) = cols
     # P's column c is Q's column c + shift.  q_cols holds Q's label on
     # each of P's columns ("E" on Q's end coset), and want the label Q
     # must use there, P's other one ("E" on P's end coset, the last).
-    shift = (p.start[0] - q.start[0]) * pow(a, -1, m) % m
+    shift = (p.start[0] - q.start[0]) * pow(d.gens[0][0], -1, m) % m
     q_cols = pattern_q + "E"
     q_cols = q_cols[shift:] + q_cols[:shift]
     want = pattern_p.translate(_SWAP) + "E"
     if shift == 0:
-        return want == q_cols and 0 not in (
-            int.from_bytes(marks_p, "big") ^ int.from_bytes(marks_q, "big")
-        ).to_bytes(split.n, "big")
+        if want != q_cols:
+            return False
+        # Q's w is P's + D, the offset, at every vertex (module docstring).
+        offset = (j_q - j_p + (end_q - end_p) * pow(split.delta[0] // m, -1, n)) % n
+        marks_q = _interval_marks(n, j_q, _END_MARKS[1])
+        return 0 not in (
+            int.from_bytes(_interval_marks(n, j_p, _END_MARKS[0]), "big")
+            ^ int.from_bytes(marks_q[offset:] + marks_q[:offset], "big")
+        ).to_bytes(n, "big")
     e = m - 1 - shift  # Q's end column, in P's columns
     return (
         want[:e] == q_cols[:e]
@@ -545,36 +581,111 @@ def _columns_prove(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> bool:
     )
 
 
-def _end_column(
-    split: CosetSplit, w: LabeledWalk, end: int
-) -> tuple[str, str, bytearray] | None:
-    """(pattern, x, marks) of w when it is a Hamiltonian path by the
-    column rule: every column but the last uses one label, and the n
-    visits of the last, at index v // m of their coset, are distinct;
-    marks holds x's codes there and `end` at w's end.  None otherwise."""
+def _end_column(split: CosetSplit, w: LabeledWalk) -> tuple[str, str, int, int] | None:
+    """(pattern, x, J, h) of w when it is a Hamiltonian path by the
+    column rule: every column but the last uses one label, and x, the
+    last's, is the closing cut walk of (n, c_B - sigma, J), J the B's
+    of x; h is w's end's index v // m.  None otherwise."""
     labels, m, n = w.labels, split.m, split.n
     size = m * n
     if len(labels) != size - 1:
         return None
     pattern, x = labels[: m - 1], labels[m - 1 :: m]
-    if labels != pattern + pattern.join(x) + pattern:
+    if pattern and labels != pattern + pattern.join(x) + pattern:
         return None
-    c_b = pattern.count("B")
-    a, b = split.digraph.gens[0][0], split.digraph.gens[1][0]
-    unit = split.delta[0] // m  # delta in steps of the index v // m
-    step_a = (split.sigma - c_b) * unit % n
-    steps = (0, step_a, (step_a - unit) % n)  # by code: A is 1, B is 2
-    h = (w.start[0] + (m - 1 - c_b) * a + c_b * b) % size // m
-    marks = bytearray(n)
-    for code in x.encode().translate(_CODES):
-        marks[h] = code
-        h += steps[code]
-        if h >= n:  # cheaper than h % n
-            h -= n
-    marks[h] = end
-    if 0 in marks:
+    c_b, j = pattern.count("B"), x.count("B")
+    walk, closes = cut_walk(n, c_b - split.sigma, j)
+    if not closes or x != walk:
         return None
-    return pattern, x, marks
+    (a,), (b,) = split.digraph.gens
+    b_steps = c_b * n + j
+    end = (w.start[0] + (size - 1 - b_steps) * a + b_steps * b) % size
+    return pattern, x, j, end // m
+
+
+def _interval_marks(n: int, j: int, end: int) -> bytes:
+    """The marks of a Hamiltonian path on its end coset, by cut walk
+    index: B's code below j, `end` at j and A's code above."""
+    return b"\x02" * j + bytes((end,)) + b"\x01" * (n - 1 - j)
+
+
+# cut_walk takes a run of the common label in one bisect while at most
+# this share of the n vertices carry the rare label, and steps one vertex
+# at a time above it: at 8% rare labels runs took 0.64-0.81 of the
+# steps' time, at 10% 0.91-1.01 and at 14% 1.05-1.18 (n = 10^4 and
+# 2*10^5, 2-core Xeon, Python 3.11).
+_RUNS_MAX_SHARE = 0.1
+
+
+def cut_walk(n: int, r: int, j: int) -> tuple[str, bool]:
+    """The labels of the cut walk of Z_n at cut value j with step r, and
+    whether it closes (module docstring).
+
+    From w = r mod n, a vertex w < j takes label B and steps by r + 1,
+    any other takes A and steps by r, mod n.  The walk stops at its
+    first visit of j, or after n - 1 steps; closes is True iff it first
+    reaches j at step n - 1, i.e. iff j is in Z(n, r).
+    """
+    r %= n
+    b_rare = 2 * j <= n - 1
+    if (j if b_rare else n - 1 - j) > _RUNS_MAX_SHARE * n:
+        return _cut_steps(n, r, j)
+    # The zone holds the rare label's vertices and j; the common label
+    # steps by s.  From w outside it, w + t*s is in the zone for y =
+    # w + t*s mod n with y = w (mod g), g = gcd(s, n): in units of g,
+    # t = (y // g - w // g) * inv mod n // g.  first[w mod g] lists the
+    # zone's y // g * inv mod n // g, sorted, so one bisect gives the
+    # least t >= 1.
+    if b_rare:
+        zone, common, rare, s, rare_step = range(j + 1), "A", "B", r, r + 1
+    else:
+        zone, common, rare, s, rare_step = range(j, n), "B", "A", r + 1, r
+    g = gcd(s, n)
+    ng = n // g
+    inv = pow(s // g, -1, ng)
+    first: dict[int, list[int]] = {}
+    for y in zone:
+        first.setdefault(y % g, []).append(y // g * inv % ng)
+    for ts in first.values():
+        ts.sort()
+    runs = []
+    w, left = r, n - 1
+    while left and w != j:
+        if (w < j) == b_rare:  # a rare vertex: one step
+            runs.append(rare)
+            w = (w + rare_step) % n
+            left -= 1
+            continue
+        ts = first.get(w % g)
+        t = left
+        if ts is not None:
+            c = w // g * inv % ng
+            i = bisect_left(ts, c)
+            t = min(left, ts[i] - c if i < len(ts) else ts[0] + ng - c)
+        runs.append(common * t)
+        w = (w + t * s) % n
+        left -= t
+    return "".join(runs), left == 0 and w == j
+
+
+def _cut_steps(n: int, r: int, j: int) -> tuple[str, bool]:
+    """cut_walk one vertex at a time, for walks with many rare labels:
+    their labels go straight into a bytearray, as runs would be about as
+    many as labels."""
+    # Sized up front: an n too large to hold fails here at once.
+    out = bytearray(b"A") * (n - 1)
+    w = r
+    for i in range(n - 1):
+        if w == j:
+            return out[:i].decode(), False
+        if w < j:
+            out[i] = 66  # "B"
+            w += r + 1
+        else:
+            w += r
+        if w >= n:  # cheaper than w % n
+            w -= n
+    return out.decode(), w == j
 
 
 def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> None:

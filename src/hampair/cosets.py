@@ -38,8 +38,10 @@ the number of cosets other than t's on which P uses B.
 4. P visits the cosets in cyclic order from s's, so its labels are the
    m - 1 labels of the cosets after t's (the pattern) once per round,
    each round followed by the label of the vertex of t's coset it
-   reaches; those vertices are w = r, psi(r), ..., j, the cut walk of
-   cut_labels.
+   reaches; those vertices are w = r, psi(r), ..., j, B below j and A
+   above: the cut walk of core.cut_walk, which reaches j first at its
+   last step.  It is built run by run, in O(min(j, n - 1 - j)) Python
+   steps when that is small.
 
 Pair rule.  Let Q be a second Hamiltonian path, with end t_Q, cut value
 j_Q and c_Q B-cosets.  Two walks share an arc iff some tail carries the
@@ -83,7 +85,7 @@ from itertools import chain, combinations, product
 from typing import Collection, Iterable, Iterator
 
 from . import lattice
-from .core import _SWAP, CayleyDigraph, CosetSplit, LabeledWalk, check_pair, coset_split
+from .core import _SWAP, CayleyDigraph, CosetSplit, LabeledWalk, check_pair, coset_split, cut_walk
 
 
 def hamiltonian_cuts(n: int, r: int) -> list[int]:
@@ -109,28 +111,14 @@ def count_pairs(n: int, zp: Iterable[int], zq: Iterable[int]) -> Iterator[tuple[
                 yield j, target - j
 
 
-def cut_labels(n: int, r: int, j: int) -> list[str]:
-    """The labels of the end coset's vertices in the order a path visits
-    them, w = r, psi(r), ..., up to j: B below j, A above (path lemma,
-    item 4)."""
-    r %= n
-    # Sized up front: an n too large to hold fails here at once.
-    out = ["A"] * (n - 1)
-    w = r
-    for i in range(n - 1):
-        if w < j:
-            out[i] = "B"
-            w = (w + r + 1) % n
-        else:
-            w = (w + r) % n
-    assert w == j, (n, r, j)
-    return out
-
-
 def _labels(n: int, pattern: str, r: int, j: int) -> str:
     """A path's labels: the pattern once per round, each round followed
-    by the label of the cut walk (path lemma, item 4)."""
-    return pattern + pattern.join(cut_labels(n, r, j)) + pattern
+    by the label of the cut walk at j with step r (path lemma, item 4)."""
+    walk, closes = cut_walk(n, r, j)
+    assert closes, (n, r, j)
+    if not pattern:  # the walk is the labels; "".join would split it
+        return walk
+    return pattern + pattern.join(walk) + pattern
 
 
 def _pattern(size: int, b_positions: Iterable[int]) -> str:

@@ -81,13 +81,11 @@ def cut_set(k: int, a: int) -> CutProfile:
 def cut_path(k: int, a: int, d: int) -> LabeledWalk:
     """The Hamiltonian cut path at d: from vertex a to vertex d, using
     exactly d arcs labeled B, B from each vertex below d and A from the
-    others (cosets.cut_labels with n = k and step r = a)."""
+    others (core.cut_walk with n = k and step r = a)."""
     a = check_family_one_params(k, a)
     if d not in cut_set_values(k, a):
         raise InputError(f"d={d} is not a Hamiltonian cut value for {(k, a)}")
-    walk = LabeledWalk(cayley([k], a, a + 1), (a,), "".join(cosets.cut_labels(k, a, d)))
-    assert walk.end == (d % k,)
-    return walk
+    return LabeledWalk(cayley([k], a, a + 1), (a,), cosets._labels(k, "", a, d))
 
 
 def count_pair(k: int, a: int) -> tuple[int, int]:

@@ -1,10 +1,11 @@
 """The column rule of core.pair_failure against the marks walk.
 
-The rule may only prove a pair.  On Z_N with two generators and
-m = gcd(A - B, N) >= 3 it must prove exactly the pairs that the marks
-walk passes: never one the walk rejects, and every arc-disjoint
-Hamiltonian pair, as every Hamiltonian path has the coset shape the
-rule reads (cosets' path lemma).  Everywhere else it defers.
+The rule may only prove a pair.  On Z_N with two generators, for every
+m = gcd(A - B, N) >= 1, family one's m = 1 included, it must prove
+exactly the pairs that the marks walk passes: never one the walk
+rejects, and every arc-disjoint Hamiltonian pair, as every Hamiltonian
+path has the coset shape the rule reads (cosets' path lemma).  Off Z_N,
+or with three generators, it defers.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from hampair.core import (
     cayley,
     coset_split,
     pair_failure,
+    verify_hamiltonian,
 )
 from hampair.cosets import _structured_pairs, find_pair, iter_pairs
 from hampair.products import product_digraph
@@ -28,13 +30,13 @@ OVERLAP = "arc overlap between path1 and path2"
 
 
 def rank_one(max_order: int, ordered: bool = True):
-    """Every Cay(Z_N; a, b) with 3 <= N <= max_order and m >= 3: each
+    """Every Cay(Z_N; a, b) with 3 <= N <= max_order, of any m: each
     ordered pair of distinct nonzero a, b that generate Z_N, or with
     ordered=False each pair once, a < b."""
     pairs = itertools.permutations if ordered else itertools.combinations
     for N in range(3, max_order + 1):
         for a, b in pairs(range(1, N), 2):
-            if gcd(a, b, N) == 1 and gcd(a - b, N) >= 3:
+            if gcd(a, b, N) == 1:
                 yield cayley([N], a, b)
 
 
@@ -66,38 +68,44 @@ def _variant(kind: int, p: LabeledWalk, q: LabeledWalk, m: int):
 
 
 def test_column_rule_matches_the_marks_walk_on_coset_pairs():
-    # Every rank-one digraph of order <= 40 with m >= 3: pairs 0, 6, ...,
-    # 54 of its first 60 coset pairs, each in both orders and with one of
-    # the seven changes, taken in turn.
+    # Every rank-one digraph of order <= 30: pairs 0, 6, ..., 54 of its
+    # first 60 coset pairs, each in both orders and with one of the seven
+    # changes, taken in turn.
     checks = proved = 0
-    for d in rank_one(40):
+    for d in rank_one(30):
         split = coset_split(d)
         for i, (p, q) in enumerate(itertools.islice(_structured_pairs(split), 0, 60, 6)):
             assert agrees(d, p, q) and agrees(d, q, p)
             proved += 2 + agrees(d, *_variant((checks + i) % 7, p, q, split.m))
             checks += 3
-    assert (checks, proved) == (79212, 57018)
+    assert (checks, proved) == (127464, 95899)
 
 
 def test_column_rule_proves_every_dfs_pair():
     # Every ordered arc-disjoint pair of Hamiltonian paths, the first
     # ending at 0, that the exhaustive DFS finds on the rank-one digraphs
-    # of order <= 18 with m >= 3, a < b.
-    pairs = 0
+    # of order <= 18, a < b, counted by m (3 for m >= 3) and, apart, on
+    # family one's Cay(Z_k; a, a + 1).
+    pairs = {1: 0, 2: 0, 3: 0, "family one": 0}
     for d in rank_one(18, ordered=False):
+        m = min(coset_split(d).m, 3)
         budget = oracle._Budget(10**9)
         for p in oracle._iter_paths(d, budget):
             if p.end == (0,):
                 for q in oracle._iter_paths(d, budget, forbidden=frozenset(arc_ids(p))):
                     assert _columns_prove(d, p, q), (d, p.start, p.labels, q.start, q.labels)
-                    pairs += 1
-    assert pairs == 19260
+                    pairs[m] += 1
+                    pairs["family one"] += d.gens[1][0] == d.gens[0][0] + 1
+    assert pairs == {1: 10420, 2: 3100, 3: 19260, "family one": 1984}
 
 
 def test_column_rule_on_every_pair_of_hamiltonian_paths():
-    # All ordered pairs of Hamiltonian paths, disjoint or not, of three
+    # All ordered pairs of Hamiltonian paths, disjoint or not, of six
     # small digraphs; n = 2 in Cay(Z_6; 1, 4).
     for d, n, m, disjoint in (
+        (cayley([10], 4, 5), 10, 1, 30),
+        (cayley([9], 2, 3), 9, 1, 18),
+        (cayley([8], 1, 3), 4, 2, 160),
         (cayley([6], 1, 4), 2, 3, 24),
         (cayley([9], 1, 4), 3, 3, 162),
         (cayley([12], 1, 5), 3, 4, 1440),
@@ -184,16 +192,34 @@ def test_column_rule_reads_every_column_not_only_the_last():
 
 
 def test_column_rule_defers_off_rank_one_with_m_at_least_three():
-    # Valid pairs that the marks walk alone decides: family one (m = 1),
-    # m = 2, a group of rank two, and three generators.
-    for d in (cayley([10], 4, 5), cayley([6], 1, 3), cayley([3, 4], (1, 0), (0, 1))):
+    # On Z_N the rule proves family one (m = 1) and m = 2 as well; a
+    # group of rank two and three generators are left to the marks walk.
+    for d, m in ((cayley([10], 4, 5), 1), (cayley([6], 1, 3), 2)):
         p, q = find_pair(d)
-        assert coset_split(d).m < 3 or len(d.group.orders) > 1
-        assert not _columns_prove(d, p, q) and pair_failure(d, p, q) is None
+        assert coset_split(d).m == m
+        assert _columns_prove(d, p, q) and pair_failure(d, p, q) is None
+    d = cayley([3, 4], (1, 0), (0, 1))
+    p, q = find_pair(d)
+    assert not _columns_prove(d, p, q) and pair_failure(d, p, q) is None
     d = product_digraph((2, 2, 2))
     paths = oracle._iter_paths(d, oracle._Budget(10**7))
     p = next(paths)
     assert not _columns_prove(d, p, p)
+
+
+def test_column_rule_defers_on_one_shared_arc_in_family_one():
+    # Cay(Z_10; 4, 5) has m = 1: one coset, both ends in it.  These two
+    # Hamiltonian paths share only the arc that leaves 5 by A, so the
+    # interval marks must catch a single vertex, in either order.
+    d = cayley([10], 4, 5)
+    p, q = LabeledWalk(d, (0,), "AABABABAA"), LabeledWalk(d, (3,), "BABABABAB")
+    assert verify_hamiltonian(d, p) is None and verify_hamiltonian(d, q) is None
+    assert set(zip(p.index_list, p.labels)) & set(zip(q.index_list, q.labels)) == {(5, "A")}
+    for x, y in ((p, q), (q, p)):
+        assert not _columns_prove(d, x, y)
+        assert pair_failure(d, x, y) == OVERLAP
+    # Q one step along its coset shares no arc with P.
+    assert pair_failure(d, p, q.translate(1)) is None and _columns_prove(d, p, q.translate(1))
 
 
 def test_column_rule_defers_on_a_walk_of_another_digraph():
