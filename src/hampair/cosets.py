@@ -116,7 +116,7 @@ def _labels(n: int, pattern: str, r: int, j: int) -> str:
     by the label of the cut walk at j with step r (path lemma, item 4)."""
     walk, closes = cut_walk(n, r, j)
     assert closes, (n, r, j)
-    if not pattern:  # the walk is the labels; "".join would split it
+    if not pattern:  # the walk is the labels: skip str.join's list of n characters
         return walk
     return pattern + pattern.join(walk) + pattern
 

@@ -67,18 +67,31 @@ def _variant(kind: int, p: LabeledWalk, q: LabeledWalk, m: int):
     return p, q.translate(1 if kind == 5 else m)
 
 
-def test_column_rule_matches_the_marks_walk_on_coset_pairs():
-    # Every rank-one digraph of order <= 30: pairs 0, 6, ..., 54 of its
-    # first 60 coset pairs, each in both orders and with one of the seven
-    # changes, taken in turn.
+def sweep_coset_pairs(max_order: int, keep) -> tuple[int, int]:
+    """(checks, proved) on every rank_one(max_order) digraph whose m
+    passes keep: pairs 0, 6, ..., 54 of its first 60 coset pairs, each
+    in both orders and with one of the seven changes, taken in turn."""
     checks = proved = 0
-    for d in rank_one(30):
+    for d in rank_one(max_order):
         split = coset_split(d)
+        if not keep(split.m):
+            continue
         for i, (p, q) in enumerate(itertools.islice(_structured_pairs(split), 0, 60, 6)):
             assert agrees(d, p, q) and agrees(d, q, p)
             proved += 2 + agrees(d, *_variant((checks + i) % 7, p, q, split.m))
             checks += 3
-    assert (checks, proved) == (127464, 95899)
+    return checks, proved
+
+
+def test_column_rule_matches_the_marks_walk_on_coset_pairs():
+    # Every rank-one digraph of order <= 40 with m >= 3.
+    assert sweep_coset_pairs(40, lambda m: m >= 3) == (79212, 57018)
+
+
+def test_column_rule_matches_the_marks_walk_on_coset_pairs_with_m_one_or_two():
+    # Every rank-one digraph of order <= 30 with m = 1, family one's
+    # digraphs among them, or m = 2.
+    assert sweep_coset_pairs(30, lambda m: m < 3) == (98940, 75485)
 
 
 def test_column_rule_proves_every_dfs_pair():

@@ -48,11 +48,11 @@ def step_calls(monkeypatch) -> list[tuple[int, int, int]]:
 
 @pytest.mark.parametrize("share", [None, 1.0, -1.0], ids=["default", "runs", "steps"])
 def test_cut_walk_matches_the_reference_on_every_small_walk(monkeypatch, share):
-    # Every (n, r, j) with n < 50, with the default share, and with every
+    # Every (n, r, j) with n < 80, with the default share, and with every
     # walk taken by runs or by steps.
     if share is not None:
         monkeypatch.setattr(core, "_RUNS_MAX_SHARE", share)
-    for n in range(1, 50):
+    for n in range(1, 80):
         for r in range(n):
             for j in range(n):
                 assert cut_walk(n, r, j) == reference_walk(n, r, j), (n, r, j)
