@@ -28,7 +28,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import cosets, family_one, family_two, lattice, products, scan
-from .core import InputError, cayley
+from .core import InputError, cayley, check_family_one_params
 from .witness import MalformedWitness, WitnessFile, witness_from_json
 
 EXIT_OK = 0
@@ -158,7 +158,7 @@ def cmd_cuts(args) -> int:
 
 
 def cmd_rays(args) -> int:
-    rs = lattice.ray_system(args.k, args.a)
+    rs = lattice.ray_system(args.k, check_family_one_params(args.k, args.a))
     p = rs.params
     U = rs.cut_values()
     # the last ray has no cut value; one format reads the rows, once

@@ -57,9 +57,10 @@ i mod m is one coset, column c being coset s + c*A, and column m - 1
 holds its end.  For every m >= 1 (family one has m = 1, where the one
 column is the whole group), `_columns_prove` reads, for each path,
 
-- pattern = labels[:m-1] and x = labels[m-1::m].  One string comparison,
-  labels == pattern + pattern.join(x) + pattern, shows that every column
-  but the last uses one label, pattern[c] on column c.
+- pattern = labels[:m-1] and x = labels[m-1::m].  One slice per column,
+  labels[c::m] == pattern[c] * n for c < m - 1, shows that every column
+  but the last uses one label, pattern[c] on column c, without a joined
+  copy of the labels.
 - Hamiltonicity from the last column alone.  If column c uses one label
   g, its vertex after each round is the vertex before plus g, so each
   constant column translates the previous column's visits onto the next
@@ -591,7 +592,7 @@ def _end_column(split: CosetSplit, w: LabeledWalk) -> tuple[str, str, int, int] 
     if len(labels) != size - 1:
         return None
     pattern, x = labels[: m - 1], labels[m - 1 :: m]
-    if pattern and labels != pattern + pattern.join(x) + pattern:
+    if any(labels[c::m] != g * n for c, g in enumerate(pattern)):
         return None
     c_b, j = pattern.count("B"), x.count("B")
     walk, closes = cut_walk(n, c_b - split.sigma, j)

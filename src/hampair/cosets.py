@@ -7,10 +7,11 @@ C_i = i*a + H onto C_(i+1), so G/H is cyclic of order m, generated by
 a's coset, and m*a = sigma*delta for one sigma in Z_n.  n >= 2, as
 a != b.  Z(n, r), for r in Z_n, is the set of cut values j whose cut
 permutation of Z_n, w -> w + r + 1 for w < j, j -> r, w -> w + r for
-w > j, is one n-cycle: for 0 < r < n - 1 the cut set of
-Cay(Z_n; r, r + 1), read from lattice.ray_system; Z(n, 0) = {n - 1}
-(for j < n - 1 the cut permutation fixes n - 1) and Z(n, -1) = {0}
-(for j > 0 it fixes 0).  This covers n <= 2, where r is 0 or -1.
+w > j, is one n-cycle, read from lattice.ray_system at every step r:
+for 0 < r < n - 1 the cut set of Cay(Z_n; r, r + 1), and at the two
+other steps the rays give Z(n, 0) = {n - 1} (for j < n - 1 the cut
+permutation fixes n - 1) and Z(n, -1) = {0} (for j > 0 it fixes 0).
+This covers n <= 2, where r is 0 or -1.
 
 Path lemma.  Let P be a Hamiltonian path of D from s to t, and let c be
 the number of cosets other than t's on which P uses B.
@@ -42,6 +43,11 @@ the number of cosets other than t's on which P uses B.
    above: the cut walk of core.cut_walk, which reaches j first at its
    last step.  It is built run by run, in O(min(j, n - 1 - j)) Python
    steps when that is small.
+5. Parity: every j in Z(n, r) is gcd(r, n) - 1 mod 2.  The cut
+   permutation at j is the (j + 1)-cycle 0 -> 1 -> ... -> j -> 0
+   followed by the rotation w -> w + r, whose gcd(r, n) cycles have
+   n / gcd(r, n) points each.  Its sign is (-1)^j * (-1)^(n - gcd(r, n)),
+   and an n-cycle's is (-1)^(n - 1).  (At r = 0, gcd(0, n) = n.)
 
 Pair rule.  Let Q be a second Hamiltonian path, with end t_Q, cut value
 j_Q and c_Q B-cosets.  Two walks share an arc iff some tail carries the
@@ -81,6 +87,7 @@ which core's pair check reads as well (its column rule).
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import chain, combinations, product
 from typing import Collection, Iterable, Iterator
 
@@ -91,11 +98,6 @@ from .core import _SWAP, CayleyDigraph, CosetSplit, LabeledWalk, check_pair, cos
 def hamiltonian_cuts(n: int, r: int) -> list[int]:
     """Z(n, r), sorted: the cut values j of a Hamiltonian path whose end
     coset has first-return step r (path lemma, item 3)."""
-    r %= n
-    if r == 0:
-        return [n - 1]
-    if r == n - 1:
-        return [0]
     return lattice.ray_system(n, r).cut_values()
 
 
@@ -161,17 +163,10 @@ def same_coset_pairs(
 
 def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     n, m, sigma = split.n, split.m, split.sigma
-    cuts: dict[int, list[int]] = {}
-
-    def Z(r: int) -> list[int]:
-        r %= n
-        if r not in cuts:
-            cuts[r] = hamiltonian_cuts(n, r)
-        return cuts[r]
-
+    Z = cache(partial(hamiltonian_cuts, n))  # called with r mod n
     # Both ends in one coset.
     for c in range(m):
-        zp, zq = Z(c - sigma), Z(m - 1 - c - sigma)
+        zp, zq = Z((c - sigma) % n), Z((m - 1 - c - sigma) % n)
         if next(count_pairs(n, zp, zq), None) is None:
             continue
         for bs in combinations(range(m - 1), c):
@@ -185,7 +180,7 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
             forced = [i for i, b in ((0, jp == n - 1), (kappa, jq == 0)) if b]
             for b in range(m - 1):
                 cp, cq = b + (jq == 0), m - 2 - b + (jp == 0)
-                if jp not in Z(cp - sigma) or jq not in Z(cq - sigma):
+                if not (cut_walk(n, cp - sigma, jp)[1] and cut_walk(n, cq - sigma, jq)[1]):
                     continue
                 for bs in combinations(others, b):
                     full = _pattern(m, [*forced, *bs])  # P's labels on C_0, ..., C_(m-1)

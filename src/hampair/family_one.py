@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cosets, lattice
-from .core import InputError, LabeledWalk, cayley, check_family_one_params
+from .core import InputError, LabeledWalk, cayley, check_family_one_params, cut_walk
 
 
 def cut_permutation(k: int, a: int, d: int) -> list[int]:
@@ -34,8 +34,10 @@ def cut_permutation(k: int, a: int, d: int) -> list[int]:
 
 def cut_set_values(k: int, a: int) -> list[int]:
     """Sorted cut values d whose cut permutation is a single k-cycle,
-    read off the lattice ray system as prefix sums of multiplicities."""
-    return lattice.ray_system(k, a).cut_values()
+    read off the lattice ray system as prefix sums of multiplicities.
+    No builder reads it; it stays while perfbench/spans.py wraps it by
+    name."""
+    return lattice.ray_system(k, check_family_one_params(k, a)).cut_values()
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,13 @@ def cut_set(k: int, a: int) -> CutProfile:
 def cut_path(k: int, a: int, d: int) -> LabeledWalk:
     """The Hamiltonian cut path at d: from vertex a to vertex d, using
     exactly d arcs labeled B, B from each vertex below d and A from the
-    others (core.cut_walk with n = k and step r = a)."""
+    others (core.cut_walk with n = k and step r = a, whose closing flag
+    says whether d is a cut value)."""
     a = check_family_one_params(k, a)
-    if d not in cut_set_values(k, a):
+    labels, closes = cut_walk(k, a, d) if 0 <= d < k else ("", False)
+    if not closes:
         raise InputError(f"d={d} is not a Hamiltonian cut value for {(k, a)}")
-    return LabeledWalk(cayley([k], a, a + 1), (a,), cosets._labels(k, "", a, d))
+    return LabeledWalk(cayley([k], a, a + 1), (a,), labels)
 
 
 def count_pair(k: int, a: int) -> tuple[int, int]:
@@ -126,11 +130,6 @@ def realize_disjoint_pair(k: int, a: int) -> RealizedPair:
     return RealizedPair(p, q, "translate-count-pair")
 
 
-def valid_a_values(k: int) -> list[int]:
-    """All generator residues a giving a well-formed first-family digraph."""
-    return [a for a in range(1, k - 1)]
-
-
 __all__ = [
     "CutProfile",
     "RealizedPair",
@@ -140,5 +139,4 @@ __all__ = [
     "cut_set",
     "cut_set_values",
     "realize_disjoint_pair",
-    "valid_a_values",
 ]

@@ -9,6 +9,12 @@ internal half-gaps; the gcd formula for the caps, which the scan checks
 against the rays; the sector-filling counts (O(1) per pair from the ray
 system's prefix sums and a closed form for theta); the reflection
 distance; and the reflected gap graph diagnostic.
+
+The ray system is defined for every step a mod k, k >= 1: its cut values
+are Z(k, a) of hampair.cosets, which reads them at every first-return
+step, a = 0 and a = -1 included.  The family-one digraph needs a not in
+{0, k-1} mod k; its entry points (hampair.family_one, endpoint_caps,
+`hampair rays`) check that, not the ray walk.
 """
 
 from __future__ import annotations
@@ -40,13 +46,16 @@ class LatticeParams:
 
 
 def lattice_params(k: int, a: int) -> LatticeParams:
-    a = check_family_one_params(k, a)
+    if k < 1:
+        raise InputError(f"need k >= 1, got k={k}")
+    a %= k
     n = gcd(k, a)
     m = k // n
     # n(a+1) = e*a (mod k) divided by n: a+1 = e*(a/n) (mod m), and a/n
     # is a unit mod m.
     e = (a + 1) * pow(a // n, -1, m) % m
-    # The congruence that defines e; as a is not 0 mod k, it fails for e +- 1.
+    # The congruence that defines e.  For a not 0 mod k it fails for
+    # e +- 1; a = 0 has m = 1, where e = 0 is the only residue.
     assert n * (a + 1) % k == e * a % k, (k, a, e)
     return LatticeParams(k, a, m, n, e)
 
@@ -115,8 +124,16 @@ def _internal_rays(p: LatticeParams, last: Ray, rays: list[Ray], mults: list[int
       slope is below slope(last), and there is no next ray otherwise.
     - det(v[i], v) = 1 puts each candidate v in the half-plane left of
       v[i], where the test det(last, v) >= 0 is exactly slope(v) >=
-      slope(last).  Slopes rise strictly, so the walk ends; t = 0 gives
-      v = -v[i-1], with x <= 0, which fails the test.
+      slope(last).  Slopes rise strictly, so the walk ends; t <= 0 gives
+      v = t*v[i] - v[i-1] with x <= 0, which fails the test.
+    - The steps a = 0 (m = 1, n = k) and a = -1 (n = 1, m = k) have
+      e = 0 and last = (0, 1), and their region is empty: a ray inside
+      the quadrant has x, y >= 1, so L >= m + n > N = mn - 1, as
+      (m - 1)(n - 1) = 0.  The walk agrees at its first step.  For
+      m = 1, L(1, 0) = 1 and t = (N - n) // 1 = -1 gives (-1, 1); for
+      n = 1 and k >= 2, t = (N - 1) // k = 0 gives (0, 1).  Both fail
+      the test, so the one cut value is mults[0] = N // m: k - 1
+      at a = 0 and 0 at a = -1, which are Z(k, 0) and Z(k, -1).
     """
     N, m, c = p.N, p.m, p.n - p.e
     lx, ly = last

@@ -140,7 +140,7 @@ def scan_cells(k_min: int, k_max: int) -> list[tuple[int, int]]:
     return [
         (k, a)
         for k in range(max(k_min, 3), k_max + 1)
-        for a in family_one.valid_a_values(k)
+        for a in range(1, k - 1)
     ]
 
 

@@ -68,6 +68,12 @@ def test_invalid_a_is_reported_as_given(capsys):
     assert run(capsys, "rays", "5", "-1") == (
         EXIT_USAGE, "", "error: need a not in {0, k-1} mod k, got a=-1 for k=5\n"
     )
+    # The ray walk takes every step a; `rays` and `cuts` refuse the two
+    # that give no family-one digraph.
+    for argv in (("rays", "10", "0"), ("rays", "10", "9"), ("cuts", "10", "0")):
+        assert run(capsys, *argv) == (
+            EXIT_USAGE, "", f"error: need a not in {{0, k-1}} mod k, got a={argv[2]} for k=10\n"
+        ), argv
 
 
 def test_rays_formats(capsys):

@@ -11,7 +11,7 @@ from hampair.cosets import (
     hamiltonian_cuts,
     iter_pairs,
 )
-from hampair.family_one import count_pair, cut_path, valid_a_values
+from hampair.family_one import count_pair, cut_path
 from hampair.family_two import QuotientFiberConfig, build_family_two
 from hampair.products import product_digraph
 from small_digraphs import two_generated
@@ -77,10 +77,12 @@ def test_hamiltonian_cuts_are_the_one_cycle_cut_values():
 
 def test_hamiltonian_cuts_of_steps_minus_one_and_one():
     # The two cut sets the family-two parameters rest on: Z(L, -1) = {0},
-    # and Z(L, 1) is the set of even numbers below L.
+    # and Z(L, 1) is the set of even numbers below L.  Z(L, 0) = {L - 1}
+    # comes from the same ray walk.
     for L in range(2, 400):
         assert hamiltonian_cuts(L, -1) == [0], L
         assert hamiltonian_cuts(L, 1) == list(range(0, L, 2)), L
+        assert hamiltonian_cuts(L, 0) == [L - 1], L
 
 
 def test_family_two_coset_split():
@@ -157,7 +159,7 @@ def test_family_one_is_the_index_one_case():
     # With m = 1 the first pair is the cut path at d and the cut path at e
     # translated by h, for the count pair (d, e): family one's pair.
     for k in range(3, 61):
-        for a in valid_a_values(k):
+        for a in range(1, k - 1):
             d, e = count_pair(k, a)
             h = d + 1 if d + e < k else d
             assert find_pair(cayley([k], a, a + 1)) == (

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hampair import lattice
 from hampair.cli import main
+from hampair.cosets import hamiltonian_cuts
 from hampair.core import InputError, arc_disjoint, cayley, verify_hamiltonian
 from hampair.family_one import (
     count_pair,
@@ -13,7 +15,6 @@ from hampair.family_one import (
     cut_set,
     cut_set_values,
     realize_disjoint_pair,
-    valid_a_values,
 )
 from hampair.oracle import oracle_cut_set
 
@@ -76,7 +77,7 @@ def test_cut_set_reference_examples():
 
     # brute-force lexicographic minimum of (|u + v - N|, u, v) over u <= v
     for k in range(3, 81):
-        for a in valid_a_values(k):
+        for a in range(1, k - 1):
             p = cut_set(k, a)
             best = min((abs(u + v - (k - 1)), u, v) for u in p.Z for v in p.Z if u <= v)
             assert (p.delta, *p.witness) == best, (k, a)
@@ -84,7 +85,7 @@ def test_cut_set_reference_examples():
 
 def test_cut_set_matches_oracle_small():
     for k in range(3, 30):
-        for a in valid_a_values(k):
+        for a in range(1, k - 1):
             assert set(cut_set_values(k, a)) == oracle_cut_set(k, a), (k, a)
 
 
@@ -93,9 +94,15 @@ def test_cut_set_parity():
     import math
 
     for k in range(3, 40):
-        for a in valid_a_values(k):
+        for a in range(1, k - 1):
             par = (math.gcd(k, a) - 1) % 2
             assert all(z % 2 == par for z in cut_set_values(k, a)), (k, a)
+    # and Z(n, r) at every step r, 0 and -1 included (cosets' path lemma,
+    # item 5): every cut value is gcd(r, n) - 1 mod 2
+    for n in range(1, 200):
+        for r in range(n):
+            par = (math.gcd(r, n) - 1) % 2
+            assert all(j % 2 == par for j in hamiltonian_cuts(n, r)), (n, r)
 
 
 def test_cut_path_5_2_0():
@@ -125,6 +132,20 @@ def test_cut_path_rejects_non_cut_value():
         cut_path(10, 4, 2)  # 2 is not in {1, 3, 5}
 
 
+def test_cut_path_builds_no_ray_system(monkeypatch):
+    # The cut walk's closing flag decides whether d is a cut value.
+    def refuse(k, a):
+        raise AssertionError("cut_path built a ray system")
+
+    monkeypatch.setattr(lattice, "ray_system", refuse)
+    w = cut_path(10, 4, 3)
+    assert verify_hamiltonian(cayley([10], 4, 5), w) is None
+    assert w.delta_b() == 3
+    for d in (2, -1, 10):
+        with pytest.raises(InputError, match=rf"d={d} is not a Hamiltonian cut value for \(10, 4\)"):
+            cut_path(10, 4, d)
+
+
 def test_count_pair_examples():
     assert count_pair(15, 3) == (6, 8)
     assert count_pair(10, 4) == (3, 5)
@@ -133,7 +154,7 @@ def test_count_pair_examples():
 
 def test_count_pair_sum_window():
     for k in range(3, 50):
-        for a in valid_a_values(k):
+        for a in range(1, k - 1):
             d, e = count_pair(k, a)
             assert d + e in (k - 2, k - 1, k), (k, a, d, e)
 
@@ -179,7 +200,7 @@ BUILD_ONE_LARGE = ((402, (1, 2, 133, 200, 201, 400)), (1000, (1, 3, 499, 500, 77
 
 
 def test_build_one_witnesses_unchanged(capsys):
-    cells = [(k, a) for k in range(3, 31) for a in valid_a_values(k)]
+    cells = [(k, a) for k in range(3, 31) for a in range(1, k - 1)]
     cells += [(k, a) for k, some in BUILD_ONE_LARGE for a in some]
     digest = hashlib.sha256()
     for k, a in cells:
