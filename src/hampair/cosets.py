@@ -7,11 +7,11 @@ C_i = i*a + H onto C_(i+1), so G/H is cyclic of order m, generated by
 a's coset, and m*a = sigma*delta for one sigma in Z_n.  n >= 2, as
 a != b.  Z(n, r), for r in Z_n, is the set of cut values j whose cut
 permutation of Z_n, w -> w + r + 1 for w < j, j -> r, w -> w + r for
-w > j, is one n-cycle, read from lattice.ray_system at every step r:
-for 0 < r < n - 1 the cut set of Cay(Z_n; r, r + 1), and at the two
-other steps the rays give Z(n, 0) = {n - 1} (for j < n - 1 the cut
-permutation fixes n - 1) and Z(n, -1) = {0} (for j > 0 it fixes 0).
-This covers n <= 2, where r is 0 or -1.
+w > j, is one n-cycle, read from the Farey ray walk (lattice.cut_stream)
+at every step r: for 0 < r < n - 1 the cut set of Cay(Z_n; r, r + 1),
+and at the two other steps the walk gives Z(n, 0) = {n - 1} (for
+j < n - 1 the cut permutation fixes n - 1) and Z(n, -1) = {0} (for
+j > 0 it fixes 0).  This covers n <= 2, where r is 0 or -1.
 
 Path lemma.  Let P be a Hamiltonian path of D from s to t, and let c be
 the number of cosets other than t's on which P uses B.
@@ -48,6 +48,13 @@ the number of cosets other than t's on which P uses B.
    followed by the rotation w -> w + r, whose gcd(r, n) cycles have
    n / gcd(r, n) points each.  Its sign is (-1)^j * (-1)^(n - gcd(r, n)),
    and an n-cycle's is (-1)^(n - 1).  (At r = 0, gcd(0, n) = n.)
+6. Mirror: Z(n, -1 - r) = N - Z(n, r), N = n - 1, for every step r.
+   Conjugating by the involution x -> N - x = -1 - x maps the cut
+   permutation at (r, j) onto the one at (-1 - r, N - j): for x > N - j
+   it sends x to x + (-1 - r), N - j to -1 - r, and x < N - j to
+   x + (-1 - r) + 1.  A conjugate of an n-cycle is one.  So Z(n, r)
+   descending is N minus Z(n, -1 - r) ascending, and one forward walk
+   gives both directions.
 
 Pair rule.  Let Q be a second Hamiltonian path, with end t_Q, cut value
 j_Q and c_Q B-cosets.  Two walks share an arc iff some tail carries the
@@ -87,30 +94,74 @@ which core's pair check reads as well (its column rule).
 
 from __future__ import annotations
 
-from functools import cache, partial
-from itertools import chain, combinations, product
-from typing import Collection, Iterable, Iterator
+from itertools import chain, combinations, islice, product
+from typing import Collection, Iterable, Iterator, Reversible
 
 from . import lattice
 from .core import _SWAP, CayleyDigraph, CosetSplit, LabeledWalk, check_pair, coset_split, cut_walk
 
 
+class Cuts:
+    """Z(n, r), walked afresh on each pass and kept nowhere: iter gives
+    it ascending from lattice.cut_stream at step r, and reversed gives it
+    descending as N - Z(n, -1 - r) ascending (path lemma, item 6)."""
+
+    __slots__ = ("n", "r")
+
+    def __init__(self, n: int, r: int) -> None:
+        self.n, self.r = n, r
+
+    def __iter__(self) -> Iterator[int]:
+        return lattice.cut_stream(self.n, self.r)
+
+    def __reversed__(self) -> Iterator[int]:
+        N = self.n - 1
+        return (N - j for j in lattice.cut_stream(self.n, -1 - self.r))
+
+
 def hamiltonian_cuts(n: int, r: int) -> list[int]:
-    """Z(n, r), sorted: the cut values j of a Hamiltonian path whose end
-    coset has first-return step r (path lemma, item 3)."""
-    return lattice.ray_system(n, r).cut_values()
+    """Z(n, r) as a sorted list: the cut values j of a Hamiltonian path
+    whose end coset has first-return step r (path lemma, item 3).  The
+    builders read Cuts instead; the tests read this list."""
+    return list(Cuts(n, r))
 
 
-def count_pairs(n: int, zp: Iterable[int], zq: Iterable[int]) -> Iterator[tuple[int, int]]:
+def count_pairs(n: int, zp: Reversible[int], zq: Reversible[int]) -> Iterator[tuple[int, int]]:
     """The pairs (j_P, j_Q) in zp x zq with j_P + j_Q in {n-2, n-1, n},
-    sum n-1 first, then n-2, then n, and least j_P first within a sum;
-    zp must be sorted.  When zp = zq the first has j_P <= j_Q, as its
-    mirror comes later."""
-    members = set(zq)
+    sum n-1 first, then n-2, then n, and least j_P first within a sum.
+    When zp = zq the first has j_P <= j_Q, as its mirror comes later.
+
+    zp and zq are re-iterable sets of one parity each, as every Z(n, r)
+    is (path lemma, item 5): iter(zp) must run ascending and reversed(zq)
+    descending, without repeats, as a Cuts or a sorted list does.  Each
+    target is one two-pointer pass over fresh iterators, in O(1) memory,
+    and a target whose parity differs from that of the first two values
+    read is skipped unread.  A reader that stops at the first pair walks
+    the cut streams only up to it."""
+    ip, iq = iter(zp), reversed(zq)
+    x, y = next(ip, None), next(iq, None)
+    if x is None or y is None:
+        return
+    parity = (x + y) % 2
     for target in (n - 1, n - 2, n):
-        for j in zp:
-            if target - j in members:
-                yield j, target - j
+        if target % 2 != parity:
+            continue
+        if ip is None:
+            ip, iq = iter(zp), reversed(zq)
+            x, y = next(ip), next(iq)
+        while True:
+            s = x + y - target
+            if s == 0:
+                yield x, y
+            if s <= 0:
+                x = next(ip, None)
+                if x is None:
+                    break
+            if s >= 0:
+                y = next(iq, None)
+                if y is None:
+                    break
+        ip = None
 
 
 def _labels(n: int, pattern: str, r: int, j: int) -> str:
@@ -163,14 +214,16 @@ def same_coset_pairs(
 
 def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     n, m, sigma = split.n, split.m, split.sigma
-    Z = cache(partial(hamiltonian_cuts, n))  # called with r mod n
-    # Both ends in one coset.
+    # Both ends in one coset.  Each c's cut streams are walked once: the
+    # first pass over its B-coset choices reads the count pairs as it
+    # goes, and the others replay them.
     for c in range(m):
-        zp, zq = Z((c - sigma) % n), Z((m - 1 - c - sigma) % n)
-        if next(count_pairs(n, zp, zq), None) is None:
+        pairs = count_pairs(n, Cuts(n, c - sigma), Cuts(n, m - 1 - c - sigma))
+        read = list(islice(pairs, 1))
+        if not read:
             continue
         for bs in combinations(range(m - 1), c):
-            for jp, jq in count_pairs(n, zp, zq):
+            for jp, jq in _replay(read, pairs):
                 yield from same_coset_pairs(split, bs, jp, jq)
     # Ends in two cosets: P's in C_0 and Q's in C_kappa.  P uses B on C_0
     # iff j_P = n - 1 and on C_kappa iff j_Q = 0, and Q the other label.
@@ -192,6 +245,15 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
                         yield p, LabeledWalk(split.digraph, split.vertex(kappa + 1, h), q_labels)
 
 
+def _replay(read: list, rest: Iterator) -> Iterator:
+    """What read holds, then the rest of rest, appended to read as it is
+    yielded: a pass after one that ran to the end replays read alone."""
+    yield from read
+    for x in rest:
+        read.append(x)
+        yield x
+
+
 def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     """Every ordered pair (P, Q) of arc-disjoint Hamiltonian paths of the
     two-generated digraph d whose P starts at a, each checked by
@@ -211,10 +273,8 @@ def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
 def find_pair(d: CayleyDigraph) -> tuple[LabeledWalk, LabeledWalk]:
     """The first pair of iter_pairs(d), checked as iter_pairs checks it.
     Raises RuntimeError, naming d, if there is none, which would refute
-    the paper's theorem.
-
-    The search's generator is dropped before the check, so its cut sets
-    and count_pairs' member set are freed first."""
+    the paper's theorem.  The search keeps no cut set: it stops its cut
+    streams at the first count pair."""
     pair = next(_structured_pairs(coset_split(d)), None)
     if pair is None:
         raise RuntimeError(f"{_name(d)} has no arc-disjoint Hamiltonian path pair")

@@ -11,10 +11,16 @@ system's prefix sums and a closed form for theta); the reflection
 distance; and the reflected gap graph diagnostic.
 
 The ray system is defined for every step a mod k, k >= 1: its cut values
-are Z(k, a) of hampair.cosets, which reads them at every first-return
-step, a = 0 and a = -1 included.  The family-one digraph needs a not in
-{0, k-1} mod k; its entry points (hampair.family_one, endpoint_caps,
-`hampair rays`) check that, not the ray walk.
+are Z(k, a) of hampair.cosets, at every first-return step, a = 0 and
+a = -1 included.  The family-one digraph needs a not in {0, k-1} mod k;
+its entry points (hampair.family_one, endpoint_caps, `hampair rays`)
+check that, not the ray walk.
+
+The builders need no rays: cut_stream runs the same walk and yields the
+cut values one by one, keeping nothing, and hampair.cosets reads Z(n, r)
+from it (descending too, through the mirror Z(n, -1 - r) = N - Z(n, r)),
+stopping at its first count pair.  Only the scan and the `cuts` and
+`rays` commands build a ray system.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from typing import Iterator
 
 from .core import InputError, check_family_one_params
 
@@ -63,6 +70,12 @@ def lattice_params(k: int, a: int) -> LatticeParams:
 def _primitive(v: Ray) -> Ray:
     g = gcd(v[0], v[1])
     return (v[0] // g, v[1] // g)
+
+
+def _last_ray(p: LatticeParams) -> Ray:
+    """The boundary ray that ends the walk: (e, m) made primitive, or
+    (0, 1) when e = 0."""
+    return _primitive((p.e, p.m)) if p.e != 0 else (0, 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +166,7 @@ def ray_system(k: int, a: int) -> RaySystem:
     multiplicities H = floor(N / L)."""
     p = lattice_params(k, a)
     N, m = p.N, p.m
-    last: Ray = _primitive((p.e, m)) if p.e != 0 else (0, 1)
+    last = _last_ray(p)
     # the boundary rays (1, 0), with L = m, and last around the walk's.
     # Each list is dropped as soon as its tuple is made, so no two copies
     # of one outlive the next: at k = 1,206,000 that keeps the traced
@@ -171,6 +184,34 @@ def ray_system(k: int, a: int) -> RaySystem:
     # endpoint identity of the parametrization
     assert rs._cuts[-1] + rs.mults[-1] == N, rs
     return rs
+
+
+def cut_stream(k: int, a: int) -> Iterator[int]:
+    """The cut values of ray_system(k, a), ascending, read off the Farey
+    walk as it runs: U_1 = N // m, then U_(q+1) = U_q + 2 * N // L for
+    each internal ray.  No ray is kept, so a reader that stops early (the
+    builders' count-pair search) walks only as far as it reads.
+
+    The loop is _internal_rays' with the rays dropped, so its proof is
+    the same.  ray_system keeps its own list-filling loop, as the scan
+    builds one ray system per cell: fed from a generator of (ray, mult)
+    pairs it took 47-53 ms against 43-44 ms for the 3,424 cells of rows
+    24..87 (best of 15; 2-core Xeon, Python 3.11).
+    """
+    p = lattice_params(k, a)
+    N, m, c = p.N, p.m, p.n - p.e
+    lx, ly = _last_ray(p)
+    u = N // m
+    yield u
+    ux, uy, uL = 0, -1, -c
+    x, y, L = 1, 0, m
+    while True:
+        t = (N + uL) // L
+        ux, uy, uL, x, y, L = x, y, L, t * x - ux, t * y - uy, t * L - uL
+        if y * lx >= x * ly:
+            return
+        u += 2 * (N // L)
+        yield u
 
 
 def endpoint_caps(k: int, a: int) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hampair
-from hampair import cli, core, cosets, family_one, family_two, products, witness
+from hampair import cli, core, cosets, family_one, family_two, lattice, products, witness
 from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 from hampair.core import LabeledWalk, cayley
 from hampair.witness import witness_from_json
@@ -214,6 +214,20 @@ def test_build_search_witness(capsys):
 def test_build_search_deep(capsys):
     # A 1,200-vertex digraph, built from its cosets.
     code, out, _ = run(capsys, "build", "search", "1200", "1", "2")
+    assert code == EXIT_OK
+    assert witness_from_json(out).verify() is None
+
+
+@pytest.mark.parametrize(
+    "argv", [("one", "402", "133"), ("search", "30,40", "1,0", "0,1")], ids=["one", "search"]
+)
+def test_build_builds_no_ray_system(capsys, monkeypatch, argv):
+    # A build reads its count pairs from the cut streams.
+    def refuse(k, a):
+        raise AssertionError("a build built a ray system")
+
+    monkeypatch.setattr(lattice, "ray_system", refuse)
+    code, out, _ = run(capsys, "build", *argv)
     assert code == EXIT_OK
     assert witness_from_json(out).verify() is None
 

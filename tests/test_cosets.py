@@ -5,12 +5,14 @@ import pytest
 from hampair import cosets, oracle
 from hampair.core import InputError, arc_ids, cayley
 from hampair.cosets import (
+    Cuts,
     coset_split,
     count_pairs,
     find_pair,
     hamiltonian_cuts,
     iter_pairs,
 )
+from hampair.lattice import ray_system
 from hampair.family_one import count_pair, cut_path
 from hampair.family_two import QuotientFiberConfig, build_family_two
 from hampair.products import product_digraph
@@ -98,6 +100,41 @@ def test_count_pairs_order():
     assert list(count_pairs(10, [1, 3, 5], [1, 3, 5])) == [(3, 5), (5, 3), (5, 5)]
     assert list(count_pairs(4, [0], [3])) == [(0, 3)]
     assert list(count_pairs(6, [1], [2])) == []
+
+
+def _brute_count_pairs(n, zp, zq):
+    # The pairs of set(zp) x set(zq) in the documented order, by lookup:
+    # sum n - 1, then n - 2, then n, and the least j_P first within a sum.
+    members = set(zq)
+    return [(jp, t - jp) for t in (n - 1, n - 2, n) for jp in sorted(set(zp)) if t - jp in members]
+
+
+def test_count_pairs_over_cut_streams_match_brute_force():
+    for n in range(2, 50):
+        Z = [ray_system(n, r).cut_values() for r in range(n)]
+        for rp in range(n):
+            for rq in range(n):
+                want = _brute_count_pairs(n, Z[rp], Z[rq])
+                assert list(count_pairs(n, Cuts(n, rp), Cuts(n, rq))) == want, (n, rp, rq)
+
+
+def test_count_pairs_of_family_one_match_brute_force():
+    # The diagonal r_P = r_Q, family one's case, further out.
+    for n in range(2, 200):
+        for r in range(n):
+            z = ray_system(n, r).cut_values()
+            want = _brute_count_pairs(n, z, z)
+            assert list(count_pairs(n, Cuts(n, r), Cuts(n, r))) == want, (n, r)
+
+
+def test_cut_set_mirror():
+    # Path lemma, item 6: Z(n, -1 - r) = N - Z(n, r), checked on the ray
+    # systems, so reversed(Cuts(n, r)) is Z(n, r) descending.
+    for n in range(1, 200):
+        for r in range(n):
+            z = ray_system(n, r).cut_values()
+            assert [n - 1 - j for j in ray_system(n, -1 - r).cut_values()] == z[::-1], (n, r)
+            assert list(reversed(Cuts(n, r))) == z[::-1], (n, r)
 
 
 def test_every_dfs_path_fits_the_lemma():

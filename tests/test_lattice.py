@@ -14,6 +14,7 @@ from hampair.family_one import cut_set_values
 from hampair.lattice import (
     RaySystem,
     cap2_violations,
+    cut_stream,
     endpoint_caps,
     lattice_params,
     ray_system,
@@ -168,6 +169,14 @@ def test_endpoint_identity_sweep():
         for a in range(k):
             rs = ray_system(k, a)
             assert rs.cut_values()[-1] + rs.mults[-1] == k - 1, (k, a)
+
+
+def test_cut_stream_is_the_ray_systems_cut_values():
+    # Every step a, a = 0 and a = -1 included: the stream's own loop
+    # walks the rays as _internal_rays does.
+    for k in range(1, 300):
+        for a in range(k):
+            assert list(cut_stream(k, a)) == ray_system(k, a).cut_values(), (k, a)
 
 
 def test_cut_values_from_rays_examples():

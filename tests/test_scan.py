@@ -61,9 +61,10 @@ def test_scan_cell_builds_one_ray_system(monkeypatch):
     rows, _ = run_scan(3, 12)
     pairs = sum((k - 1) // 2 for k in range(3, 13))
     assert calls == {"ray_system": len(rows), "oracle_cut_set": pairs}
+    # A build reads its cut values from the streams and builds none.
     calls.update(ray_system=0)
     family_one.realize_disjoint_pair(40, 9)
-    assert calls["ray_system"] == 1
+    assert calls["ray_system"] == 0
 
 
 def test_sector_filling_failure_is_reported(monkeypatch):
