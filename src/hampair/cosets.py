@@ -94,7 +94,7 @@ which core's pair check reads as well (its column rule).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from typing import Collection, Iterable, Iterator, Reversible
 
 from . import lattice
@@ -214,16 +214,13 @@ def same_coset_pairs(
 
 def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     n, m, sigma = split.n, split.m, split.sigma
-    # Both ends in one coset.  Each c's cut streams are walked once: the
-    # first pass over its B-coset choices reads the count pairs as it
-    # goes, and the others replay them.
+    # Both ends in one coset.
     for c in range(m):
-        pairs = count_pairs(n, Cuts(n, c - sigma), Cuts(n, m - 1 - c - sigma))
-        read = list(islice(pairs, 1))
-        if not read:
+        zp, zq = Cuts(n, c - sigma), Cuts(n, m - 1 - c - sigma)
+        if next(count_pairs(n, zp, zq), None) is None:
             continue
         for bs in combinations(range(m - 1), c):
-            for jp, jq in _replay(read, pairs):
+            for jp, jq in count_pairs(n, zp, zq):
                 yield from same_coset_pairs(split, bs, jp, jq)
     # Ends in two cosets: P's in C_0 and Q's in C_kappa.  P uses B on C_0
     # iff j_P = n - 1 and on C_kappa iff j_Q = 0, and Q the other label.
@@ -243,15 +240,6 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
                     q_labels = _labels(n, sq[kappa + 1 :] + sq[:kappa], cq - sigma, jq)
                     for h in range(n):
                         yield p, LabeledWalk(split.digraph, split.vertex(kappa + 1, h), q_labels)
-
-
-def _replay(read: list, rest: Iterator) -> Iterator:
-    """What read holds, then the rest of rest, appended to read as it is
-    yielded: a pass after one that ran to the end replays read alone."""
-    yield from read
-    for x in rest:
-        read.append(x)
-        yield x
 
 
 def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:

@@ -218,16 +218,14 @@ def test_build_search_deep(capsys):
     assert witness_from_json(out).verify() is None
 
 
-@pytest.mark.parametrize(
-    "argv", [("one", "402", "133"), ("search", "30,40", "1,0", "0,1")], ids=["one", "search"]
-)
-def test_build_builds_no_ray_system(capsys, monkeypatch, argv):
-    # A build reads its count pairs from the cut streams.
+def test_build_search_builds_no_ray_system(capsys, monkeypatch):
+    # A search build reads its count pairs from the cut streams; family
+    # one's build is checked in test_scan.
     def refuse(k, a):
         raise AssertionError("a build built a ray system")
 
     monkeypatch.setattr(lattice, "ray_system", refuse)
-    code, out, _ = run(capsys, "build", *argv)
+    code, out, _ = run(capsys, "build", "search", "30,40", "1,0", "0,1")
     assert code == EXIT_OK
     assert witness_from_json(out).verify() is None
 

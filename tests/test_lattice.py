@@ -172,8 +172,8 @@ def test_endpoint_identity_sweep():
 
 
 def test_cut_stream_is_the_ray_systems_cut_values():
-    # Every step a, a = 0 and a = -1 included: the stream's own loop
-    # walks the rays as _internal_rays does.
+    # Every step a, a = 0 and a = -1 included: the stream's running sum
+    # of 2 * N // L over the walk is the ray system's cut values.
     for k in range(1, 300):
         for a in range(k):
             assert list(cut_stream(k, a)) == ray_system(k, a).cut_values(), (k, a)
