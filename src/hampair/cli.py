@@ -20,14 +20,13 @@ one stderr line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
 import sys
 from typing import Optional, Sequence
 
-from . import cosets, family_one, family_two, lattice, products, scan
+from . import cosets, family_one, family_two, lattice, products
 from .core import InputError, cayley, check_family_one_params
 from .witness import MalformedWitness, WitnessFile, witness_from_json
 
@@ -165,7 +164,7 @@ def cmd_rays(args) -> int:
     rows = itertools.zip_longest(rs.rays, rs.mults, U, fillvalue="")
     if args.format == "json":
         record = {
-            **dataclasses.asdict(p),
+            **p._asdict(),
             "N": p.N,
             "rays": rs.rays,
             "mults": rs.mults,
@@ -220,6 +219,10 @@ def _scan_text(rows, summary, fmt: str) -> str:
 
 
 def cmd_scan(args) -> int:
+    # Imported here: ScanRow is a dataclass, and the dataclasses module
+    # would add to the start-up of every other command.
+    from . import scan
+
     rows, summary = scan.run_scan(args.k_min, args.k_max, jobs=args.jobs)
     _emit(_scan_text(rows, summary, args.format), args.out)
     if summary.failures:

@@ -133,20 +133,18 @@ of that integer matrix is 1.
 
 from __future__ import annotations
 
-import string
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm, prod
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Vertex = tuple[int, ...]
 
 # Generator labels, in branch order.  Two-generated digraphs use "A","B";
 # cycle products add a third direction "C".
-GENERATOR_LABELS = string.ascii_uppercase
+GENERATOR_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # bytes.translate tables over a walk's encoded labels: _POSITIONS maps
 # each label to its position, _CODES to its position + 1 (the vertex
@@ -180,18 +178,40 @@ def check_family_one_params(k: int, a: int) -> int:
     return a % k
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class _Record:
+    """Equality, hash and repr over the attributes named in _fields, as
+    a frozen dataclass has them, without the code a dataclass generates
+    and compiles at import.  Only records of one class compare equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return self is other or type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FiniteAbelianGroup(_Record):
     """Direct product of cyclic groups Z_{n1} x ... x Z_{nr}.
 
     Vertices are canonical residue tuples, componentwise in [0, order_i).
     """
 
-    orders: tuple[int, ...]
+    __slots__ = _fields = ("orders",)
 
-    def __post_init__(self) -> None:
-        if not self.orders or any(n < 1 for n in self.orders):
-            raise InputError(f"orders must all be >= 1, got {self.orders}")
+    def __init__(self, orders: tuple[int, ...]) -> None:
+        if not orders or any(n < 1 for n in orders):
+            raise InputError(f"orders must all be >= 1, got {orders}")
+        self.orders = orders
 
     @property
     def size(self) -> int:
@@ -255,8 +275,7 @@ class FiniteAbelianGroup:
         return product(*map(range, self.orders))
 
 
-@dataclass(frozen=True)
-class CayleyDigraph:
+class CayleyDigraph(_Record):
     """Directed Cayley digraph on an abelian group with labeled generators.
 
     Arcs are x -> x + gens[i], labeled by GENERATOR_LABELS[i].  The usual
@@ -264,30 +283,26 @@ class CayleyDigraph:
     three directed cycles use three.
     """
 
-    group: FiniteAbelianGroup
-    gens: tuple[Vertex, ...]
-    # Filled by successor_tables and predecessor_tables on first use.
-    # Fields set in __init__, not cached_properties: writing a new key
-    # into the instance __dict__ would slow every later attribute load on
-    # the digraph, which the oracle's search makes millions of.
-    _tables: tuple[list[int], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _pred_tables: tuple[list[int], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("group", "gens")
+    # _tables and _pred_tables are filled by successor_tables and
+    # predecessor_tables on first use.  All four are slots, not
+    # cached_properties: a slot load reads a fixed offset, with no
+    # instance __dict__ to look in or to grow when a table is filled
+    # later, and the oracle's search loads them millions of times.
+    __slots__ = (*_fields, "_tables", "_pred_tables")
 
-    def __post_init__(self) -> None:
-        gens = tuple(self.group.canon(g) for g in self.gens)
-        object.__setattr__(self, "gens", gens)
+    def __init__(self, group: FiniteAbelianGroup, gens: Iterable[int | Iterable[int]]) -> None:
+        self.group = group
+        self.gens = gens = tuple(group.canon(g) for g in gens)
+        self._tables = self._pred_tables = None
         if len(gens) < 1 or len(gens) > len(GENERATOR_LABELS):
             raise InputError("unsupported number of generators")
-        if any(g == self.group.zero for g in gens):
+        if any(g == group.zero for g in gens):
             raise InputError("generators must be nonzero")
         if len(set(gens)) != len(gens):
             raise InputError("generators must be distinct")
         if not self._generates():
-            raise InputError(f"{gens} do not generate the group {self.group.orders}")
+            raise InputError(f"{gens} do not generate the group {group.orders}")
 
     def _generates(self) -> bool:
         # Hermite reduction of the rows gens + n_i*e_i, one column at a
@@ -331,7 +346,7 @@ class CayleyDigraph:
                 rest = [first[s:] + first[:s] for s in shifts]
             else:
                 rest = [self.group.translation_table(g) for g in self.gens[1:]]
-            object.__setattr__(self, "_tables", (first, *rest))
+            self._tables = (first, *rest)
         return self._tables
 
     @property
@@ -348,7 +363,7 @@ class CayleyDigraph:
                 for v, w in enumerate(succ):
                     pred[w] = v
                 tables.append(pred)
-            object.__setattr__(self, "_pred_tables", tuple(tables))
+            self._pred_tables = tuple(tables)
         return self._pred_tables
 
     @property
@@ -379,8 +394,7 @@ def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
     return CayleyDigraph(FiniteAbelianGroup(tuple(orders)), gens)
 
 
-@dataclass(frozen=True)
-class CosetSplit:
+class CosetSplit(NamedTuple):
     """The cosets of <delta> in a two-generated Cay(G; a, b)."""
 
     digraph: CayleyDigraph
@@ -424,26 +438,26 @@ def _multiple(target: Vertex, delta: Vertex, orders: tuple[int, ...]) -> int:
     return s % mod
 
 
-@dataclass(frozen=True)
-class LabeledWalk:
+class LabeledWalk(_Record):
     """A walk given by its start vertex and per-step generator labels.
 
     Vertices are recomputed on demand, so a walk cannot carry an
     inconsistent vertex/label pair: `index_list` follows the digraph's
-    successor tables, and `vertex_list` decodes it.
+    successor tables, and `vertex_list` decodes it.  No slots: the two
+    cached properties keep their values in the instance __dict__.
     """
 
-    digraph: CayleyDigraph
-    start: Vertex
-    labels: str
+    _fields = ("digraph", "start", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", self.digraph.group.check_vertex(self.start))
-        if not isinstance(self.labels, str):
-            raise InputError(f"labels must be a str, got {type(self.labels).__name__}")
-        if sum(map(self.labels.count, self.digraph.labels)) != len(self.labels):
-            for lab in self.labels:
-                self.digraph.gen(lab)  # raises on an unknown label
+    def __init__(self, digraph: CayleyDigraph, start: Vertex, labels: str) -> None:
+        self.digraph = digraph
+        self.start = digraph.group.check_vertex(start)
+        if not isinstance(labels, str):
+            raise InputError(f"labels must be a str, got {type(labels).__name__}")
+        if sum(map(labels.count, digraph.labels)) != len(labels):
+            for lab in labels:
+                digraph.gen(lab)  # raises on an unknown label
+        self.labels = labels
 
     def __len__(self) -> int:
         return len(self.labels)

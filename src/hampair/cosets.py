@@ -169,9 +169,14 @@ def _labels(n: int, pattern: str, r: int, j: int) -> str:
     by the label of the cut walk at j with step r (path lemma, item 4)."""
     walk, closes = cut_walk(n, r, j)
     assert closes, (n, r, j)
-    if not pattern:  # the walk is the labels: skip str.join's list of n characters
-        return walk
-    return pattern + pattern.join(walk) + pattern
+    # In rows of width len(pattern) + 1, each row is one round and one
+    # walk label (the last row a round alone), so the walk is the last
+    # column and one slice writes it; str.join would first make a list
+    # of the walk's n - 1 characters.
+    width = len(pattern) + 1
+    labels = bytearray(((pattern + "A") * (n - 1) + pattern).encode())
+    labels[width - 1 :: width] = walk.encode()
+    return labels.decode()
 
 
 def _pattern(size: int, b_positions: Iterable[int]) -> str:

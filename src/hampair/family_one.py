@@ -10,10 +10,10 @@ Hamiltonian path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cosets, lattice
-from .core import InputError, LabeledWalk, cayley, check_family_one_params, cut_walk
+from .core import InputError, LabeledWalk, _Record, cayley, check_family_one_params, cut_walk
 
 
 def cut_permutation(k: int, a: int, d: int) -> list[int]:
@@ -40,13 +40,12 @@ def cut_set_values(k: int, a: int) -> list[int]:
     return lattice.ray_system(k, check_family_one_params(k, a)).cut_values()
 
 
-@dataclass(frozen=True)
-class CutProfile:
+class CutProfile(NamedTuple):
     """Everything one (k, a) cell derives from its ray system.
 
     The profile keeps the ray system it was read from, so a caller that
     also needs the rays (the scan's sector checks, `hampair cuts`) builds
-    it once.
+    it once; its repr leaves the rays out.
     """
 
     k: int
@@ -55,11 +54,15 @@ class CutProfile:
     delta: int
     witness: tuple[int, int]
     count_pair: tuple[int, int]
-    ray_system: lattice.RaySystem = field(repr=False)
+    ray_system: lattice.RaySystem
 
     @property
     def N(self) -> int:
         return self.k - 1
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:-1], self))
+        return f"CutProfile({fields})"
 
 
 def cut_set(k: int, a: int) -> CutProfile:
@@ -102,11 +105,14 @@ def count_pair(k: int, a: int) -> tuple[int, int]:
     return cut_set(k, a).count_pair
 
 
-@dataclass(frozen=True)
-class RealizedPair:
-    path1: LabeledWalk
-    path2: LabeledWalk
-    stage: str  # always "translate-count-pair"
+class RealizedPair(_Record):
+    """Unpacks to its two paths, as a NamedTuple of three fields would not."""
+
+    __slots__ = _fields = ("path1", "path2", "stage")
+
+    def __init__(self, path1: LabeledWalk, path2: LabeledWalk, stage: str) -> None:
+        self.path1, self.path2 = path1, path2
+        self.stage = stage  # always "translate-count-pair"
 
     def __iter__(self):
         return iter((self.path1, self.path2))

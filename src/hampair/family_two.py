@@ -19,22 +19,20 @@ one canonical arc for even L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import cosets
-from .core import CayleyDigraph, InputError, LabeledWalk, cayley, check_pair
+from .core import CayleyDigraph, InputError, LabeledWalk, _Record, cayley, check_pair
 
 
-@dataclass(frozen=True)
-class QuotientFiberConfig:
-    a: int
-    L: int
+class QuotientFiberConfig(_Record):
+    __slots__ = _fields = ("a", "L")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.L < 2:
-            raise InputError(f"need a >= 1 and L >= 2, got {(self.a, self.L)}")
+    def __init__(self, a: int, L: int) -> None:
+        if a < 1 or L < 2:
+            raise InputError(f"need a >= 1 and L >= 2, got {(a, L)}")
+        self.a, self.L = a, L
 
     @property
     def M(self) -> int:
@@ -68,8 +66,7 @@ class QuotientFiberConfig:
         return frozenset(range(self.a + 2))
 
 
-@dataclass(frozen=True)
-class SkewCover:
+class SkewCover(NamedTuple):
     """The permutation stepping by -a on quotient positions in S and by
     a+1 elsewhere, with its cycle decomposition."""
 
@@ -78,7 +75,7 @@ class SkewCover:
     cycles: tuple[tuple[int, ...], ...]
     # steps[x % M] is the generator the permutation adds at x: the
     # quotient position of x depends only on x mod M, because M | k.
-    steps: tuple[int, ...] = field(repr=False, compare=False)
+    steps: tuple[int, ...]
 
     @property
     def return_shift(self) -> int:

@@ -26,17 +26,15 @@ stopping at its first count pair.  Only the scan and the `cuts` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .core import InputError, check_family_one_params
+from .core import InputError, _Record, check_family_one_params
 
 Ray = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class LatticeParams(NamedTuple):
     k: int
     a: int
     m: int  # order of a in Z_k
@@ -78,25 +76,26 @@ def _last_ray(p: LatticeParams) -> Ray:
     return _primitive((p.e, p.m)) if p.e != 0 else (0, 1)
 
 
-@dataclass(frozen=True)
-class RaySystem:
-    params: LatticeParams
-    rays: tuple[Ray, ...]  # slope-ordered, boundary rays first and last
-    mults: tuple[int, ...]
-    _cuts: tuple[int, ...] = field(init=False, repr=False, compare=False)  # see cut_values
-    _prefix: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+class RaySystem(_Record):
+    _fields = ("params", "rays", "mults")
+    __slots__ = (*_fields, "_cuts", "_prefix")  # _cuts: see cut_values
 
-    def __post_init__(self) -> None:
-        h = self.mults
+    def __init__(
+        self, params: LatticeParams, rays: tuple[Ray, ...], mults: tuple[int, ...]
+    ) -> None:
+        self.params = params
+        self.rays = rays  # slope-ordered, boundary rays first and last
+        self.mults = h = mults
         doubled = (2 * x for x in itertools.islice(h, 1, len(h) - 1))
-        object.__setattr__(self, "_cuts", tuple(itertools.accumulate(doubled, initial=h[0])))
+        self._cuts = tuple(itertools.accumulate(doubled, initial=h[0]))
+        self._prefix = None
 
     @property
     def prefix(self) -> tuple[int, ...]:
         """prefix[i] = mults[0] + ... + mults[i-1], for 0 <= i <= f,
         computed on first read: the builds read only the cut values."""
         if self._prefix is None:
-            object.__setattr__(self, "_prefix", tuple(itertools.accumulate(self.mults, initial=0)))
+            self._prefix = tuple(itertools.accumulate(self.mults, initial=0))
         return self._prefix
 
     @property
@@ -279,8 +278,7 @@ def sector_filling_violations(rs: RaySystem) -> list[tuple[int, int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class ReflectedGapGraph:
+class ReflectedGapGraph(NamedTuple):
     """Pairs of cut values at the minimal reflected distance.
 
     A negative edge joins u, v with u + v = N - delta; a positive edge

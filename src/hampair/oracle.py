@@ -49,9 +49,8 @@ the 2,760 pair-search digraphs of perfbench it saved no node and took
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     CayleyDigraph,
@@ -78,18 +77,16 @@ class BudgetExhausted(Exception):
     """
 
 
-@dataclass
 class _Budget:
-    limit: int
-    used: int = 0
+    __slots__ = ("limit", "used")
 
-    def __post_init__(self) -> None:
-        if self.limit <= 0:
+    def __init__(self, limit: int) -> None:
+        if limit <= 0:
             raise InputError("node_budget must be positive")
+        self.limit, self.used = limit, 0
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: Status
     walk: Optional[LabeledWalk] = None
     nodes_used: int = 0
@@ -99,8 +96,7 @@ class SearchOutcome:
         return self.status is Status.FOUND
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(NamedTuple):
     status: Status
     pair: Optional[tuple[LabeledWalk, LabeledWalk]] = None
     nodes_used: int = 0

@@ -14,8 +14,7 @@ the DFS oracle instead; it is the tests' reference, not a build path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import cosets, oracle
 from .core import (
@@ -43,8 +42,7 @@ def product_digraph(orders: Sequence[int]) -> CayleyDigraph:
     return CayleyDigraph(group, gens)
 
 
-@dataclass(frozen=True)
-class SwitchabilityData:
+class SwitchabilityData(NamedTuple):
     """Endpoint differences of an ordered pair (P, Q); iota and tau are a
     walk's start and end."""
 

@@ -21,12 +21,19 @@ cell's cut set by the conjugation lemma in oracle_cut_set's docstring.
 The reference is computed from permutations alone, and each cell
 compares its own ray-system cut set with it.  A self-mirrored
 cell (odd k, a = N/2) is a unit of one.  Rows k = 24..87 (3,424 cells)
-take about 0.21-0.24 s in one process on one core of a 2-core Xeon
-(Python 3.11), and a fresh `hampair scan 100 130` about 0.54 s; with
-the Stern-Brocot ray walk, measured alongside, 0.23-0.28 s and 0.62 s.
+take about 0.15-0.16 s in one process on one core of a 2-core Xeon
+(Python 3.11, best of 5), and a fresh `hampair scan 100 130` about
+0.4 s (medians of 15 runs).
 
-Units are independent, so scans parallelize; results are always
-reported in (k, a) order.
+Units are independent, so scans parallelize, on at most as many worker
+processes as this process may use CPUs; results are always reported in
+(k, a) order.
+
+ScanRow is the package's one dataclass, for the benchmark's self-check
+(perfbench/selfcheck.py), which corrupts a row with dataclasses.replace.
+Every other record is a NamedTuple or a plain class, which generates
+no code at import, and the CLI imports this module only for `scan`, so
+no other command loads dataclasses.
 """
 
 from __future__ import annotations
@@ -114,14 +121,14 @@ def scan_mirror_pair(unit: tuple[int, int]) -> tuple[ScanRow, ...]:
     return rows
 
 
-@dataclass
 class ScanSummary:
-    cells: int = 0
-    failures: int = 0
-    # even-k count-pair sums: how often the chosen sum is k-2 vs k
-    sum_k_minus_2: int = 0
-    sum_k: int = 0
-    first_failure: Optional[ScanRow] = None
+    __slots__ = ("cells", "failures", "sum_k_minus_2", "sum_k", "first_failure")
+
+    def __init__(self) -> None:
+        self.cells = self.failures = 0
+        # even-k count-pair sums: how often the chosen sum is k-2 vs k
+        self.sum_k_minus_2 = self.sum_k = 0
+        self.first_failure: Optional[ScanRow] = None
 
     def absorb(self, row: ScanRow) -> None:
         self.cells += 1
@@ -152,8 +159,9 @@ def run_scan(k_min: int, k_max: int, jobs: int = 1) -> tuple[list[ScanRow], Scan
     # one unit (k, a) with a <= N-a per mirror pair
     units = [(k, a) for k, a in scan_cells(k_min, k_max) if 2 * a <= k - 1]
     # The pool starts all its workers at once, so never ask for more than
-    # there are units or CPUs.
-    workers = min(jobs, len(units), os.cpu_count() or 1)
+    # there are units or CPUs this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(units), cpus or 1)
     if workers > 1:
         # Imported here: the pool's modules would add to the start-up of
         # every single-job run.

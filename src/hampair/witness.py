@@ -10,8 +10,7 @@ pair passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import (
     CayleyDigraph,
@@ -48,8 +47,7 @@ def _integers(value: Any, name: str) -> list[int]:
     return value
 
 
-@dataclass(frozen=True)
-class WitnessFile:
+class WitnessFile(NamedTuple):
     family: str  # one | two | product | search
     params: dict[str, int]
     digraph: CayleyDigraph

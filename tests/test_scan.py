@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -76,7 +75,7 @@ def test_sector_filling_failure_is_reported(monkeypatch):
 def test_parity_sharp_failure_is_reported(monkeypatch):
     cut_set = family_one.cut_set
     monkeypatch.setattr(
-        family_one, "cut_set", lambda k, a: dataclasses.replace(cut_set(k, a), delta=2)
+        family_one, "cut_set", lambda k, a: cut_set(k, a)._replace(delta=2)
     )
     row = scan_cell((15, 3), (2, 4, 6, 8, 14))
     assert row.failures == ("parity-sharp: delta=2, expected 0",)
@@ -89,8 +88,9 @@ def test_adjacent_large_failure_is_reported(monkeypatch):
 
     def adjacent(k, a):
         profile = cut_set(k, a)
-        rs = dataclasses.replace(profile.ray_system, mults=(2, 1, 1, 2, 3, 0))
-        return dataclasses.replace(profile, ray_system=rs)
+        rs = profile.ray_system
+        rs = lattice.RaySystem(rs.params, rs.rays, (2, 1, 1, 2, 3, 0))
+        return profile._replace(ray_system=rs)
 
     monkeypatch.setattr(family_one, "cut_set", adjacent)
     monkeypatch.setattr(lattice, "sector_filling_violations", lambda rs: [])
@@ -187,10 +187,27 @@ def test_scan_workers_capped_by_cells_and_cpus(monkeypatch, jobs, cpus, k_max, w
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # The CPU count of a platform that has no CPU affinity.
+    monkeypatch.delattr(scan.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
     rows, _ = run_scan(3, k_max, jobs=jobs)
     assert [(r.k, r.a) for r in rows] == scan_cells(3, k_max)
     assert started == ([] if workers is None else [workers])
+
+
+def test_scan_pool_capped_by_cpu_affinity(monkeypatch):
+    # A process that may run on one CPU scans in itself, however many
+    # jobs it asks for and however many CPUs the machine has.
+    serial, _ = run_scan(3, 12, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one usable CPU")
+
+    monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    rows, _ = run_scan(3, 12, jobs=4)
+    assert rows == serial
 
 
 def _move_one_value(Z):
@@ -209,7 +226,7 @@ def test_moved_lattice_value_fails_only_its_row(monkeypatch, cell):
         profile = cut_set(k, a)
         if (k, a) != cell:
             return profile
-        return dataclasses.replace(profile, Z=_move_one_value(profile.Z))
+        return profile._replace(Z=_move_one_value(profile.Z))
 
     monkeypatch.setattr(family_one, "cut_set", moved)
     rows, _ = run_scan(14, 16)
