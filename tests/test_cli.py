@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -293,7 +294,7 @@ def test_build_search_rejects_overlapping_pair(capsys, monkeypatch, tmp_path):
     # is written.
     d = cayley([3], 1, 2)
     p = LabeledWalk(d, (1,), "AA")
-    monkeypatch.setattr(cosets, "_structured_pairs", lambda split: iter([(p, p)]))
+    monkeypatch.setattr(cosets, "_structured_pairs", lambda d: iter([(p, p)]))
     target = tmp_path / "w.json"
     code, out, err = run(capsys, "build", "search", "3", "1", "2", "--out", str(target))
     assert code == EXIT_FAIL
@@ -336,6 +337,48 @@ def test_each_witness_is_checked_once(capsys, monkeypatch, tmp_path, argv):
     code, _, _ = run(capsys, "verify", str(target))
     assert code == EXIT_OK
     assert checked == [digraph]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("one", "10", "4"), ("two", "1", "4"), ("product", "10", "8", "3"),
+     ("search", "12", "1", "4"), ("search", "2,3", "1,0", "0,1")],
+    ids=["one", "two", "product", "search-rank-one", "search-rank-two"],
+)
+def test_each_digraph_computes_one_coset_split(capsys, monkeypatch, tmp_path, argv):
+    # The search and the pair check of a build share one split, kept on
+    # the digraph; a product's split is its base's.
+    splits = []
+    split_type = core.CosetSplit
+
+    def counting(orders, *rest):
+        splits.append(orders)
+        return split_type(orders, *rest)
+
+    monkeypatch.setattr(core, "CosetSplit", counting)
+    target = tmp_path / "w.json"
+    code, _, _ = run(capsys, "build", *argv, "--out", str(target))
+    assert code == EXIT_OK
+    assert len(splits) == 1
+    rank = len(splits[0])
+    splits.clear()
+    code, _, _ = run(capsys, "verify", str(target))
+    assert code == EXIT_OK
+    # verify splits its own digraph once, on Z_N only, for the column rule
+    assert len(splits) == (rank == 1)
+
+
+def test_emit_writes_a_large_text_intact_in_slices(monkeypatch, tmp_path):
+    text = "".join(f"{i}\n" for i in range(400_000))  # 2.6 MB, no slice boundary aligned
+    assert len(text) > 2 * cli._WRITE_SLICE and len(text) % cli._WRITE_SLICE
+    target = tmp_path / "big.txt"
+    cli._emit(text, str(target))
+    assert target.read_text() == text
+    writes = []
+    monkeypatch.setattr(cli.sys, "stdout", types.SimpleNamespace(write=writes.append))
+    cli._emit(text, None)
+    assert "".join(writes) == text
+    assert max(map(len, writes)) == cli._WRITE_SLICE
 
 
 def test_build_rejects_bad_params(capsys):

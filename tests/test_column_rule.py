@@ -76,7 +76,7 @@ def sweep_coset_pairs(max_order: int, keep) -> tuple[int, int]:
         split = coset_split(d)
         if not keep(split.m):
             continue
-        for i, (p, q) in enumerate(itertools.islice(_structured_pairs(split), 0, 60, 6)):
+        for i, (p, q) in enumerate(itertools.islice(_structured_pairs(d), 0, 60, 6)):
             assert agrees(d, p, q) and agrees(d, q, p)
             proved += 2 + agrees(d, *_variant((checks + i) % 7, p, q, split.m))
             checks += 3

@@ -282,6 +282,30 @@ def test_generation_check_matches_bfs_on_pairs():
     assert hermite_generates(FiniteAbelianGroup((1, 6)), ((0, 2), (0, 3)))
 
 
+def test_generation_by_gcd_matches_the_closure_on_cyclic_groups():
+    # On Z_n generation is one gcd; the closure of <a, b> is walked here
+    # on plain integers.
+    for n in range(2, 61):
+        group = FiniteAbelianGroup((n,))
+        for a, b in itertools.combinations(range(1, n), 2):
+            seen, todo = {0}, [0]
+            while todo:
+                v = todo.pop()
+                for w in ((v + a) % n, (v + b) % n):
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            assert hermite_generates(group, ((a,), (b,))) == (len(seen) == n), (n, a, b)
+
+
+def test_generation_by_hermite_matches_bfs_on_rank_two():
+    for m, n in itertools.product(range(1, 9), repeat=2):
+        group = FiniteAbelianGroup((m, n))
+        nonzero = [v for v in group.elements() if v != group.zero]
+        for gens in itertools.combinations(nonzero, 2):
+            assert hermite_generates(group, gens) == bfs_generates(group, gens), (m, n, gens)
+
+
 def test_generation_check_matches_bfs_on_triples():
     for group in small_groups(12, 3):
         nonzero = [v for v in group.elements() if v != group.zero]

@@ -1,9 +1,10 @@
+import gc
 from math import comb
 
 import pytest
 
 from hampair import cosets, oracle
-from hampair.core import InputError, arc_ids, cayley
+from hampair.core import CayleyDigraph, InputError, arc_ids, cayley
 from hampair.cosets import (
     Cuts,
     coset_split,
@@ -45,6 +46,15 @@ def _cycle_count(perm: list[int]) -> int:
 def test_coset_split_examples(orders, a, b, delta, n, m, sigma):
     split = coset_split(cayley(orders, a, b))
     assert (split.delta, split.n, split.m, split.sigma) == (delta, n, m, sigma)
+
+
+def test_coset_split_is_kept_on_the_digraph_without_a_cycle():
+    d = cayley([12], 1, 4)
+    split = coset_split(d)
+    assert coset_split(d) is split
+    # The split refers to no digraph, so a digraph that keeps it (and its
+    # tables) is still freed by reference counting.
+    assert not any(isinstance(x, CayleyDigraph) for x in gc.get_referents(split))
 
 
 def test_coset_split_covers_the_group():
@@ -218,7 +228,7 @@ def test_family_two_pair_is_in_the_enumeration():
 
 
 def test_find_pair_names_a_digraph_without_one(monkeypatch):
-    monkeypatch.setattr(cosets, "_structured_pairs", lambda split: iter(()))
+    monkeypatch.setattr(cosets, "_structured_pairs", lambda d: iter(()))
     with pytest.raises(RuntimeError) as exc:
         find_pair(cayley([2, 24], (0, 1), (1, 14)))
     assert str(exc.value) == (
@@ -229,7 +239,7 @@ def test_find_pair_names_a_digraph_without_one(monkeypatch):
 def test_iter_pairs_checks_each_pair(monkeypatch):
     d = cayley([5], 1, 2)
     p = find_pair(d)[0]
-    monkeypatch.setattr(cosets, "_structured_pairs", lambda split: iter([(p, p)]))
+    monkeypatch.setattr(cosets, "_structured_pairs", lambda d: iter([(p, p)]))
     with pytest.raises(RuntimeError) as exc:
         next(iter_pairs(d))
     assert str(exc.value) == (

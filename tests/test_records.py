@@ -60,7 +60,7 @@ def test_records_compare_and_hash_by_value(record, equal, different):
     assert record is not equal
     assert record == equal and hash(record) == hash(equal)
     assert record != different
-    assert record != (*record._key(),)  # never equal to a plain tuple
+    assert record != tuple(getattr(record, f) for f in record._fields)  # never a plain tuple
     assert repr(record) == repr(equal) != repr(different)
 
 

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hampair.core import LabeledWalk, cayley
+from hampair.cosets import find_pair
 from hampair.family_one import realize_disjoint_pair
 from hampair.family_two import build_family_two
 from hampair.products import build_three_factor
@@ -143,3 +146,74 @@ def test_non_integer_fields_rejected(keys, value):
     node[last] = value
     with pytest.raises(MalformedWitness, match="must be"):
         witness_from_json(json.dumps(doc))
+
+
+def reference_json(wf: WitnessFile) -> str:
+    """The witness format's reference: the document through json.dumps."""
+    d = wf.digraph
+    doc = {
+        "version": FORMAT_VERSION,
+        "family": wf.family,
+        "params": wf.params,
+        "group_orders": list(d.group.orders),
+        "gen_a": list(d.gens[0]),
+        "gen_b": list(d.gens[1]),
+    }
+    if len(d.gens) > 2:
+        doc["gen_c"] = list(d.gens[2])
+    for name, w in (("path1", wf.path1), ("path2", wf.path2)):
+        doc[name] = {"start": list(w.start), "labels": w.labels}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _witnesses():
+    one = realize_disjoint_pair(12, 5)
+    two = build_family_two(2, 4)
+    product = build_three_factor(2, 3, 4)
+    rank_one = find_pair(cayley([12], 1, 4))
+    rank_two = find_pair(cayley([2, 6], (1, 0), (0, 1)))
+    return [
+        ("one", {"k": 12, "a": 5}, one),
+        ("two", {"a": 2, "L": 4}, two),
+        ("product", {"m": 2, "n": 3, "l": 4}, product),
+        ("search", {"order_0": 12}, rank_one),
+        ("search", {"order_0": 2, "order_1": 6}, rank_two),
+        # the parameters in the order they were given, none at all, and
+        # strings that json escapes
+        ("two", {"L": 4, "a": 2}, two),
+        ("one", {}, one),
+        ('fam"ily\u00e9', {"k\n": -3, "\\": 10**30}, one),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, params, pair",
+    _witnesses(),
+    ids=["one", "two", "product", "search-rank-one", "search-rank-two", "params-order",
+         "no-params", "escaped"],
+)
+def test_to_json_matches_the_json_dumps_reference(family, params, pair):
+    p, q = pair
+    wf = WitnessFile(family, params, p.digraph, p, q)
+    assert wf.to_json() == reference_json(wf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(7,), (12,), (2, 6), (3, 4)]).flatmap(
+        lambda orders: st.tuples(
+            st.just(orders),
+            st.lists(st.integers(0, 100), min_size=len(orders), max_size=len(orders)),
+            st.lists(st.integers(0, 100), min_size=len(orders), max_size=len(orders)),
+        )
+    ),
+    st.text("AB", max_size=40),
+    st.text("AB", max_size=40),
+)
+def test_to_json_matches_the_reference_for_any_starts_and_labels(case, labels1, labels2):
+    orders, start1, start2 = case
+    d = cayley(orders, (1,) * len(orders), (1,) * (len(orders) - 1) + (2,))
+    p = LabeledWalk(d, d.group.canon(start1), labels1)
+    q = LabeledWalk(d, d.group.canon(start2), labels2)
+    wf = WitnessFile("search", {f"order_{i}": o for i, o in enumerate(orders)}, d, p, q)
+    assert wf.to_json() == reference_json(wf)
