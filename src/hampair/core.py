@@ -1,8 +1,8 @@
 """Finite abelian groups, Cayley digraphs, labeled walks, and verification.
 
 Everything downstream (the structured constructions, the brute-force
-search, the CLI) goes through the walk verifier defined here, so this
-module is deliberately small and has no dependencies beyond the stdlib.
+search, the CLI) goes through the walk verifier defined here, which has
+no dependencies beyond the stdlib.
 
 Vertices are residue tuples at the API, and mixed-radix integers inside
 the checks: in Z_{n1} x ... x Z_{nr} the vertex (x1, ..., xr) has index
@@ -120,10 +120,9 @@ generators always take the marks walk.
 
 `arc_disjoint` decides the same for any two walks, Hamiltonian or not,
 and serves the tests as a reference and products' switchability check.
-It keeps one set per label: the first walk's tails that carry it, picked
-out by a byte mask over the encoded labels, probed with the second
-walk's tails that carry it.  The oracle encodes an arc as the integer
-tail*r + label position for r generators (`arc_ids`).
+It keeps one set: the first walk's arc ids, probed with the second's.
+An arc's id is the oracle's encoding of it, the integer tail*r + label
+position for r generators (`arc_ids`).
 
 Generation is decided arithmetically, without visiting the group: the
 generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
@@ -140,7 +139,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import compress, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import add, attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -153,8 +152,7 @@ GENERATOR_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # bytes.translate tables over a walk's encoded labels: _POSITIONS maps
 # each label to its position, _CODES to its position + 1 (the vertex
-# marks of the module docstring), and _LABEL_MASKS[i] maps the i-th label
-# to 1 and every other byte to 0.
+# marks of the module docstring).
 _POSITIONS = bytes.maketrans(
     GENERATOR_LABELS.encode(), bytes(range(len(GENERATOR_LABELS)))
 )
@@ -165,9 +163,6 @@ _CODES = bytes.maketrans(
 _END_MARKS = (254, 255)
 # Exchanges A and B: the other label of a two-generated digraph.
 _SWAP = str.maketrans("AB", "BA")
-_LABEL_MASKS = tuple(
-    bytes(c) + b"\x01" + bytes(255 - c) for c in GENERATOR_LABELS.encode()
-)
 
 
 class InputError(ValueError):
@@ -348,19 +343,10 @@ class CayleyDigraph(_Record):
     @property
     def successor_tables(self) -> tuple[list[int], ...]:
         """successor_tables[i][v]: the index of the head of the arc
-        labeled GENERATOR_LABELS[i] whose tail has index v."""
+        labeled GENERATOR_LABELS[i] whose tail has index v, i.e. the
+        group's translation_table of gens[i]."""
         if self._tables is None:
-            first = self.group.translation_table(self.gens[0])
-            if len(self.group.orders) == 1:
-                # On Z_n, translation by g is translation by g_0 after a
-                # shift by g - g_0: rotations of the first table, which
-                # share its ints.
-                n, (g0,) = self.group.size, self.gens[0]
-                shifts = ((g - g0) % n for (g,) in self.gens[1:])
-                rest = [first[s:] + first[:s] for s in shifts]
-            else:
-                rest = [self.group.translation_table(g) for g in self.gens[1:]]
-            self._tables = (first, *rest)
+            self._tables = tuple(map(self.group.translation_table, self.gens))
         return self._tables
 
     @property
@@ -503,10 +489,6 @@ class LabeledWalk(_Record):
         return LabeledWalk(
             self.digraph, self.digraph.group.add(self.start, g), self.labels
         )
-
-    def delta_b(self) -> int:
-        """Number of arcs labeled by the second generator."""
-        return self.labels.count("B")
 
 
 def verify_hamiltonian(d: CayleyDigraph, w: LabeledWalk, mode: str = "path") -> str | None:
@@ -734,17 +716,11 @@ def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> N
 
 
 def arc_disjoint(w1: LabeledWalk, w2: LabeledWalk) -> bool:
-    """True iff the two walks share no (tail, label) arc: for each label,
-    no tail of w2 that carries it is a tail of w1 that carries it."""
+    """True iff the two walks share no (tail, label) arc: no arc id of w2
+    (arc_ids) is an arc id of w1."""
     if w1.digraph != w2.digraph:
         raise InputError("walks live in different digraphs")
-    tails1, labels1 = w1.index_list, w1.labels.encode()
-    tails2, labels2 = w2.index_list, w2.labels.encode()
-    for mask in _LABEL_MASKS[: len(w1.digraph.gens)]:
-        carry = set(compress(tails1, labels1.translate(mask)))
-        if not carry.isdisjoint(compress(tails2, labels2.translate(mask))):
-            return False
-    return True
+    return set(arc_ids(w1)).isdisjoint(arc_ids(w2))
 
 
 def arc_ids(w: LabeledWalk) -> Iterator[int]:

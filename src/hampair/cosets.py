@@ -120,13 +120,6 @@ class Cuts:
         return (N - j for j in lattice.cut_stream(self.n, -1 - self.r))
 
 
-def hamiltonian_cuts(n: int, r: int) -> list[int]:
-    """Z(n, r) as a sorted list: the cut values j of a Hamiltonian path
-    whose end coset has first-return step r (path lemma, item 3).  The
-    builders read Cuts instead; the tests read this list."""
-    return list(Cuts(n, r))
-
-
 def count_pairs(n: int, zp: Reversible[int], zq: Reversible[int]) -> Iterator[tuple[int, int]]:
     """The pairs (j_P, j_Q) in zp x zq with j_P + j_Q in {n-2, n-1, n},
     sum n-1 first, then n-2, then n, and least j_P first within a sum.
@@ -267,14 +260,12 @@ def iter_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWalk]]:
 
 
 def find_pair(d: CayleyDigraph) -> tuple[LabeledWalk, LabeledWalk]:
-    """The first pair of iter_pairs(d), checked as iter_pairs checks it.
-    Raises RuntimeError, naming d, if there is none, which would refute
-    the paper's theorem.  The search keeps no cut set: it stops its cut
-    streams at the first count pair."""
-    pair = next(_structured_pairs(d), None)
+    """The first pair of iter_pairs(d).  Raises RuntimeError, naming d, if
+    there is none, which would refute the paper's theorem.  The search
+    keeps no cut set: it stops its cut streams at the first count pair."""
+    pair = next(iter_pairs(d), None)
     if pair is None:
         raise RuntimeError(f"{_name(d)} has no arc-disjoint Hamiltonian path pair")
-    check_pair(d, *pair, f"coset pair for {_name(d)}")
     return pair
 
 

@@ -117,11 +117,15 @@ class WitnessFile(NamedTuple):
 def witness_from_json(text: str) -> WitnessFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads recurses once per nesting level, so a deeply nested
+        # document raises RecursionError, a RuntimeError, which the CLI
+        # would report as a builder's failure.
         raise MalformedWitness(f"not valid JSON: {exc}") from exc
     try:
-        if doc["version"] != FORMAT_VERSION:
-            raise MalformedWitness(f"unsupported version {doc['version']}")
+        # type(...) is int: true and 1.0 compare equal to 1.
+        if type(doc["version"]) is not int or doc["version"] != FORMAT_VERSION:
+            raise MalformedWitness(f"version must be the integer {FORMAT_VERSION}")
         group = FiniteAbelianGroup(tuple(_integers(doc["group_orders"], "group_orders")))
         names = ("gen_a", "gen_b", "gen_c") if "gen_c" in doc else ("gen_a", "gen_b")
         digraph = CayleyDigraph(group, tuple(group.canon(_integers(doc[g], g)) for g in names))

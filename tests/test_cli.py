@@ -404,7 +404,22 @@ def test_verify_corrupted_witness_fails(capsys, tmp_path):
     target.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", str(target))
     assert code == EXIT_FAIL
-    assert "verification failed" in err
+    # Family two (m = 3 cosets): the column rule defers, and the marks
+    # walk over the successor tables names the repeat.
+    assert err == "verification failed: path2: repeated vertex (2,)\n"
+
+
+def test_verify_family_one_witness_with_a_flipped_label_fails(capsys, tmp_path):
+    # Family one (m = 1): the same reason text, from the same marks walk.
+    target = tmp_path / "w.json"
+    run(capsys, "build", "one", "10", "4", "--out", str(target))
+    doc = json.loads(target.read_text())
+    lab = doc["path1"]["labels"]
+    doc["path1"]["labels"] = ("A" if lab[0] == "B" else "B") + lab[1:]
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == EXIT_FAIL
+    assert out == "" and err == "verification failed: path1: repeated vertex (4,)\n"
 
 
 def test_verify_oversized_group_fails_fast(tmp_path):
@@ -467,11 +482,13 @@ MISTYPED_BASE = json.dumps(
 @pytest.mark.parametrize(
     "field, value",
     [("params", [5]), ("group_orders", [5.0]), ("gen_a", [1.0]), ("gen_b", [True]),
-     ("start", [0.0]), ("start", [True])],
-    ids=["params-list", "float-order", "float-gen", "bool-gen", "float-start", "bool-start"],
+     ("start", [0.0]), ("start", [True]), ("version", 1.0), ("version", True)],
+    ids=["params-list", "float-order", "float-gen", "bool-gen", "float-start", "bool-start",
+         "float-version", "bool-version"],
 )
 def test_verify_mistyped_witness_is_malformed(capsys, tmp_path, field, value):
-    # Each of these was a traceback with exit 1, or "ok" for [True].
+    # Each of these was a traceback with exit 1, or "ok" for [True] and
+    # for a version that compares equal to 1.
     target = tmp_path / "w.json"
     doc = json.loads(MISTYPED_BASE)
     if field == "start":
@@ -483,6 +500,17 @@ def test_verify_mistyped_witness_is_malformed(capsys, tmp_path, field, value):
     assert code == EXIT_USAGE
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"malformed witness file: {field} must be ")
+
+
+def test_verify_deeply_nested_file_is_malformed(capsys, tmp_path):
+    # json.loads raises RecursionError, a RuntimeError, which was
+    # reported as "builder failed" with exit 1.
+    target = tmp_path / "w.json"
+    target.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == EXIT_USAGE
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("malformed witness file: not valid JSON: ")
 
 
 def test_verify_non_utf8_file_is_malformed(capsys, tmp_path):

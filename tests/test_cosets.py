@@ -10,7 +10,6 @@ from hampair.cosets import (
     coset_split,
     count_pairs,
     find_pair,
-    hamiltonian_cuts,
     iter_pairs,
 )
 from hampair.lattice import ray_system
@@ -84,7 +83,7 @@ def test_hamiltonian_cuts_are_the_one_cycle_cut_values():
                 )
                 == 1
             ]
-            assert hamiltonian_cuts(n, r) == direct, (n, r)
+            assert list(Cuts(n, r)) == direct, (n, r)
 
 
 def test_hamiltonian_cuts_of_steps_minus_one_and_one():
@@ -92,9 +91,9 @@ def test_hamiltonian_cuts_of_steps_minus_one_and_one():
     # and Z(L, 1) is the set of even numbers below L.  Z(L, 0) = {L - 1}
     # comes from the same ray walk.
     for L in range(2, 400):
-        assert hamiltonian_cuts(L, -1) == [0], L
-        assert hamiltonian_cuts(L, 1) == list(range(0, L, 2)), L
-        assert hamiltonian_cuts(L, 0) == [L - 1], L
+        assert list(Cuts(L, -1)) == [0], L
+        assert list(Cuts(L, 1)) == list(range(0, L, 2)), L
+        assert list(Cuts(L, 0)) == [L - 1], L
 
 
 def test_family_two_coset_split():
@@ -175,9 +174,9 @@ def test_every_dfs_path_fits_the_lemma():
             j = seq.count("B")
             assert seq == "B" * j + "A" * (n - 1 - j), (d, p)
             assert p.start == g.add(g.add(p.end, a), split.vertex(0, j)), (d, p)
-            assert j in hamiltonian_cuts(n, c - sigma), (d, p)
+            assert j in list(Cuts(n, c - sigma)), (d, p)
         expected = sum(
-            comb(m - 1, c) * len(hamiltonian_cuts(n, c - sigma)) for c in range(m)
+            comb(m - 1, c) * len(list(Cuts(n, c - sigma))) for c in range(m)
         )
         assert paths == g.size * expected, d
 

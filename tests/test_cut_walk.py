@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hampair import core
 from hampair.core import cut_walk
-from hampair.cosets import hamiltonian_cuts
+from hampair.cosets import Cuts
 
 
 def reference_walk(n: int, r: int, j: int) -> tuple[str, bool]:
@@ -62,7 +62,7 @@ def test_cut_walk_closes_exactly_on_the_cut_set():
     # Z(n, r) is read from the ray system, which never walks.
     for n in range(2, 40):
         for r in range(n):
-            cuts = hamiltonian_cuts(n, r)
+            cuts = list(Cuts(n, r))
             assert [j for j in range(n) if cut_walk(n, r, j)[1]] == cuts, (n, r)
 
 
@@ -73,7 +73,7 @@ def test_cut_walk_matches_the_reference_on_large_walks(data):
     r = data.draw(st.integers(0, n - 1), label="r")
     rare = data.draw(st.integers(0, n // 4), label="rare")
     near = [rare, n - 1 - rare]
-    j = data.draw(st.sampled_from(near + hamiltonian_cuts(n, r)[:3]), label="j")
+    j = data.draw(st.sampled_from(near + list(Cuts(n, r))[:3]), label="j")
     assert cut_walk(n, r, j) == reference_walk(n, r, j)
 
 
@@ -105,7 +105,7 @@ def test_cut_walk_that_meets_j_early():
     # From 2 in Z_10 with j = 4: B at 2, A at 5, 7 and 9, B at 1, then 4,
     # at step 5 of 9: the cut permutation closes a 5-cycle.
     assert cut_walk(10, 2, 4) == ("BAAAB", False)
-    assert 4 not in hamiltonian_cuts(10, 2)
+    assert 4 not in list(Cuts(10, 2))
     # A walk that starts at j stops at once.
     assert cut_walk(10, 3, 3) == ("", False)
     # By runs: with step 429 in Z_1000, the first run of A's from 429

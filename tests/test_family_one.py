@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hampair import lattice
 from hampair.cli import main
-from hampair.cosets import hamiltonian_cuts
+from hampair.cosets import Cuts
 from hampair.core import InputError, arc_disjoint, cayley, verify_hamiltonian
 from hampair.family_one import (
     count_pair,
@@ -102,20 +102,20 @@ def test_cut_set_parity():
     for n in range(1, 200):
         for r in range(n):
             par = (math.gcd(r, n) - 1) % 2
-            assert all(j % 2 == par for j in hamiltonian_cuts(n, r)), (n, r)
+            assert all(j % 2 == par for j in Cuts(n, r)), (n, r)
 
 
 def test_cut_path_5_2_0():
     w = cut_path(5, 2, 0)
     assert w.vertex_list == ((2,), (4,), (1,), (3,), (0,))
     assert w.labels == "AAAA"
-    assert w.delta_b() == 0
+    assert w.labels.count("B") == 0
 
 
 def test_cut_path_endpoints_and_b_count():
     w = cut_path(10, 4, 3)
     assert w.start == (4,) and w.end == (3,)
-    assert w.delta_b() == 3
+    assert w.labels.count("B") == 3
 
 
 def test_cut_path_always_verifies():
@@ -124,7 +124,7 @@ def test_cut_path_always_verifies():
         for z in cut_set_values(k, a):
             w = cut_path(k, a, z)
             assert verify_hamiltonian(d, w) is None
-            assert w.delta_b() == z
+            assert w.labels.count("B") == z
 
 
 def test_cut_path_rejects_non_cut_value():
@@ -140,7 +140,7 @@ def test_cut_path_builds_no_ray_system(monkeypatch):
     monkeypatch.setattr(lattice, "ray_system", refuse)
     w = cut_path(10, 4, 3)
     assert verify_hamiltonian(cayley([10], 4, 5), w) is None
-    assert w.delta_b() == 3
+    assert w.labels.count("B") == 3
     for d in (2, -1, 10):
         with pytest.raises(InputError, match=rf"d={d} is not a Hamiltonian cut value for \(10, 4\)"):
             cut_path(10, 4, d)
@@ -176,7 +176,7 @@ def test_cut_paths_verify_property(k, seed):
     z = int(Z[seed % len(Z)])
     w = cut_path(k, a, z)
     assert verify_hamiltonian(d, w) is None
-    assert w.end == (z,) and w.delta_b() == z
+    assert w.end == (z,) and w.labels.count("B") == z
 
 
 def test_realize_records_stage():
