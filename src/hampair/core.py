@@ -84,23 +84,61 @@ column is the whole group), `_columns_prove` reads, for each path,
   repeat w_a = w_b, a < b, would make the orbit periodic and put J at
   step n - 1 - (b - a).  Conversely a Hamiltonian path's x is the
   labels of a closing cut walk (cosets' path lemma, items 3 and 4).  So
-  the path is Hamiltonian iff x equals the labels of cut_walk(n, r, J)
-  and that walk closes; no vertex is walked one by one.
+  the path is Hamiltonian iff x, which has n - 1 labels, equals the
+  labels of cut_walk(n, r, J): psi is a bijection and the walk starts
+  at psi(J), so it stops at J after the length of J's cycle less one
+  steps, and it closes iff it has n - 1 labels.  No vertex is walked
+  one by one.
 
-cut_walk goes by runs.  With R = min(J, n - 1 - J) rare labels (B if
-J is near 0, A if J is near n - 1), it takes each rare label in one
-step and each run of the common label in one bisect: the run from w
-ends at the first t >= 1 with w + t*s in the zone, the rare label's
-vertices and J, where s is the common label's step, r for A and r + 1
-for B.  That t solves a congruence mod n/gcd(s, n) for each zone vertex
-of w's residue mod gcd(s, n), and sorted lists of the solutions' terms,
-one per residue, give the least in one bisect.  A walk costs
-O(R log R), and above a measured share of rare labels, where a bisect
-per run costs more than a step per vertex, it steps one vertex at a
-time.  The builders (hampair.cosets) read the same cut_walk, so the
-check is kept independent of them by tests that share no code with it:
-cut_walk against a reference step loop (tests/test_cut_walk.py), and
-the column rule against the marks walk (tests/test_column_rule.py).
+cut_walk goes by first returns.  By the mirror of cosets' path lemma,
+item 6, the labels of (r, J) are those of (-1 - r, n - 1 - J) with A
+and B swapped, so B is taken to be rare, J <= n - 1 - J.  The cut
+permutation is the rotation R: w -> w + r after the cycle 0 -> 1 ->
+... -> J -> 0 of the zone [0, J], so the walk leaves each vertex
+outside the zone by A and each zone vertex z < J by B, to R(z + 1),
+and then steps by R until it is back in the zone.  Its labels are one
+B per zone vertex it meets and the A's of R's returns to the zone,
+which take three values (the three-distance theorem of Sos and
+Swierczkowski).  Put d_t = t*r mod n; let t_p be the least t >= 1
+with d_t <= J and t_q the least with -d_t mod n <= J, and p = d_(t_p),
+q = -d_(t_q) mod n.  The return rule: from x in the zone, R is first
+back in it at x + p after t_p steps if x + p <= J, else at x - q after
+t_q steps if x >= q, else at x + p - q after t_p + t_q steps.
+
+1. For 1 <= t < t_p + t_q, d_t lies outside (-q, p) mod n.  If d_t is
+   in [0, p), then t > t_p, and -d_(t - t_p) = p - d_t is in (0, p]
+   with t - t_p < t_q, against t_q's least choice; -d_t in (0, q) is
+   the mirror case.
+2. p + q > J unless p = q = 0.  If t_p < t_q, -d_(t_q - t_p) = p + q
+   mod n, and t_q - t_p < t_q; t_q < t_p is the mirror case; t_p = t_q
+   makes p + q = 0 mod n, so p + q is n > J or p = q = 0.
+3. x is back in the zone at step t iff d_t is in the window
+   [-x, J - x] mod n, and for t < t_p + t_q such a d_t lies outside
+   (-q, p) by 1.  If x + p <= J, then x < q, or p = q = 0 and t_q = t_p,
+   by 2; so d_t <= J, or -d_t <= J with t_q = t_p, and t >= t_p.  If
+   x + p > J and x >= q, d_t is in [-x, -q], so t >= t_q.  Otherwise
+   the window lies in (-q, p), so t >= t_p + t_q, and
+   d_(t_p + t_q) = p - q puts x at x + p - q, in [0, J] as
+   q <= J < x + p.
+
+The first returns come from a subtractive Euclid on (a, b) = (r, n - r)
+with times t_a = t_b = 1, the first returns to every zone [0, J'] with
+max(a, b) <= J' < n: while a or b exceeds J, the larger loses the
+smaller and its time gains the other's.  With a > b, 1 at the zone
+[0, a] says that no t < t_a + t_b has d_t in [0, a), and
+d_(t_a + t_b) = a - b, so on every zone [0, J'] with
+max(a - b, b) <= J' < a the returns are (t_a + t_b, a - b) and
+(t_b, b); b > a is the mirror case.  So the state at the loop's end
+holds the returns to [0, J].  If a = b, both are gcd(r, n) > J, and by
+1 both returns are 0 at t_a + t_b; at r = 0 both are 0 at t = 1.  The
+steps are taken in batches, as in Euclid's division algorithm, so there
+are O(log n) of them.  A walk is then one Python step per rare label,
+written into a buffer of n - 1 common labels that is sized before
+anything else, so an n too large to hold fails at once.
+The builders (hampair.cosets) read the same cut_walk, so the check is
+kept independent of them by tests that share no code with it: cut_walk
+against a reference step loop (tests/test_cut_walk.py), and the column
+rule against the marks walk (tests/test_column_rule.py).
 
 Arc disjointness then goes coset by coset.  With shift =
 (s_P - s_Q)/A mod m, P's column c is Q's column c + shift.  On a coset
@@ -137,7 +175,6 @@ pair search and its pair check share one split.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
@@ -602,8 +639,9 @@ def _columns_prove(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk) -> bool:
 def _end_column(split: CosetSplit, w: LabeledWalk) -> tuple[str, str, int, int] | None:
     """(pattern, x, J, h) of w when it is a Hamiltonian path by the
     column rule: every column but the last uses one label, and x, the
-    last's, is the closing cut walk of (n, c_B - sigma, J), J the B's
-    of x; h is w's end's index v // m.  None otherwise."""
+    last's n - 1 labels, are those of cut_walk(n, c_B - sigma, J), which
+    then closes, J the B's of x; h is w's end's index v // m.  None
+    otherwise."""
     labels, m, n = w.labels, split.m, split.n
     size = m * n
     if len(labels) != size - 1:
@@ -612,8 +650,7 @@ def _end_column(split: CosetSplit, w: LabeledWalk) -> tuple[str, str, int, int] 
     if any(labels[c::m] != g * n for c, g in enumerate(pattern)):
         return None
     c_b, j = pattern.count("B"), x.count("B")
-    walk, closes = cut_walk(n, c_b - split.sigma, j)
-    if not closes or x != walk:
+    if x != cut_walk(n, c_b - split.sigma, j):
         return None
     (a,), (delta,) = split.a, split.delta
     b_steps = c_b * n + j  # each B step is an A step less delta
@@ -627,83 +664,63 @@ def _interval_marks(n: int, j: int, end: int) -> bytes:
     return b"\x02" * j + bytes((end,)) + b"\x01" * (n - 1 - j)
 
 
-# cut_walk takes a run of the common label in one bisect while at most
-# this share of the n vertices carry the rare label, and steps one vertex
-# at a time above it: at 8% rare labels runs took 0.64-0.81 of the
-# steps' time, at 10% 0.91-1.01 and at 14% 1.05-1.18 (n = 10^4 and
-# 2*10^5, 2-core Xeon, Python 3.11).
-_RUNS_MAX_SHARE = 0.1
-
-
-def cut_walk(n: int, r: int, j: int) -> tuple[str, bool]:
-    """The labels of the cut walk of Z_n at cut value j with step r, and
-    whether it closes (module docstring).
+def cut_walk(n: int, r: int, j: int) -> str:
+    """The labels of the cut walk of Z_n at cut value j with step r
+    (module docstring); j is in Z(n, r) iff there are n - 1 of them.
 
     From w = r mod n, a vertex w < j takes label B and steps by r + 1,
-    any other takes A and steps by r, mod n.  The walk stops at its
-    first visit of j, or after n - 1 steps; closes is True iff it first
-    reaches j at step n - 1, i.e. iff j is in Z(n, r).
+    any other takes A and steps by r, mod n, up to the first visit of j.
+    Raises InputError if j is not in [0, n).
     """
-    r %= n
-    b_rare = 2 * j <= n - 1
-    if (j if b_rare else n - 1 - j) > _RUNS_MAX_SHARE * n:
-        return _cut_steps(n, r, j)
-    # The zone holds the rare label's vertices and j; the common label
-    # steps by s.  From w outside it, w + t*s is in the zone for y =
-    # w + t*s mod n with y = w (mod g), g = gcd(s, n): in units of g,
-    # t = (y // g - w // g) * inv mod n // g.  first[w mod g] lists the
-    # zone's y // g * inv mod n // g, sorted, so one bisect gives the
-    # least t >= 1.
-    if b_rare:
-        zone, common, rare, s, rare_step = range(j + 1), "A", "B", r, r + 1
-    else:
-        zone, common, rare, s, rare_step = range(j, n), "B", "A", r + 1, r
-    g = gcd(s, n)
-    ng = n // g
-    inv = pow(s // g, -1, ng)
-    first: dict[int, list[int]] = {}
-    for y in zone:
-        first.setdefault(y % g, []).append(y // g * inv % ng)
-    for ts in first.values():
-        ts.sort()
-    runs = []
-    w, left = r, n - 1
-    while left and w != j:
-        if (w < j) == b_rare:  # a rare vertex: one step
-            runs.append(rare)
-            w = (w + rare_step) % n
-            left -= 1
-            continue
-        ts = first.get(w % g)
-        t = left
-        if ts is not None:
-            c = w // g * inv % ng
-            i = bisect_left(ts, c)
-            t = min(left, ts[i] - c if i < len(ts) else ts[0] + ng - c)
-        runs.append(common * t)
-        w = (w + t * s) % n
-        left -= t
-    return "".join(runs), left == 0 and w == j
-
-
-def _cut_steps(n: int, r: int, j: int) -> tuple[str, bool]:
-    """cut_walk one vertex at a time, for walks with many rare labels:
-    their labels go straight into a bytearray, as runs would be about as
-    many as labels."""
-    # Sized up front: an n too large to hold fails here at once.
-    out = bytearray(b"A") * (n - 1)
-    w = r
-    for i in range(n - 1):
-        if w == j:
-            return out[:i].decode(), False
-        if w < j:
-            out[i] = 66  # "B"
-            w += r + 1
+    if not 0 <= j < n:
+        raise InputError(f"need 0 <= j < n, got j={j} for n={n}")
+    if 2 * j < n:
+        common, rare = b"A", 66  # B
+    else:  # the mirror: (-1 - r, n - 1 - j) with A and B swapped
+        common, rare, r, j = b"B", 65, -1 - r, n - 1 - j
+    out = bytearray(common) * (n - 1)  # an n too large to hold fails here
+    tp, p, tq, q = _first_returns(n, r % n, j)
+    # Each zone vertex z but j takes the rare label at walk position i,
+    # and the walk goes on from x = z + 1 (from 0 to start, as j -> 0)
+    # by the return rule, read on z: x + p <= j iff z < j - p, and x >= q
+    # iff z >= q - 1.  Each case moves z and i by constants.
+    i, z = tp - 1, p
+    low, high = j - p, q - 1
+    dp, dq, dpq, tpq = 1 + p, 1 - q, 1 + p - q, tp + tq
+    while z != j:
+        out[i] = rare
+        if z < low:
+            z += dp
+            i += tp
+        elif z >= high:
+            z += dq
+            i += tq
         else:
-            w += r
-        if w >= n:  # cheaper than w % n
-            w -= n
-    return out.decode(), w == j
+            z += dpq
+            i += tpq
+    del out[i:]
+    return out.decode()
+
+
+def _first_returns(n: int, r: int, j: int) -> tuple[int, int, int, int]:
+    """(t_p, p, t_q, q): the first returns of 0 to [0, j] under w -> w + r
+    on Z_n, 0 <= r < n, on the right and on the left, by the subtractive
+    Euclid of the module docstring."""
+    if r == 0:
+        return 1, 0, 1, 0
+    a, ta, b, tb = r, 1, n - r, 1
+    while a > j or b > j:
+        if a == b:
+            return ta + tb, 0, ta + tb, 0
+        if a > b:  # a loses b while it exceeds both j and b
+            k = (a - 1 - max(j, b)) // b + 1
+            a -= k * b
+            ta += k * tb
+        else:
+            k = (b - 1 - max(j, a)) // a + 1
+            b -= k * a
+            tb += k * ta
+    return ta, a, tb, b
 
 
 def check_pair(d: CayleyDigraph, p: LabeledWalk, q: LabeledWalk, what: str) -> None:

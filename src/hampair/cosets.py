@@ -41,8 +41,9 @@ the number of cosets other than t's on which P uses B.
    each round followed by the label of the vertex of t's coset it
    reaches; those vertices are w = r, psi(r), ..., j, B below j and A
    above: the cut walk of core.cut_walk, which reaches j first at its
-   last step.  It is built run by run, in O(min(j, n - 1 - j)) Python
-   steps when that is small.
+   last step.  It is built by psi's first returns to the rare label's
+   zone, in O(log n) Python steps and one per rare label, of which
+   there are min(j, n - 1 - j).
 5. Parity: every j in Z(n, r) is gcd(r, n) - 1 mod 2.  The cut
    permutation at j is the (j + 1)-cycle 0 -> 1 -> ... -> j -> 0
    followed by the rotation w -> w + r, whose gcd(r, n) cycles have
@@ -161,8 +162,8 @@ def count_pairs(n: int, zp: Reversible[int], zq: Reversible[int]) -> Iterator[tu
 def _labels(n: int, pattern: str, r: int, j: int) -> str:
     """A path's labels: the pattern once per round, each round followed
     by the label of the cut walk at j with step r (path lemma, item 4)."""
-    walk, closes = cut_walk(n, r, j)
-    assert closes, (n, r, j)
+    walk = cut_walk(n, r, j)
+    assert len(walk) == n - 1, (n, r, j)
     # In rows of width len(pattern) + 1, each row is one round and one
     # walk label (the last row a round alone), so the walk is the last
     # column and one slice writes it; str.join would first make a list
@@ -231,7 +232,8 @@ def _structured_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWa
             forced = [i for i, b in ((0, jp == n - 1), (kappa, jq == 0)) if b]
             for b in range(m - 1):
                 cp, cq = b + (jq == 0), m - 2 - b + (jp == 0)
-                if not (cut_walk(n, cp - sigma, jp)[1] and cut_walk(n, cq - sigma, jq)[1]):
+                walks = cut_walk(n, cp - sigma, jp), cut_walk(n, cq - sigma, jq)
+                if len(walks[0]) < n - 1 or len(walks[1]) < n - 1:
                     continue
                 for bs in combinations(others, b):
                     full = _pattern(m, [*forced, *bs])  # P's labels on C_0, ..., C_(m-1)

@@ -86,11 +86,11 @@ def cut_set(k: int, a: int) -> CutProfile:
 def cut_path(k: int, a: int, d: int) -> LabeledWalk:
     """The Hamiltonian cut path at d: from vertex a to vertex d, using
     exactly d arcs labeled B, B from each vertex below d and A from the
-    others (core.cut_walk with n = k and step r = a, whose closing flag
-    says whether d is a cut value)."""
+    others (core.cut_walk with n = k and step r = a: d is a cut value iff
+    it gives k - 1 labels)."""
     a = check_family_one_params(k, a)
-    labels, closes = cut_walk(k, a, d) if 0 <= d < k else ("", False)
-    if not closes:
+    labels = cut_walk(k, a, d) if 0 <= d < k else ""
+    if len(labels) != k - 1:
         raise InputError(f"d={d} is not a Hamiltonian cut value for {(k, a)}")
     return LabeledWalk(cayley([k], a, a + 1), (a,), labels)
 

@@ -171,9 +171,17 @@ def ray_system(k: int, a: int) -> RaySystem:
     # peak at 58 MB, against 65 MB with both lists alive.
     rays: list[Ray] = [(1, 0)]
     mults = [N // m]
-    for x, y, L in _internal_rays(p, last):
-        rays.append((x, y))
-        mults.append(N // L)
+    # Closed here, not by its finalizer as a failure unwinds this frame:
+    # a close that fails too, as it may while memory is short, then
+    # raises, where the finalizer could only print "Exception ignored
+    # in: " to stderr ahead of the CLI's one line.
+    walk = _internal_rays(p, last)
+    try:
+        for x, y, L in walk:
+            rays.append((x, y))
+            mults.append(N // L)
+    finally:
+        walk.close()
     rays.append(last)
     mults.append(N // p.L(*last))
     ray_tuple = tuple(rays)

@@ -617,13 +617,21 @@ def test_scan_empty_range_is_usage_error(capsys, k_min, k_max, first):
 
 
 @pytest.mark.parametrize(
-    "argv", [("build", "two", "1", "100000000"), ("scan", "3", "30000")], ids=["build", "scan"]
+    "argv",
+    [
+        ("build", "two", "1", "100000000"),
+        ("scan", "3", "30000"),
+        ("rays", "100000000", "3", "--format", "csv"),
+    ],
+    ids=["build", "scan", "rays"],
 )
 def test_out_of_memory_is_inconclusive(argv):
     # The child alone gets a ~390 MB address space; a witness of 3 * 10^8
-    # vertices or a scan of ~4.5 * 10^8 cells does not fit in it.  (A
-    # family-two witness of 9 * 10^6 vertices fits, as its pair check
-    # builds no successor tables.)
+    # vertices, a scan of ~4.5 * 10^8 cells or the ~3.3 * 10^7 rays of
+    # k = 10^8 do not fit in it.  (A family-two witness of 9 * 10^6
+    # vertices fits, as its pair check builds no successor tables.)  The
+    # rays run printed "Exception ignored in: " before its line in some
+    # runs while the ray walk was left for its finalizer to close.
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, 400_000 * 1024))
 

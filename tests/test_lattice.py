@@ -171,6 +171,23 @@ def test_endpoint_identity_sweep():
             assert rs.cut_values()[-1] + rs.mults[-1] == k - 1, (k, a)
 
 
+def test_ray_system_raises_what_closing_its_ray_walk_raises(monkeypatch):
+    # When ray_system's loop fails, it closes the ray walk itself, so a
+    # close that fails too, as under an exhausted address space, raises.
+    # Left to the frame's unwinding, the walk was closed by its
+    # finalizer, which can only print "Exception ignored in: ..." to
+    # stderr, and the CLI's one line came after that fragment.
+    def walk(p, last):
+        try:
+            yield 1, 1, 0  # L = 0: the loop's N // L fails
+        finally:
+            raise MemoryError
+
+    monkeypatch.setattr(lattice, "_internal_rays", walk)
+    with pytest.raises(MemoryError):
+        lattice.ray_system(10, 4)
+
+
 def test_cut_stream_is_the_ray_systems_cut_values():
     # Every step a, a = 0 and a = -1 included: the stream's running sum
     # of 2 * N // L over the walk is the ray system's cut values.
