@@ -4,6 +4,18 @@ witness construction, and witness verification.
 Data goes to stdout (or --out), written in slices of at most 1 MiB so
 that no output is held twice, as text and as its encoded copy; progress
 and diagnostics go to stderr.
+An --out file is written over its old bytes and then cut to the new
+length; it is never truncated to zero on opening.  ext4 by default
+(auto_da_alloc) allocates a file's delayed blocks and starts their
+writeback when a file truncated to zero and rewritten is closed, which
+made rewriting a small witness cost many times its write.  It does the
+same when a file is replaced by a rename, which would also replace a
+symlinked --out instead of writing through it.  A device or FIFO is
+written and not cut.  A failed write cuts the file to zero before the
+error is reported, so a failed run leaves no earlier output under that
+name.  A run killed mid-write may leave new bytes followed by old ones
+(a truncating open left a prefix of the new ones; neither syncs), and
+verify rejects any file that is not one valid pair.
 `build` writes a witness only after its builder's one core.check_pair
 has passed, and `verify` runs that same check, core.pair_failure, on a
 witness file, which must be UTF-8 JSON with integer coordinates.
@@ -25,6 +37,8 @@ import argparse
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -60,14 +74,30 @@ _FAILURES = (
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            with open(out, "w") as fh:
-                _write(fh, text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from None
-    else:
+    """text to stdout, or over the file out in place, cut to its length
+    or, if a write fails, to zero (module docstring)."""
+    if not out:
         _write(sys.stdout, text)
+        return
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                # closefd=False: the close flushes what is left before
+                # a failure's cut, not after it.
+                with open(fd, "w", closefd=False) as fh:
+                    _write(fh, text)
+                    if regular:
+                        fh.truncate()
+            except OSError:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from None
 
 
 def _write(fh, text: str) -> None:

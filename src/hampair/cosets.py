@@ -87,11 +87,14 @@ j_P + j_Q in {k - 2, k - 1, k}.
 
 Every path P built here starts at a, as family one's cut path does:
 its end is -j_P*delta.  same_coset_pairs builds the pairs with both ends
-in one coset, for iter_pairs and for family two's parameter choice;
-each caller checks every pair it yields or returns once, by
-core.check_pair.  delta, n, m and sigma come from core.coset_split,
-which core's pair check reads as well (its column rule); the digraph
-keeps its split, so a search and its check compute it once.
+in one coset, for iter_pairs and for family two's parameter choice.
+iter_pairs probes each c for a count pair and reads on from the probe's
+pair for the first B-coset combination, so its first pair comes from
+one walk of each of its two cut streams.  Each caller checks every pair
+it yields or returns once, by core.check_pair.  delta, n, m and sigma
+come from core.coset_split, which core's pair check reads as well (its
+column rule); the digraph keeps its split, so a search and its check
+compute it once.
 """
 
 from __future__ import annotations
@@ -117,8 +120,7 @@ class Cuts:
         return lattice.cut_stream(self.n, self.r)
 
     def __reversed__(self) -> Iterator[int]:
-        N = self.n - 1
-        return (N - j for j in lattice.cut_stream(self.n, -1 - self.r))
+        return map((self.n - 1).__sub__, lattice.cut_stream(self.n, -1 - self.r))
 
 
 def count_pairs(n: int, zp: Reversible[int], zq: Reversible[int]) -> Iterator[tuple[int, int]]:
@@ -219,11 +221,17 @@ def _structured_pairs(d: CayleyDigraph) -> Iterator[tuple[LabeledWalk, LabeledWa
     # Both ends in one coset.
     for c in range(m):
         zp, zq = Cuts(n, c - sigma), Cuts(n, m - 1 - c - sigma)
-        if next(count_pairs(n, zp, zq), None) is None:
+        pairs = count_pairs(n, zp, zq)
+        first = next(pairs, None)
+        if first is None:
             continue
+        # The probe's walk goes on for the first B-coset combination;
+        # each later one walks afresh.
+        pairs = chain((first,), pairs)
         for bs in combinations(range(m - 1), c):
-            for jp, jq in count_pairs(n, zp, zq):
+            for jp, jq in pairs:
                 yield from same_coset_pairs(d, bs, jp, jq)
+            pairs = count_pairs(n, zp, zq)
     # Ends in two cosets: P's in C_0 and Q's in C_kappa.  P uses B on C_0
     # iff j_P = n - 1 and on C_kappa iff j_Q = 0, and Q the other label.
     for jp, jq in product((0, n - 1), repeat=2):

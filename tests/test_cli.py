@@ -543,6 +543,76 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
+def test_out_written_over_a_longer_file_is_cut_to_length(capsys, tmp_path):
+    # --out is written in place, not truncated on opening: the tail of a
+    # longer old witness must be cut off.
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    run(capsys, "build", "one", "10", "4", "--out", str(fresh))
+    assert run(capsys, "build", "two", "1", "2000", "--out", str(reused))[0] == EXIT_OK
+    assert reused.stat().st_size > fresh.stat().st_size
+    assert run(capsys, "build", "one", "10", "4", "--out", str(reused))[0] == EXIT_OK
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert run(capsys, "verify", str(reused))[0] == EXIT_OK
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+def test_out_to_a_device_is_written_and_not_cut(capsys):
+    # A device cannot be truncated (EINVAL), so only a regular file is cut.
+    code, out, err = run(capsys, "build", "one", "10", "4", "--out", "/dev/null")
+    assert (code, out) == (EXIT_OK, "")
+    assert "error" not in err
+
+
+def test_out_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    run(capsys, "build", "two", "1", "2000", "--out", str(target))
+    link.symlink_to(target)
+    assert run(capsys, "build", "one", "10", "4", "--out", str(link))[0] == EXIT_OK
+    assert link.is_symlink()
+    run(capsys, "build", "one", "10", "4", "--out", str(tmp_path / "fresh.json"))
+    assert target.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_failed_write_leaves_no_old_witness(capsys, monkeypatch, tmp_path):
+    # A failed write leaves no earlier witness under its name: the file
+    # is cut to zero, bytes written before the failure included.
+    target = tmp_path / "w.json"
+    run(capsys, "build", "two", "1", "4", "--out", str(target))
+    assert run(capsys, "verify", str(target))[0] == EXIT_OK
+
+    def failing(fh, text):
+        fh.write(text[:10])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write", failing)
+    code, out, err = run(capsys, "build", "one", "10", "4", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [err.splitlines()[-1]]
+    assert errors[0].startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize("k, a", [(10, 4), (700, 301), (1000, 17), (1000000, 500000)])
+def test_build_one_walks_each_cut_stream_once(capsys, monkeypatch, tmp_path, k, a):
+    # The count-pair probe's walks go on to the first pair: no second
+    # pass over either cut stream.
+    calls = []
+    cut_stream = lattice.cut_stream
+
+    def counting(k, a):
+        calls.append((k, a))
+        return cut_stream(k, a)
+
+    monkeypatch.setattr(lattice, "cut_stream", counting)
+    code, _, _ = run(capsys, "build", "one", str(k), str(a), "--out", str(tmp_path / "w.json"))
+    assert code == EXIT_OK
+    # Z(k, r) ascending and, for its mirror, Z(k, -1 - r) ascending.
+    assert len(calls) == 2 and sum(r for _, r in calls) == -1, calls
+
+
 @pytest.mark.parametrize(
     "name, value", [("FORMAT", "json"), ("OUT", "x.json"), ("BUDGET", "abc"), ("JOBS", "x")]
 )
