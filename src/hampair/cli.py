@@ -18,9 +18,16 @@ name.  A run killed mid-write may leave new bytes followed by old ones
 verify rejects any file that is not one valid pair.
 `build` writes a witness only after its builder's one core.check_pair
 has passed, and `verify` runs that same check, core.pair_failure, on a
-witness file, which must be UTF-8 JSON with integer coordinates.
+witness file, which must be UTF-8 JSON with integer coordinates, once
+the file's digraph is found to be the one its family and params name.
 `build search` and the base pair of `build product` come from the coset
 construction (hampair.cosets); no command runs the DFS oracle.
+Each command line is parsed once, by its command's own parser, which
+command_parser builds from the one table _COMMANDS on first use.  The
+subparser tree of build_parser, built from the same table, parses only
+an argv that names no command, so argparse writes the help and the
+usage errors of the root and of `build`; an option that a command does
+not take is reported under that command's usage.
 Each subcommand takes only the options it reads, and each option is set
 by its flag alone.  Exit codes: 0 success, 1 check or verification
 failure, 2 usage, malformed input (a `build search` of more than
@@ -74,9 +81,10 @@ _FAILURES = (
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """text to stdout, or over the file out in place, cut to its length
-    or, if a write fails, to zero (module docstring)."""
-    if not out:
+    """text to stdout if out is None, or else over the file out in place,
+    cut to its length or, if a write fails, to zero (module docstring).
+    An empty out is a path that cannot be opened."""
+    if out is None:
         _write(sys.stdout, text)
         return
     try:
@@ -330,67 +338,87 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# Each command, once: its words, its help, its positional names and their
+# type, its options, and what its parser's set_defaults gives it.  Both
+# command_parser and build_parser build a command's parser from this
+# table, by _add_command.
+_COMMANDS = {
+    "cuts": ("cut set, reflection distance, caps, gap graph", "k a", int, "format out",
+             {"func": cmd_cuts}),
+    "rays": ("lattice ray table for (k, a)", "k a", int, "format out", {"func": cmd_rays}),
+    "scan": ("sweep (k, a) cells and run all six consistency checks", "k_min k_max", int,
+             "format out jobs", {"func": cmd_scan}),
+    "build one": ("Cay(Z_k; a, a+1)", "k a", int, "out",
+                  {"func": cmd_build, "build": _build_one, "family": "one"}),
+    "build two": ("Cay(Z_{(2a+1)L}; -a, a+1)", "a L", int, "out",
+                  {"func": cmd_build, "build": _build_two, "family": "two"}),
+    "build product": ("C_m x C_n x C_l", "m n l", int, "out",
+                      {"func": cmd_build, "build": _build_product, "family": "product"}),
+    "build search": ("any two-generated Cay(G; a, b), by its cosets", "orders gen_a gen_b",
+                     _intlist, "out",
+                     {"func": cmd_build, "build": _build_search, "family": "search"}),
+    "verify": ("re-verify a witness file", "file", None, "", {"func": cmd_verify}),
+}
+
+_OPTIONS = {
+    "format": {"choices": FORMATS, "default": "table"},
+    "out": {"help": "write the data to this file instead of stdout"},
+    "jobs": {"type": int, "default": 1, "help": "worker processes"},
+}
+
+
+def _add_command(p: argparse.ArgumentParser, words: str) -> argparse.ArgumentParser:
+    """p with the arguments and defaults of the command `words`."""
+    _, names, arg_type, options, defaults = _COMMANDS[words]
+    for name in names.split():
+        p.add_argument(name, type=arg_type)
+    for name in options.split():
+        p.add_argument("--" + name, **_OPTIONS[name])
+    p.set_defaults(**defaults)
+    return p
+
+
+@functools.cache
+def command_parser(words: str) -> argparse.ArgumentParser:
+    """The parser of the command `words` alone, built on first use."""
+    return _add_command(argparse.ArgumentParser(prog="hampair " + words), words)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.  Each subcommand
-    takes only the options it reads."""
-    option_kwargs = {
-        "format": {"choices": FORMATS, "default": "table"},
-        "out": {"help": "write the data to this file instead of stdout"},
-        "jobs": {"type": int, "default": 1, "help": "worker processes"},
-    }
-
-    def add_options(p: argparse.ArgumentParser, names: str) -> None:
-        for name in names.split():
-            p.add_argument("--" + name, **option_kwargs[name])
-
+    """The whole command tree, built from _COMMANDS once per process.
+    main parses with it only an argv that names no command, so that
+    argparse writes the help and the usage errors of the root and of
+    `build`."""
     parser = argparse.ArgumentParser(
         prog="hampair",
         description="Arc-disjoint Hamiltonian path pairs in two-generated "
         "abelian Cayley digraphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for command, help_text, func in (
-        ("cuts", "cut set, reflection distance, caps, gap graph", cmd_cuts),
-        ("rays", "lattice ray table for (k, a)", cmd_rays),
-    ):
-        p = sub.add_parser(command, help=help_text)
-        p.add_argument("k", type=int)
-        p.add_argument("a", type=int)
-        add_options(p, "format out")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("scan", help="sweep (k, a) cells and run all six consistency checks")
-    p.add_argument("k_min", type=int)
-    p.add_argument("k_max", type=int)
-    add_options(p, "format out jobs")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("build", help="construct and emit a witness file")
-    bsub = p.add_subparsers(dest="family", required=True)
-    for family, help_text, names, arg_type, options, build in (
-        ("one", "Cay(Z_k; a, a+1)", "k a", int, "out", _build_one),
-        ("two", "Cay(Z_{(2a+1)L}; -a, a+1)", "a L", int, "out", _build_two),
-        ("product", "C_m x C_n x C_l", "m n l", int, "out", _build_product),
-        ("search", "any two-generated Cay(G; a, b), by its cosets", "orders gen_a gen_b",
-         _intlist, "out", _build_search),
-    ):
-        b = bsub.add_parser(family, help=help_text)
-        for name in names.split():
-            b.add_argument(name, type=arg_type)
-        add_options(b, options)
-        b.set_defaults(func=cmd_build, build=build)
-
-    p = sub.add_parser("verify", help="re-verify a witness file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_verify)
-
+    families = None
+    for words, (help_text, *_) in _COMMANDS.items():
+        command, _, family = words.partition(" ")
+        if not family:
+            _add_command(sub.add_parser(command, help=help_text), words)
+            continue
+        if families is None:
+            build = sub.add_parser(command, help="construct and emit a witness file")
+            families = build.add_subparsers(dest="family", required=True)
+        _add_command(families.add_parser(family, help=help_text), words)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The command's words: two after `build`, one otherwise, none of
+    # them holding a space ("build one" as one word names no command).
+    n = 2 if argv[:1] == ["build"] else 1
+    words = " ".join(argv[:n])
+    if words in _COMMANDS and words.count(" ") == n - 1:
+        args = command_parser(words).parse_args(argv[n:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

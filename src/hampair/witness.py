@@ -3,8 +3,9 @@
 A witness file is a single JSON document carrying the digraph and two
 labeled walks.  Field order is fixed so regression tests can compare
 bytes.  Round-tripping and re-verification are part of the contract:
-`WitnessFile.verify` returns core.pair_failure's reason, None when the
-pair passes.
+`WitnessFile.verify` returns why the file's digraph is not the one its
+family and params name (claim_failure), or else core.pair_failure's
+reason, and None when both pass.
 
 The layout is written by hand: `WitnessFile.to_json` writes the bytes
 that json.dumps(doc, indent=2) + "\n" writes for the document
@@ -109,9 +110,53 @@ class WitnessFile(NamedTuple):
         )
 
     def verify(self) -> str | None:
-        """Why the file's paths are not an arc-disjoint Hamiltonian pair
-        of its digraph, or None if they are: core.pair_failure, re-run."""
-        return pair_failure(self.digraph, self.path1, self.path2)
+        """Why the file is not a witness of the digraph that its family
+        and params name, or None if it is: the digraph must be that one
+        (claim_failure), and its paths must pass core.pair_failure,
+        re-run."""
+        return claim_failure(self) or pair_failure(self.digraph, self.path1, self.path2)
+
+
+# Each family's parameter names, in the order claim_failure reads them;
+# a search witness's are order_0, order_1, ..., one per group order.
+_PARAMS = {"one": ("k", "a"), "two": ("a", "L"), "product": ("m", "n", "l")}
+
+
+def claim_failure(wf: WitnessFile) -> str | None:
+    """Why wf's digraph is not the one that its family and params name,
+    or None if it is.  The orders and generators that they name are
+    derived as tuples, with no second digraph built; a search witness
+    names its orders only.  An unknown family or parameter name is a
+    MalformedWitness."""
+    family, params, d = wf.family, wf.params, wf.digraph
+    if family == "search":
+        names = tuple(f"order_{i}" for i in range(len(params)))
+    elif family in _PARAMS:
+        names = _PARAMS[family]
+    else:
+        raise MalformedWitness(f"unknown family {family!r}")
+    if sorted(params) != sorted(names):
+        raise MalformedWitness(
+            f"family {family} takes params {', '.join(names)}, got {', '.join(params) or 'none'}"
+        )
+    values = tuple(params[name] for name in names)
+    orders, gens = values, None
+    if family == "one":
+        k, a = values
+        orders, gens = (k,), (a, a + 1)
+    elif family == "two":
+        a, L = values
+        orders, gens = ((2 * a + 1) * L,), (-a, a + 1)
+    elif family == "product":
+        gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    if orders != d.group.orders:
+        return f"params give group orders {orders}, the file has {d.group.orders}"
+    if gens is not None:
+        # canon reduces each generator mod the orders, all >= 1 here.
+        gens = tuple(d.group.canon(g) for g in gens)
+        if gens != d.gens:
+            return f"params give generators {gens}, the file has {d.gens}"
+    return None
 
 
 def witness_from_json(text: str) -> WitnessFile:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -12,7 +13,15 @@ import pytest
 
 import hampair
 from hampair import cli, core, cosets, family_one, family_two, lattice, products, witness
-from hampair.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from hampair.cli import (
+    EXIT_FAIL,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    command_parser,
+    main,
+)
 from hampair.core import LabeledWalk, cayley
 from hampair.witness import witness_from_json
 
@@ -527,6 +536,58 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+# Each family's build, and one edit of one parameter that names another
+# digraph, with the line verify then gives.  The two family-two
+# witnesses have the same order, 15, so only the generators differ.
+EDITED_PARAMS = {
+    "one": (("10", "4"), {"a": 5},
+            "params give generators ((5,), (6,)), the file has ((4,), (5,))"),
+    "two": (("1", "5"), {"a": 2, "L": 3},
+            "params give generators ((13,), (3,)), the file has ((14,), (2,))"),
+    "product": (("2", "3", "4"), {"m": 3, "n": 2},
+                "params give group orders (3, 2, 4), the file has (2, 3, 4)"),
+    "search": (("12", "1", "4"), {"order_0": 13},
+               "params give group orders (13,), the file has (12,)"),
+}
+
+
+@pytest.mark.parametrize("family", list(EDITED_PARAMS))
+def test_verify_checks_the_digraph_that_the_params_name(capsys, tmp_path, family):
+    # The file's family and params were never compared with its digraph,
+    # so an edited parameter still verified.
+    args, edit, reason = EDITED_PARAMS[family]
+    target = tmp_path / "w.json"
+    assert run(capsys, "build", family, *args, "--out", str(target))[0] == EXIT_OK
+    assert run(capsys, "verify", str(target)) == (EXIT_OK, "", "ok\n")
+    doc = json.loads(target.read_text())
+    doc["params"].update(edit)
+    target.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(target)) == (
+        EXIT_FAIL, "", f"verification failed: {reason}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "family, params, line",
+    [
+        ("two", {"k": 999, "a": 7}, "family two takes params a, L, got k, a"),
+        ("one", {"k": 10}, "family one takes params k, a, got k"),
+        ("search", {"order_x": 10}, "family search takes params order_0, got order_x"),
+        ("cyclic", {"k": 10, "a": 4}, "unknown family 'cyclic'"),
+    ],
+    ids=["params-of-another-family", "missing-param", "made-up-param", "made-up-family"],
+)
+def test_verify_unknown_family_or_params_is_malformed(capsys, tmp_path, family, params, line):
+    target = tmp_path / "w.json"
+    run(capsys, "build", "one", "10", "4", "--out", str(target))
+    doc = json.loads(target.read_text())
+    doc["family"], doc["params"] = family, params
+    target.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(target)) == (
+        EXIT_USAGE, "", f"malformed witness file: {line}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [("cuts", "10", "4"), ("scan", "3", "5"), ("build", "one", "10", "4")],
@@ -541,6 +602,17 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert out == ""
     assert err.splitlines()[-1].startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [("cuts", "10", "4"), ("build", "one", "10", "4")], ids=["cuts", "build-one"]
+)
+def test_empty_out_is_usage_error(capsys, argv):
+    # An empty --out is a path that cannot be written, not stdout.
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines()[-1] == "error: cannot write : [Errno 2] No such file or directory: ''"
 
 
 def test_out_written_over_a_longer_file_is_cut_to_length(capsys, tmp_path):
@@ -623,6 +695,7 @@ def test_environment_sets_no_option(capsys, monkeypatch, tmp_path, name, value):
     expected = run(capsys, "cuts", "10", "4")
     monkeypatch.setenv("HAMPAIR_" + name, value)
     build_parser.cache_clear()
+    command_parser.cache_clear()
     assert run(capsys, "cuts", "10", "4") == expected
     assert not list(tmp_path.iterdir())
     assert expected[0] == EXIT_OK and expected[1].startswith("k=10 a=4 N=9\n")
@@ -670,6 +743,96 @@ def test_option_of_another_subcommand_is_usage_error(capsys):
         main(["verify", "w.json", "--format", "json"])
     assert exc.value.code == EXIT_USAGE
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+def test_foreign_option_is_reported_under_the_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "one", "10", "4", "--format", "json"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hampair build one ")
+    assert err.endswith("\nhampair build one: error: unrecognized arguments: --format json\n")
+
+
+def _command_argv(command, tmp_path):
+    """A valid command line of `command`, writing to or reading tmp_path."""
+    target = str(tmp_path / "w.json")
+    if command == "verify":
+        assert main(["build", "one", "10", "4", "--out", target]) == EXIT_OK
+        return ["verify", target]
+    args = {"cuts": "10 4", "rays": "10 4", "scan": "3 5", "build one": "10 4",
+            "build two": "1 4", "build product": "2 3 2", "build search": "12 1 4"}
+    extra = ["--out", target] if command.startswith("build") else []
+    return command.split() + args[command].split() + extra
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_command_line_is_parsed_once(capsys, monkeypatch, tmp_path, command):
+    # The subparser tree parsed `build ...` three times (root, build, the
+    # family) and every other command twice; one parser per command
+    # parses it once.
+    argv = _command_argv(command, tmp_path)
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main(argv) == EXIT_OK
+    assert calls == ["hampair " + command]
+
+
+def test_a_command_builds_no_tree(capsys):
+    build_parser.cache_clear()
+    assert main(["cuts", "10", "4"]) == EXIT_OK
+    assert build_parser.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_command_help_is_the_tree_help(capsys, command):
+    words = command.split()
+    helps = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(words + ["--help"])
+        assert exc.value.code == EXIT_OK
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith(f"usage: hampair {command} [-h]")
+
+
+ROOT_USAGE = "usage: hampair [-h] {cuts,rays,scan,build,verify} ...\n"
+BUILD_USAGE = "usage: hampair build [-h] {one,two,product,search} ...\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ([], EXIT_USAGE,
+         ROOT_USAGE + "hampair: error: the following arguments are required: command\n"),
+        (["build"], EXIT_USAGE,
+         BUILD_USAGE + "hampair build: error: the following arguments are required: family\n"),
+        (["frob"], EXIT_USAGE,
+         ROOT_USAGE + "hampair: error: argument command: invalid choice: 'frob' "
+         "(choose from 'cuts', 'rays', 'scan', 'build', 'verify')\n"),
+        (["build", "frob", "1", "2"], EXIT_USAGE,
+         BUILD_USAGE + "hampair build: error: argument family: invalid choice: 'frob' "
+         "(choose from 'one', 'two', 'product', 'search')\n"),
+        (["--help"], EXIT_OK, ""),
+        (["build", "--help"], EXIT_OK, ""),
+    ],
+    ids=["none", "build-alone", "unknown", "unknown-family", "help", "build-help"],
+)
+def test_argv_naming_no_command_goes_to_the_tree(capsys, argv, code, err):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == EXIT_OK:
+        assert captured.out.startswith(BUILD_USAGE if argv[0] == "build" else ROOT_USAGE)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
