@@ -273,7 +273,7 @@ def _outcome(out):
     [
         (
             lambda: find_arc_disjoint_pair(cayley([12], 4, 9)),
-            ("found", 40, [((0,), "AABAABAABAA"), ((3,), "BBBABBBABBB")]),
+            ("found", 24, [((0,), "AABAABAABAA"), ((3,), "BBBABBBABBB")]),
         ),
         (lambda: find_hamiltonian_cycle(product_digraph((3, 4))), ("absent", 72, [])),
         (
@@ -305,8 +305,8 @@ def test_search_outcomes_pinned(search, expected):
 @pytest.mark.parametrize(
     "search, d, found_at",
     [
-        (find_arc_disjoint_pair, cayley([12], 4, 9), 40),
-        (find_strongly_switchable_pair, product_digraph((4, 6)), 174),
+        (find_arc_disjoint_pair, cayley([12], 4, 9), 24),
+        (find_strongly_switchable_pair, product_digraph((4, 6)), 48),
         (find_arc_disjoint_pair, cayley([6], 1, 3), 30),
     ],
     ids=["pair", "switchable", "pair-after-an-absent-second-path"],
@@ -403,3 +403,82 @@ def test_pruning_keeps_every_outcome(monkeypatch):
             assert nodes <= want_nodes, case
             fewer += nodes < want_nodes
     assert len(digraphs) == 728 and fewer > 0
+
+
+def _closable(d, walk, forbidden):
+    """Whether an allowed arc leads from the walk's last vertex back to its
+    first, so that the Hamiltonian path closes into a cycle."""
+    first, last = walk.index_list[0], walk.index_list[-1]
+    r = len(d.gens)
+    return any(
+        table[last] == first and last * r + i not in forbidden
+        for i, table in enumerate(d.successor_tables)
+    )
+
+
+def _root_rule_cases(d, forbidden):
+    """Search from every start, with and without `closed`, pruned and
+    unpruned, and check what the root rule skipped; return the starts
+    kept without and with `closed`.  A kept start spends a node at once,
+    a skipped one none.  The pruned search yields the unpruned one's
+    paths from every start, and in a cycle search the closable ones."""
+    kept = ([], [])
+    for s in range(d.group.size):
+        want = list(_unpruned_iter_paths(d, oracle._Budget(10**9), s, forbidden))
+        for closed in (False, True):
+            budget = oracle._Budget(10**9)
+            got = list(oracle._iter_paths(d, budget, s, forbidden, closed))
+            if budget.used:
+                kept[closed].append(s)
+            if closed:
+                got = [w for w in got if _closable(d, w, forbidden)]
+                want = [w for w in want if _closable(d, w, forbidden)]
+            assert [(w.start, w.labels) for w in got] == [(w.start, w.labels) for w in want]
+    return kept
+
+
+def test_root_rule_skips_only_starts_without_a_path():
+    # With the arcs of each of the first three Hamiltonian paths
+    # forbidden, every start the root rule skips has no Hamiltonian path
+    # (none that closes into a cycle with `closed`) in the unpruned DFS.
+    searches = skipped = closed_skipped = 0
+    for d in two_generated(12):
+        n = d.group.size
+        for p in itertools.islice(_unpruned_iter_paths(d, oracle._Budget(10**9)), 3):
+            kept, kept_closed = _root_rule_cases(d, frozenset(oracle.arc_ids(p)))
+            searches += 1
+            skipped += n - len(kept)
+            closed_skipped += n - len(kept_closed)
+    assert searches == 2184 and skipped > 0 and closed_skipped > skipped
+
+
+def _in_arcs(d, w, but=None):
+    """The arc ids that enter vertex index w, but the one from tail `but`."""
+    r = len(d.gens)
+    return {
+        pred[w] * r + i for i, pred in enumerate(d.predecessor_tables) if pred[w] != but
+    }
+
+
+@pytest.mark.parametrize(
+    "d, forbidden, kept",
+    [
+        # Vertex 7 has no allowed in-arc, so it is the start.
+        (cayley([12], 1, 5), lambda d: _in_arcs(d, 7), [7]),
+        # Vertices 3 and 7 have none: both would be the start.
+        (cayley([12], 1, 5), lambda d: _in_arcs(d, 3) | _in_arcs(d, 7), []),
+        # Only 4 enters 5 and 9, and it leaves once: one is the start.
+        (cayley([12], 1, 5), lambda d: _in_arcs(d, 5, 4) | _in_arcs(d, 9, 4), [5, 9]),
+        # Only 4 enters 5, 6 and 7: two of them would be the start.
+        (
+            cayley([12], 1, 2, 3),
+            lambda d: _in_arcs(d, 5, 4) | _in_arcs(d, 6, 4) | _in_arcs(d, 7, 4),
+            [],
+        ),
+    ],
+    ids=["no-in-arc", "two-without-in-arcs", "two-heads", "three-heads"],
+)
+def test_root_rule_branches(d, forbidden, kept):
+    # A cycle re-enters its start as well, so under `closed` each rule
+    # leaves no start at all.
+    assert _root_rule_cases(d, frozenset(forbidden(d))) == (kept, [])
