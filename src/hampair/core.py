@@ -164,9 +164,22 @@ position for r generators (`arc_ids`).
 
 Generation is decided arithmetically, without visiting the group: the
 generators g_1..g_s generate Z_{n1} x ... x Z_{nr} iff the rows g_1..g_s
-and n_i*e_i span Z^r, i.e. iff every pivot of the Hermite normal form
-of that integer matrix is 1.  On a cyclic group Z_n that is one gcd:
-gcd(n, g_1, ..., g_s) = 1.
+and n_i*e_i span Z^r.  The lattice they span holds every n_i*e_i, so it
+has full rank, and its index in Z^r is the gcd of the r x r minors of
+that integer matrix: unimodular row steps keep that gcd, and they bring
+the matrix to its Hermite normal form, whose one nonzero r x r minor is
+the product of its pivots, the index.  For two generators a and b, put
+N = n_1*...*n_r.  A minor with a row twice is 0.  Every other one is,
+up to sign, one of
+- N, from the rows n_k*e_k alone;
+- N/n_i * a_i, from a and every n_k*e_k but n_i*e_i, and so for b;
+- N/(n_i*n_j) * (a_i*b_j - a_j*b_i), from a, b and every n_k*e_k but
+  n_i*e_i and n_j*e_j, for i < j.
+So a and b generate iff the gcd of these 1 + 2r + r(r-1)/2 numbers is 1,
+on any rank; on a cyclic group Z_n that is gcd(n, a, b) = 1, and so is
+gcd(n, g_1, ..., g_s) = 1 for any number of generators.  Three or more
+generators on a group of rank two or more are decided by the Hermite
+reduction itself (`_spans_by_hermite`): every pivot is 1.
 
 `coset_split` computes a two-generated digraph's cosets of <A - B> once
 and keeps them in a slot on the digraph, beside its tables, so a build's
@@ -176,9 +189,9 @@ pair search and its pair check share one split.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm, prod
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Vertex = tuple[int, ...]
@@ -348,34 +361,27 @@ class CayleyDigraph(_Record):
             raise InputError(f"{gens} do not generate the group {group.orders}")
 
     def _generates(self) -> bool:
-        orders = self.group.orders
+        orders, gens = self.group.orders, self.gens
         if len(orders) == 1:
             # On Z_n the generators span gcd(n, g_1, ..., g_s) * Z_n.
-            return gcd(*orders, *(g for (g,) in self.gens)) == 1
-        # Hermite reduction of the rows gens + n_i*e_i, one column at a
-        # time: unimodular row steps gather the column's gcd into one
-        # pivot row and clear the column in the others.  The rows left
-        # span the lattice's vectors that vanish up to this column, which
-        # hold n_j*e_j, so their entries may be reduced mod n_j.
-        rows = [list(g) for g in self.gens]
-        rows += [[n if j == i else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
-        for col in range(len(orders)):
-            pivot = [0] * len(orders)
-            rest = []
-            for row in rows:
-                a, b = pivot[col], row[col]
-                if b == 0:
-                    rest.append(row)
-                    continue
-                g, s, t = _xgcd(a, b)
-                rest.append(
-                    [(b // g * p - a // g * q) % n for p, q, n in zip(pivot, row, orders)]
-                )
-                pivot = [s * p + t * q for p, q in zip(pivot, row)]
-            if abs(pivot[col]) != 1:
-                return False
-            rows = rest
-        return True
+            return gcd(*orders, *(g for (g,) in gens)) == 1
+        if len(gens) > 2:
+            return _spans_by_hermite(gens, orders)
+        # One or two generators: the gcd of the r x r minors of the rows
+        # gens + n_i*e_i (module docstring), N, N/n_i * g_i, and for a, b
+        # also N/(n_i*n_j) * (a_i*b_j - a_j*b_i).
+        size = prod(orders)
+        cofactors = [size // n for n in orders]  # N / n_i
+        minors = [size]
+        for g in gens:
+            minors += map(mul, cofactors, g)
+        if len(gens) == 2:
+            a, b = gens
+            minors += [
+                (a[i] * b[j] - a[j] * b[i]) * (cofactors[i] // orders[j])
+                for i, j in combinations(range(len(orders)), 2)
+            ]
+        return gcd(*minors) == 1
 
     @property
     def successor_tables(self) -> tuple[list[int], ...]:
@@ -412,6 +418,36 @@ class CayleyDigraph(_Record):
         if not (0 <= i < len(self.gens)):
             raise InputError(f"unknown generator label {lab!r}")
         return self.gens[i]
+
+
+def _spans_by_hermite(gens: Sequence[Vertex], orders: tuple[int, ...]) -> bool:
+    """Whether the rows gens + n_i*e_i span Z^r: every pivot of their
+    Hermite normal form is 1.
+
+    A Hermite reduction, one column at a time: unimodular row steps
+    gather the column's gcd into one pivot row and clear the column in
+    the others.  The rows left span the lattice's vectors that vanish up
+    to this column, which hold n_j*e_j, so their entries may be reduced
+    mod n_j."""
+    rows = [list(g) for g in gens]
+    rows += [[n if j == i else 0 for j in range(len(orders))] for i, n in enumerate(orders)]
+    for col in range(len(orders)):
+        pivot = [0] * len(orders)
+        rest = []
+        for row in rows:
+            a, b = pivot[col], row[col]
+            if b == 0:
+                rest.append(row)
+                continue
+            g, s, t = _xgcd(a, b)
+            rest.append(
+                [(b // g * p - a // g * q) % n for p, q, n in zip(pivot, row, orders)]
+            )
+            pivot = [s * p + t * q for p, q in zip(pivot, row)]
+        if abs(pivot[col]) != 1:
+            return False
+        rows = rest
+    return True
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

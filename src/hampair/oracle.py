@@ -22,7 +22,10 @@ before every yield and every exit and read again after each yield, as
 a pair search's second path spends from the same budget while the
 first is suspended.  A path search starts at every vertex in turn, a
 cycle search only at 0 (the digraph is vertex-transitive), and a pair
-search forbids the first path's arcs to the second.
+search forbids the first path's arcs to the second.  A yielded path
+carries the vertex indices the search held as its `index_list`, so its
+arc ids and a cycle search's closing arc are read without following
+the tables again.
 
 Every search prunes dead ends (Vandegriend & Culberson, 1998).  When the
 DFS tries the arc v -> w, each other out-neighbour x of v loses v as a
@@ -53,8 +56,19 @@ start, and of the heads that only one tail t can enter (t's allowed
 out-neighbours whose one allowed in-arc comes from t), t enters at most
 one: if there are two, the start is one of them, and if there are three
 or more, or two vertices without an allowed in-arc, there is no path.
-A Hamiltonian cycle enters its start too, so in a cycle search any of
-these leaves no path.  The search tries its starts in the usual order
+One more case pins the start when n + 1 arcs are allowed and every
+vertex keeps an allowed in-arc and an allowed out-arc.  Then one tail t
+has two allowed out-arcs, one vertex s two allowed in-arcs, and every
+other vertex one of each.  Say t's heads are s and h, where only t
+enters h.  A path that does not start at h enters it by t -> h, so it
+leaves t by that arc and never by t -> s, and all its arcs lie in
+F = allowed - {t -> s}, where every vertex has one out-arc and one
+in-arc: F is a permutation.  A Hamiltonian path inside it follows one
+cycle of F through all n vertices, so unless F is one n-cycle, h is the
+only start.  The case reads allowed degrees only, so it holds for any
+number of generators.  A Hamiltonian cycle enters its start too, so in
+a cycle search any of these leaves no path (the last one unless F is
+one n-cycle).  The search tries its starts in the usual order
 and skips every start outside all these sets; a skipped start roots a
 subtree without a Hamiltonian leaf, so, as above, the leaves and their
 order stay the same, and a skipped start spends no node.  The rule is
@@ -66,12 +80,20 @@ vertex has only one tail, and with r = 1 each tail enters one head.  So
 the first path of a pair search, and every path and cycle search, run as
 before.  In a pair search on a two-generated digraph the first path's
 arcs leave every vertex but its start a single allowed in-arc, and its
-end the one tail with two allowed out-arcs.  Unless one
-of these leads back to the first path's start, only the end can enter
-either head, so the second path starts at one of the two: of the 3,907
-second-path searches on perfbench's 2,760 pair-search digraphs, 2,001
-kept two starts and the others all of them.  On C_6 x C_8 the pair
-search spent 96 nodes, where it spent 816 without the rule.
+end the one tail with two allowed out-arcs, so n + 1 arcs stay allowed.
+If neither of the end's heads is the first path's start, only the end
+can enter either, and the second path starts at one of the two;
+otherwise the last case applies, with t the end and s the start.  Of
+the 3,907 second-path searches on perfbench's 2,760 pair-search
+digraphs, 2,001 kept two starts, 558 kept one, and 1,348 kept all, as
+their F was one n-cycle; each of these found its path from the first
+start in n nodes, as every vertex but t has one allowed out-arc and
+the branch t -> s is pruned (h would lose its one tail).  The pair
+searches on those digraphs spent 220,639 nodes, 278,991 without the
+last case and 418,723 without the root rule.  On C_6 x C_8 the pair
+search spends 96 nodes, where it spent 816 without the rule, and on
+Cay(Z_5 x Z_9; (1, 1), (0, 1)) 234, against 630 without the last case
+and 1,134 without the rule.
 """
 
 from __future__ import annotations
@@ -182,6 +204,18 @@ def _iter_paths(
             heads = [w for m in moves if (w := m[t]) < n and ins[w] == sole]
             if len(heads) > 1:  # only t enters them: all but one must be the start
                 need.append(set() if closed or len(heads) > 2 else {*heads})
+            elif heads and len(forbidden) == n * sole - 1 and r not in ins and r not in outs:
+                # n + 1 allowed arcs, every vertex with one in and one out
+                # but t (two out) and t's other head s (two in): a path
+                # not from h = heads[0] lies in F = allowed - {t -> s}.
+                h = heads[0]
+                step = [*map(min, *moves)]  # F: each vertex's one allowed head
+                step[t] = h
+                v, length = step[h], 1
+                while v != h:
+                    v, length = step[v], length + 1
+                if length < n:  # F is not one n-cycle
+                    need.append(set() if closed else {h})
         if need:
             firsts = set.intersection(*need)
             starts = [s for s in starts if s in firsts]
@@ -241,9 +275,14 @@ def _iter_paths(
                     raise BudgetExhausted
                 if depth == leaf_parent:  # w is a leaf: yield it, expand no further
                     budget.used = used
-                    yield LabeledWalk(
+                    walk = LabeledWalk(
                         d, group.decode(first), "".join(map(label_of.__getitem__, todo[: n - 1]))
                     )
+                    # The search holds the walk's vertices: fill its cache,
+                    # so that arc_ids and a cycle's closing test need not
+                    # follow the tables again.
+                    walk.index_list = [*path[: n - 1], w]
+                    yield walk
                     used = budget.used
                 else:
                     depth += 1

@@ -221,6 +221,25 @@ def test_build_search_witness(capsys):
     assert witness_from_json(out).verify() is None
 
 
+# SHA-256 of the stdout of `hampair build search orders gen_a gen_b` on
+# groups of rank two and three, whose digraphs are checked for generation
+# by the minors rule: a change to either path, or to the witness layout
+# of a rank above one, shows here.
+BUILD_SEARCH_SHA256 = {
+    ("6,8", "1,0", "0,1"): "f50c055734f2854444a9c4ca25d8771b25207ac365f955b65b1af2df3651ad95",
+    ("4,6", "1,1", "0,1"): "7358de1421925a2991fc6d5101ad6d8844274fa87d7a8afa24192d5f5ddb9841",
+    ("2,3,5", "0,0,1", "1,1,0"): "3cff359e44f8345346466fd040cc7f18ade4686bd7218f6163ab208583582870",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(BUILD_SEARCH_SHA256))
+def test_build_search_witness_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, "build", "search", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILD_SEARCH_SHA256[argv]
+    assert witness_from_json(out).verify() is None
+
+
 def test_build_search_deep(capsys):
     # A 1,200-vertex digraph, built from its cosets.
     code, out, _ = run(capsys, "build", "search", "1200", "1", "2")

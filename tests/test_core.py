@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from collections import deque
 from math import prod
 from pathlib import Path
@@ -290,12 +291,41 @@ def test_generation_by_gcd_matches_the_closure_on_cyclic_groups():
             assert hermite_generates(group, ((a,), (b,))) == (len(seen) == n), (n, a, b)
 
 
-def test_generation_by_hermite_matches_bfs_on_rank_two():
+def test_generation_by_minors_matches_bfs_on_rank_two():
     for m, n in itertools.product(range(1, 9), repeat=2):
         group = FiniteAbelianGroup((m, n))
         nonzero = [v for v in group.elements() if v != group.zero]
         for gens in itertools.combinations(nonzero, 2):
             assert hermite_generates(group, gens) == bfs_generates(group, gens), (m, n, gens)
+
+
+def test_generation_by_minors_matches_bfs_on_rank_four_and_unit_factors():
+    # Two generators on every group of rank 4, and of rank 3 with a
+    # factor of order 1, of order <= 24, factors of order 1 to 6.
+    checked = refused = 0
+    for rank in (3, 4):
+        for orders in itertools.product(range(1, 7), repeat=rank):
+            if prod(orders) > 24 or rank == 3 and 1 not in orders:
+                continue
+            group = FiniteAbelianGroup(orders)
+            nonzero = [v for v in group.elements() if v != group.zero]
+            for gens in itertools.combinations(nonzero, 2):
+                want = bfs_generates(group, gens)
+                assert hermite_generates(group, gens) == want, (orders, gens)
+                checked += 1
+                refused += not want
+    assert refused > 0 and checked > refused
+
+
+def test_generation_by_minors_on_huge_orders_returns_at_once():
+    # Z_(10^18) x Z_(10^18): one gcd of five numbers, no walk of the group.
+    group = FiniteAbelianGroup((10**18, 10**18))
+    start = time.perf_counter()
+    assert hermite_generates(group, ((1, 1), (1, 2)))  # a_1*b_2 - a_2*b_1 = 1
+    assert hermite_generates(group, ((10**18 - 1, 1), (1, 0)))
+    assert not hermite_generates(group, ((2, 0), (0, 1)))  # index 2
+    assert not hermite_generates(group, ((1, 1), (3, 3)))  # both in <(1, 1)>
+    assert time.perf_counter() - start < 0.5
 
 
 def test_generation_check_matches_bfs_on_triples():

@@ -307,7 +307,7 @@ def test_search_outcomes_pinned(search, expected):
     [
         (find_arc_disjoint_pair, cayley([12], 4, 9), 24),
         (find_strongly_switchable_pair, product_digraph((4, 6)), 48),
-        (find_arc_disjoint_pair, cayley([6], 1, 3), 30),
+        (find_arc_disjoint_pair, cayley([6], 1, 3), 20),
     ],
     ids=["pair", "switchable", "pair-after-an-absent-second-path"],
 )
@@ -460,25 +460,55 @@ def _in_arcs(d, w, but=None):
     }
 
 
+def _path_arcs(d, labels):
+    """The arc ids of the walk from 0 with these labels."""
+    return set(oracle.arc_ids(LabeledWalk(d, d.group.zero, labels)))
+
+
 @pytest.mark.parametrize(
-    "d, forbidden, kept",
+    "d, forbidden, kept, kept_closed",
     [
         # Vertex 7 has no allowed in-arc, so it is the start.
-        (cayley([12], 1, 5), lambda d: _in_arcs(d, 7), [7]),
+        (cayley([12], 1, 5), lambda d: _in_arcs(d, 7), [7], []),
         # Vertices 3 and 7 have none: both would be the start.
-        (cayley([12], 1, 5), lambda d: _in_arcs(d, 3) | _in_arcs(d, 7), []),
+        (cayley([12], 1, 5), lambda d: _in_arcs(d, 3) | _in_arcs(d, 7), [], []),
         # Only 4 enters 5 and 9, and it leaves once: one is the start.
-        (cayley([12], 1, 5), lambda d: _in_arcs(d, 5, 4) | _in_arcs(d, 9, 4), [5, 9]),
+        (cayley([12], 1, 5), lambda d: _in_arcs(d, 5, 4) | _in_arcs(d, 9, 4), [5, 9], []),
         # Only 4 enters 5, 6 and 7: two of them would be the start.
         (
             cayley([12], 1, 2, 3),
             lambda d: _in_arcs(d, 5, 4) | _in_arcs(d, 6, 4) | _in_arcs(d, 7, 4),
             [],
+            [],
+        ),
+        # The A-path 0 -> 11 is forbidden: 11 leaves by 11 -> 0 and
+        # 11 -> h = 4, and F, the B-arcs (+5), is one 12-cycle, which a
+        # path may follow from any start.
+        (cayley([12], 1, 5), lambda d: _path_arcs(d, "A" * 11), [*range(12)], [*range(12)]),
+        # The same with B = +2: F has two cycles, so a path must start at
+        # h = 1, and no cycle closes.
+        (cayley([12], 1, 2), lambda d: _path_arcs(d, "A" * 11), [1], []),
+        # Three generators, with every C-arc (+3) forbidden as well: the
+        # allowed degrees, not r, make the case, and F, the B-arcs (+2),
+        # has two cycles.
+        (
+            cayley([12], 1, 2, 3),
+            lambda d: _path_arcs(d, "A" * 11) | {3 * v + 2 for v in range(12)},
+            [1],
+            [],
         ),
     ],
-    ids=["no-in-arc", "two-without-in-arcs", "two-heads", "three-heads"],
+    ids=[
+        "no-in-arc",
+        "two-without-in-arcs",
+        "two-heads",
+        "three-heads",
+        "one-head-f-one-cycle",
+        "one-head-f-two-cycles",
+        "one-head-three-generators",
+    ],
 )
-def test_root_rule_branches(d, forbidden, kept):
+def test_root_rule_branches(d, forbidden, kept, kept_closed):
     # A cycle re-enters its start as well, so under `closed` each rule
-    # leaves no start at all.
-    assert _root_rule_cases(d, frozenset(forbidden(d))) == (kept, [])
+    # that pins the start leaves no start at all.
+    assert _root_rule_cases(d, frozenset(forbidden(d))) == (kept, kept_closed)
