@@ -71,16 +71,17 @@ def cut_set(k: int, a: int) -> CutProfile:
 
     The witness is the lexicographically least pair (u, v) in Z x Z with
     u <= v attaining |u + v - N| = delta (lattice.reflection_distance).
-    The count pair is as described in count_pair.
+    The count pair is as described in count_pair.  Z is the ray
+    system's own tuple of cut values, not a copy.
     """
     a = check_family_one_params(k, a)
     rs = lattice.ray_system(k, a)
-    Z = rs.cut_values()
+    Z = rs.cuts
     delta, u, v = lattice.reflection_distance(Z, k - 1)
     pair = next(cosets.count_pairs(k, Z, Z), None)
     if pair is None:
         raise AssertionError(f"no cut-value pair with sum in {{k-2, k-1, k}} for {(k, a)}: Z={Z}")
-    return CutProfile(k, a, tuple(Z), delta, (u, v), pair, rs)
+    return CutProfile(k, a, Z, delta, (u, v), pair, rs)
 
 
 def cut_path(k: int, a: int, d: int) -> LabeledWalk:

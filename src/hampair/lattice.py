@@ -78,7 +78,7 @@ def _last_ray(p: LatticeParams) -> Ray:
 
 class RaySystem(_Record):
     _fields = ("params", "rays", "mults")
-    __slots__ = (*_fields, "_cuts", "_prefix")  # _cuts: see cut_values
+    __slots__ = (*_fields, "cuts", "_prefix", "_large")  # cuts: see cut_values
 
     def __init__(
         self, params: LatticeParams, rays: tuple[Ray, ...], mults: tuple[int, ...]
@@ -87,8 +87,8 @@ class RaySystem(_Record):
         self.rays = rays  # slope-ordered, boundary rays first and last
         self.mults = h = mults
         doubled = (2 * x for x in itertools.islice(h, 1, len(h) - 1))
-        self._cuts = tuple(itertools.accumulate(doubled, initial=h[0]))
-        self._prefix = None
+        self.cuts = tuple(itertools.accumulate(doubled, initial=h[0]))
+        self._prefix = self._large = None
 
     @property
     def prefix(self) -> tuple[int, ...]:
@@ -99,13 +99,23 @@ class RaySystem(_Record):
         return self._prefix
 
     @property
+    def large(self) -> tuple[int, ...]:
+        """The indices of the rays of multiplicity >= 2, ascending,
+        computed on first read: the only rays the scan's sector-filling,
+        adjacent-large and cap2 checks can fail on."""
+        if self._large is None:
+            self._large = tuple([i for i, x in enumerate(self.mults) if x >= 2])
+        return self._large
+
+    @property
     def f(self) -> int:
         return len(self.rays)
 
     def cut_values(self) -> list[int]:
         """Prefix-sum cut values U_1, ..., U_{f-1}: U_1 = mults[0] and
-        U_{q+1} = U_q + 2 * mults[q]."""
-        return list(self._cuts)
+        U_{q+1} = U_q + 2 * mults[q], as a fresh list; the tuple `cuts`
+        holds the same values."""
+        return list(self.cuts)
 
 
 def _internal_rays(p: LatticeParams, last: Ray) -> Iterator[tuple[int, int, int]]:
@@ -190,7 +200,7 @@ def ray_system(k: int, a: int) -> RaySystem:
     del mults
     rs = RaySystem(p, ray_tuple, mult_tuple)
     # endpoint identity of the parametrization
-    assert rs._cuts[-1] + rs.mults[-1] == N, rs
+    assert rs.cuts[-1] + rs.mults[-1] == N, rs
     return rs
 
 
@@ -245,24 +255,26 @@ def reflection_distance(zs: list[int] | tuple[int, ...], N: int) -> tuple[int, i
 
     One two-pointer pass suffices: a pair it skips is beaten by a
     visited pair with a smaller |u + v - N|, or with the same excess and
-    a smaller u.
+    a smaller u.  The pass visits u in ascending and v in descending
+    order, so a later pair of the same excess wins only with the same
+    index i, and then with a smaller v: no tuple is built per step.
     """
     if not zs:
         raise InputError("cut set must be nonempty")
-    best = None
     i, j = 0, len(zs) - 1
+    best, bi, bj = abs(zs[i] + zs[j] - N), i, j
     while i <= j:
         s = zs[i] + zs[j] - N
-        cand = (abs(s), zs[i], zs[j])
-        if best is None or cand < best:
-            best = cand
+        d = s if s >= 0 else -s
+        if d < best or d == best and i == bi:
+            best, bi, bj = d, i, j
         if s > 0:
             j -= 1
         elif s < 0:
             i += 1
         else:
             break
-    return best
+    return best, zs[bi], zs[bj]
 
 
 def sector_filling_violations(rs: RaySystem) -> list[tuple[int, int, int, int]]:
@@ -270,16 +282,19 @@ def sector_filling_violations(rs: RaySystem) -> list[tuple[int, int, int, int]]:
     multiplicity p and q, whose sector mass falls below theta(p, q).
 
     theta(1, q) = theta(p, 1) = 0 and a mass is never negative, so only
-    pairs of rays of multiplicity >= 2 are looked at; each costs O(1).
-    The mass and theta are sector_mass and theta inlined: indices from
-    the ray system need no range checks.
+    pairs of rays of multiplicity >= 2, from rs.large, are looked at;
+    each costs O(1).  The mass and theta are sector_mass and theta
+    inlined: indices from the ray system need no range checks.  A pair
+    with 2 * mass >= pq holds without its gcd: gcd(p, q) <= min(p, q),
+    so 2 * theta(p, q) <= (p-1)(q-1) + min(p, q) - 1 = pq - max(p, q) < pq.
     """
     h, prefix = rs.mults, rs.prefix
-    large = [i for i, x in enumerate(h) if x >= 2]
     out = []
-    for i, j in itertools.combinations(large, 2):
+    for i, j in itertools.combinations(rs.large, 2):
         p, q = h[i], h[j]
         mass = prefix[j] - prefix[i + 1]
+        if 2 * mass >= p * q:
+            continue
         bound = ((p - 1) * (q - 1) + gcd(p, q) - 1) // 2
         if mass < bound:
             out.append((i, j, mass, bound))
@@ -326,13 +341,22 @@ def cap2_violations(rs: RaySystem) -> list[tuple[str, Ray, int, int]]:
     Side "L" is the first ray's cap and "R" the last's; no bound applies
     unless one of the caps equals 2.  The mass is sector_mass inlined, as
     in sector_filling_violations.
+
+    Only the internal rays of rs.large are looked at.  A ray of
+    multiplicity alpha <= 1 can fail no bound: alpha - 2 is negative,
+    and alpha - 1 applies only when N = 4*alpha - 2, which for alpha = 1
+    is N = 2 with a required mass of 0 (for alpha = 0 it would be
+    N = -2).  A mass is never negative, as no multiplicity is.
     """
-    N, h, prefix = rs.params.N, rs.mults, rs.prefix
+    h, last = rs.mults, rs.f - 1
     out = []
-    for side, cap in (("L", 0), ("R", rs.f - 1)):
+    for side, cap in (("L", 0), ("R", last)):
         if h[cap] != 2:
             continue
-        for r in range(1, rs.f - 1):
+        N, prefix = rs.params.N, rs.prefix
+        for r in rs.large:
+            if not 0 < r < last:
+                continue
             alpha = h[r]
             mass = prefix[r] - prefix[1] if cap == 0 else prefix[cap] - prefix[r + 1]
             required = alpha - 1 if N == 4 * alpha - 2 else alpha - 2

@@ -21,9 +21,10 @@ cell's cut set by the conjugation lemma in oracle_cut_set's docstring.
 The reference is computed from permutations alone, and each cell
 compares its own ray-system cut set with it.  A self-mirrored
 cell (odd k, a = N/2) is a unit of one.  Rows k = 24..87 (3,424 cells)
-take about 0.15-0.16 s in one process on one core of a 2-core Xeon
-(Python 3.11, best of 5), and a fresh `hampair scan 100 130` about
-0.4 s (medians of 15 runs).
+take about 0.15 s in one process on one core of a 2-core Xeon VM
+(Python 3.11; the median of 25 runs, each the best of 5 passes,
+quartiles 0.145-0.148 s), and a fresh `hampair scan 100 130 --format
+csv` about 0.57 s, 0.44 s with --jobs 2 (medians of 15 runs).
 
 Units are independent, so scans parallelize, on at most as many worker
 processes as this process may use CPUs; results are always reported in
@@ -33,7 +34,11 @@ ScanRow is the package's one dataclass, for the benchmark's self-check
 (perfbench/selfcheck.py), which corrupts a row with dataclasses.replace.
 Every other record is a NamedTuple or a plain class, which generates
 no code at import, and the CLI imports this module only for `scan`, so
-no other command loads dataclasses.
+no other command loads dataclasses.  It is a slots dataclass, not a
+frozen one, so it has no hash: a frozen row set each field through
+object.__setattr__ and took 2.1 us to build, where a slots row takes
+0.3 us (positional arguments; 0.7 us by keyword), and a pass over
+rows 24..87 builds 3,424 rows.  Nothing hashes or mutates a row.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Optional
 from . import family_one, lattice, oracle
 from .core import InputError
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScanRow:
     k: int
     a: int
@@ -63,18 +68,24 @@ class ScanRow:
         return not self.failures
 
 
-def scan_cell(cell: tuple[int, int], oracle_Z: tuple[int, ...]) -> ScanRow:
+def scan_cell(
+    cell: tuple[int, int], oracle_Z: tuple[int, ...], reflected: Optional[tuple[int, ...]] = None
+) -> ScanRow:
     """All six checks on one cell; oracle_Z is its sorted reference cut
-    set from oracle_cut_set (scan_mirror_pair derives it)."""
+    set from oracle_cut_set (scan_mirror_pair derives it), and
+    reflected, if given, is N - oracle_Z, which is the row's N - Z when
+    the two sets agree."""
     k, a = cell
     profile = family_one.cut_set(k, a)
-    N = profile.N
+    N = k - 1
     Z = profile.Z
     rs = profile.ray_system
-    caps = lattice.endpoint_caps(k, a)
+    caps = c_L, c_R = lattice.endpoint_caps(k, a)
     failures = []
 
     lattice_agrees = oracle_Z == Z
+    if reflected is None or not lattice_agrees:
+        reflected = tuple(map(N.__sub__, reversed(Z)))
 
     expected = 0 if k % 2 else 1
     if profile.delta != expected:
@@ -85,40 +96,33 @@ def scan_cell(cell: tuple[int, int], oracle_Z: tuple[int, ...]) -> ScanRow:
         failures.append("lattice-equality: endpoint identity violated")
     if (Z[0], N - Z[-1]) != caps:
         failures.append(f"caps: profile gives {(Z[0], N - Z[-1])}, gcds give {caps}")
+    h, large = rs.mults, rs.large
     for i, j, mass, bound in lattice.sector_filling_violations(rs):
-        p, q = rs.mults[i], rs.mults[j]
-        failures.append(f"sector-filling: M(A_{i},A_{j})={mass} < theta{(p, q)}={bound}")
-    for h1, h2 in zip(rs.mults, rs.mults[1:]):
-        if h1 >= 2 and h2 >= 2:
-            failures.append(f"adjacent-large: consecutive blocks {h1}, {h2}")
+        failures.append(f"sector-filling: M(A_{i},A_{j})={mass} < theta{(h[i], h[j])}={bound}")
+    # two blocks of multiplicity >= 2 side by side are consecutive in rs.large
+    for i, j in zip(large, large[1:]):
+        if j == i + 1:
+            failures.append(f"adjacent-large: consecutive blocks {h[i]}, {h[j]}")
     for side, ray, mass, required in lattice.cap2_violations(rs):
         failures.append(f"cap2: side {side} ray {ray}: mass {mass} < {required}")
 
-    return ScanRow(
-        k=k,
-        a=a,
-        Z=Z,
-        reflected=tuple(map(N.__sub__, reversed(Z))),
-        delta=profile.delta,
-        count_pair=profile.count_pair,
-        c_L=caps[0],
-        c_R=caps[1],
-        lattice_agrees=lattice_agrees,
-        failures=tuple(failures),
-    )
+    # positional, in field order: keywords cost about 0.5 us more a row
+    return ScanRow(k, a, Z, reflected, profile.delta, profile.count_pair, c_L, c_R,
+                   lattice_agrees, tuple(failures))
 
 
 def scan_mirror_pair(unit: tuple[int, int]) -> tuple[ScanRow, ...]:
     """The rows of cells (k, a) and (k, N-a), a <= N-a, from one
-    oracle_cut_set pass: cell N-a's reference is N - Z(k, a).  A
-    self-mirrored cell, a = N-a, gives one row."""
+    oracle_cut_set pass: cell N-a's reference is N - Z(k, a), and each
+    cell's reference is the other's reflected set.  A self-mirrored
+    cell, a = N-a, gives one row."""
     k, a = unit
     N = k - 1
     oracle_Z = tuple(sorted(oracle.oracle_cut_set(k, a)))
-    rows = (scan_cell((k, a), oracle_Z),)
-    if a != N - a:
-        rows += (scan_cell((k, N - a), tuple(map(N.__sub__, reversed(oracle_Z)))),)
-    return rows
+    mirror_Z = tuple(map(N.__sub__, reversed(oracle_Z)))
+    if a == N - a:
+        return (scan_cell((k, a), oracle_Z, mirror_Z),)
+    return scan_cell((k, a), oracle_Z, mirror_Z), scan_cell((k, N - a), mirror_Z, oracle_Z)
 
 
 class ScanSummary:
@@ -130,17 +134,17 @@ class ScanSummary:
         self.sum_k_minus_2 = self.sum_k = 0
         self.first_failure: Optional[ScanRow] = None
 
-    def absorb(self, row: ScanRow) -> None:
-        self.cells += 1
-        if not row.ok and self.first_failure is None:
-            self.first_failure = row
-        self.failures += len(row.failures)
-        if row.k % 2 == 0:
-            s = sum(row.count_pair)
-            if s == row.k - 2:
-                self.sum_k_minus_2 += 1
-            elif s == row.k:
-                self.sum_k += 1
+    def absorb(self, k: int, k_rows: list[ScanRow]) -> None:
+        """Count the rows of the cells (k, a), given in a order."""
+        self.cells += len(k_rows)
+        failed = [row for row in k_rows if row.failures]
+        self.failures += sum(len(row.failures) for row in failed)
+        if failed and self.first_failure is None:
+            self.first_failure = failed[0]
+        if k % 2 == 0:
+            sums = [d + e for d, e in [row.count_pair for row in k_rows]]
+            self.sum_k_minus_2 += sums.count(k - 2)
+            self.sum_k += sums.count(k)
 
 
 def scan_cells(k_min: int, k_max: int) -> list[tuple[int, int]]:
@@ -171,9 +175,17 @@ def run_scan(k_min: int, k_max: int, jobs: int = 1) -> tuple[list[ScanRow], Scan
             pairs = list(pool.map(scan_mirror_pair, units, chunksize=16))
     else:
         pairs = [scan_mirror_pair(unit) for unit in units]
-    # back to (k, a) order: a row's mirror cells come out in reverse
-    rows = sorted((row for pair in pairs for row in pair), key=lambda row: (row.k, row.a))
+    # Back to (k, a) order with no sort: the (k - 1) // 2 units of k,
+    # a = 1, 2, ..., give the cells a ascending, then their mirrors N - a
+    # descending (a self-mirrored unit, the last of odd k, has none).
+    rows: list[ScanRow] = []
     summary = ScanSummary()
-    for row in rows:
-        summary.absorb(row)
+    end = 0
+    for k in range(max(k_min, 3), k_max + 1):
+        start, end = end, end + (k - 1) // 2
+        k_pairs = pairs[start:end]
+        k_rows = [pair[0] for pair in k_pairs]
+        k_rows += [pair[1] for pair in reversed(k_pairs) if len(pair) == 2]
+        summary.absorb(k, k_rows)
+        rows += k_rows
     return rows, summary

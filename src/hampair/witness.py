@@ -171,6 +171,10 @@ def witness_from_json(text: str) -> WitnessFile:
         # type(...) is int: true and 1.0 compare equal to 1.
         if type(doc["version"]) is not int or doc["version"] != FORMAT_VERSION:
             raise MalformedWitness(f"version must be the integer {FORMAT_VERSION}")
+        # claim_failure looks the family up in a dict, where a list or an
+        # object would raise TypeError outside every handler of the CLI.
+        if not isinstance(family := doc["family"], str):
+            raise MalformedWitness(f"family must be a str, got {type(family).__name__}")
         group = FiniteAbelianGroup(tuple(_integers(doc["group_orders"], "group_orders")))
         names = ("gen_a", "gen_b", "gen_c") if "gen_c" in doc else ("gen_a", "gen_b")
         digraph = CayleyDigraph(group, tuple(group.canon(_integers(doc[g], g)) for g in names))
@@ -178,7 +182,7 @@ def witness_from_json(text: str) -> WitnessFile:
         if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
             raise MalformedWitness("params must be an object of integers")
         return WitnessFile(
-            family=doc["family"],
+            family=family,
             params=params,
             digraph=digraph,
             path1=walk_from_dict(digraph, doc["path1"]),

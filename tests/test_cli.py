@@ -608,6 +608,24 @@ def test_verify_unknown_family_or_params_is_malformed(capsys, tmp_path, family, 
 
 
 @pytest.mark.parametrize(
+    "family, type_name",
+    [([1], "list"), ({}, "dict"), (1, "int"), (None, "NoneType"), (True, "bool")],
+    ids=["list", "object", "number", "null", "true"],
+)
+def test_verify_non_string_family_is_malformed(capsys, tmp_path, family, type_name):
+    # A list or an object was a traceback with exit 1: claim_failure
+    # looked it up in a dict and raised TypeError (unhashable type).
+    target = tmp_path / "w.json"
+    run(capsys, "build", "one", "10", "4", "--out", str(target))
+    doc = json.loads(target.read_text())
+    doc["family"] = family
+    target.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(target)) == (
+        EXIT_USAGE, "", f"malformed witness file: family must be a str, got {type_name}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [("cuts", "10", "4"), ("scan", "3", "5"), ("build", "one", "10", "4")],
     ids=["cuts", "scan", "build-one"],

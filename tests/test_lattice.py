@@ -410,6 +410,18 @@ def test_reflected_gap_graph_matches_all_pairs(zs, N):
     )
 
 
+@pytest.mark.parametrize(
+    "zs, N, expected",
+    [([7, 15, 23], 26, (4, 7, 15)), ([1, 9, 21], 26, (4, 1, 21)), ([2, 4, 6], 8, (0, 2, 6))],
+    ids=["one-u-two-v", "two-u-one-v", "exact"],
+)
+def test_reflection_distance_ties(zs, N, expected):
+    # One u meets two v's at the same excess, 7 + 23 and 7 + 15: the
+    # later, smaller v wins.  Two u's meet one v, 1 + 21 and 9 + 21: the
+    # earlier, smaller u keeps its place.
+    assert reflection_distance(zs, N) == expected
+
+
 def test_reflection_distance_rejects_empty():
     with pytest.raises(InputError):
         reflection_distance([], 5)
@@ -448,6 +460,25 @@ def test_cap2_violations_report_failing_bounds():
     # side of the right cap.
     rs = RaySystem(lattice_params(15, 3), ((1, 0), (1, 1), (1, 2), (1, 3)), (1, 4, 0, 2))
     assert cap2_violations(rs) == [("R", (1, 1), 0, 3)]
+
+
+def test_large_lists_the_rays_of_multiplicity_two_or_more():
+    rs = ray_system(15, 3)
+    assert rs.mults == (2, 1, 1, 1, 3, 0) and rs.large == (0, 4)
+    assert _fake_rays([1, 0, 1]).large == ()
+
+
+def test_cap2_boundary_cases():
+    # N = 6 = 4*2 - 2: a ray of multiplicity 2 right after a left cap of
+    # 2 needs a mass of 1, has 0, and is reported.
+    rs = RaySystem(lattice_params(7, 2), ((1, 0), (1, 1), (1, 2), (1, 3)), (2, 2, 0, 1))
+    assert cap2_violations(rs) == [("L", (1, 1), 0, 1)]
+    # N = 2 = 4*1 - 2: a ray of multiplicity 1 between two caps of 2
+    # needs a mass of 0, which every mass has, so it is never reported
+    # (and it is not in rs.large, where cap2_violations looks).
+    rs = RaySystem(lattice_params(3, 1), ((1, 0), (1, 1), (0, 1)), (2, 1, 2))
+    assert rs.params.N == 2 and rs.large == (0, 2)
+    assert cap2_violations(rs) == []
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=14).map(lambda m: [2, *m, 2]))

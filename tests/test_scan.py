@@ -36,6 +36,8 @@ def test_mirror_pair_rows():
     first, mirror = scan_mirror_pair((10, 4))
     assert first == scan_cell((10, 4), (1, 3, 5))
     assert (mirror.k, mirror.a, mirror.Z) == (10, 5, (4, 6, 8))
+    # each cell's reference is the other's reflected set
+    assert (first.reflected, mirror.reflected) == (mirror.Z, first.Z)
     assert mirror.lattice_agrees and mirror.ok
     # odd k, a = N/2: a unit of one
     (row,) = scan_mirror_pair((11, 5))
@@ -129,12 +131,34 @@ def test_scan_command_reports_its_first_failure(capsys, monkeypatch):
 # SHA-256 of the stdout of `hampair scan 3 45 --format csv`: the scan's
 # output must stay byte-identical when its internals change.
 SCAN_3_45_CSV_SHA256 = "8af1086b93fc5ac796a02a9b347d946a1654cab621b2156932fbc693b9a588cc"
+# The same for the table and JSON formats.
+SCAN_3_45_SHA256 = {
+    "csv": SCAN_3_45_CSV_SHA256,
+    "table": "553bb8e7e034b1a1ae9e07919131c6c237935932482b3ae3f8f2883bf10b88af",
+    "json": "3502d687de2786258f19b889ad92c1cb01140365c7c5046026bbd775425e7788",
+}
 
 
 def test_scan_csv_output_is_pinned(capsys):
     assert main(["scan", "3", "45", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_3_45_CSV_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_scan_output_is_pinned(capsys, fmt):
+    assert main(["scan", "3", "45", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_3_45_SHA256[fmt]
+
+
+def test_scan_output_with_two_jobs_is_the_same_bytes(capsys):
+    # Two workers hand back the mirror pairs in the same order, so every
+    # format is byte-identical to the pinned single-process output.
+    for fmt, digest in SCAN_3_45_SHA256.items():
+        assert main(["scan", "3", "45", "--format", fmt, "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_scan_clean_small_window():
@@ -235,6 +259,9 @@ def test_moved_lattice_value_fails_only_its_row(monkeypatch, cell):
     ]
     assert flagged == [cell]
     assert [(r.k, r.a) for r in rows if not r.ok] == [cell]
+    # A row that disagrees with its reference reflects its own Z.
+    for r in rows:
+        assert r.reflected == tuple(r.k - 1 - z for z in reversed(r.Z)), (r.k, r.a)
 
 
 def test_moved_oracle_value_fails_both_rows_of_its_pair(monkeypatch):
